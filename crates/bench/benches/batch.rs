@@ -1,21 +1,15 @@
-//! Batched vs scalar hot-loop throughput on dynamically dispatched
-//! stacks: the measurement behind the block-engine driver.
-//!
-//! The scalar rows drive `pipeline::simulate_source` through the two
-//! object-safe routes registry callers use (`Box<dyn BranchPredictor>`
-//! and the pooled `DynPredictor`): one virtual predictor call per event.
-//! The engine rows drive the same ISL-TAGE stack through a
-//! `pipeline::WindowEngine` behind `dyn BlockSim`: one virtual
-//! `run_block` per batch with a monomorphized window loop inside. Every
-//! row simulates identical bits (the engine tests pin this); only the
-//! dispatch amortization differs.
+//! Block-engine throughput on the ISL-TAGE stack and gshare: the two ends
+//! of the per-event cost spectrum. ISL-TAGE's table walks dominate its
+//! per-event cost; on gshare the window and the per-block dispatch are
+//! most of it. Both rows drive a `pipeline::WindowEngine` through
+//! `simulate_engine`, the one simulation route.
 
 use bench::bench_trace;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pipeline::{simulate_engine, simulate_source, PipelineConfig, WindowEngine, DEFAULT_BATCH};
+use pipeline::{simulate_engine, PipelineConfig, WindowEngine, DEFAULT_BATCH};
 use simkit::UpdateScenario;
 use std::hint::black_box;
-use workloads::event::{prefetch_event, TraceStream, EVENT_PREFETCH_AHEAD};
+use workloads::event::TraceStream;
 
 fn batch(c: &mut Criterion) {
     let trace = bench_trace("CLIENT08");
@@ -28,68 +22,17 @@ fn batch(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(300));
     g.measurement_time(std::time::Duration::from_millis(800));
 
-    g.bench_function("isl_tage_boxed_dyn_scalar", |b| {
+    g.bench_function(&format!("isl_tage_engine_batch{DEFAULT_BATCH}"), |b| {
         b.iter(|| {
-            let mut p: Box<dyn simkit::BranchPredictor> = Box::new(tage::TageSystem::isl_tage());
-            black_box(simulate_source(&mut p, &mut TraceStream::new(&trace), scenario, &cfg))
+            let mut e = WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg);
+            black_box(simulate_engine(&mut e, &mut TraceStream::new(&trace)))
         })
     });
-    g.bench_function("isl_tage_dyn_pooled_scalar", |b| {
-        b.iter(|| {
-            let mut p = simkit::DynPredictor::new(Box::new(tage::TageSystem::isl_tage()));
-            black_box(simulate_source(&mut p, &mut TraceStream::new(&trace), scenario, &cfg))
-        })
-    });
-    for batch in [64usize, DEFAULT_BATCH] {
-        g.bench_function(&format!("isl_tage_engine_batch{batch}"), |b| {
-            b.iter(|| {
-                let mut e = WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg);
-                black_box(simulate_engine(&mut e, &mut TraceStream::new(&trace), batch))
-            })
-        });
-    }
-    // The dispatch-bound end of the spectrum: a cheap predictor behind
-    // the same two routes. ISL-TAGE's table walks dominate its per-event
-    // cost, so amortizing dispatch moves it ~15%; on gshare the virtual
-    // calls and flight boxing *are* the cost, and the engine's win is the
-    // dispatch overhead itself.
-    g.bench_function("gshare_boxed_dyn_scalar", |b| {
-        b.iter(|| {
-            let mut p: Box<dyn simkit::BranchPredictor> = Box::new(baselines::Gshare::cbp_512k());
-            black_box(simulate_source(&mut p, &mut TraceStream::new(&trace), scenario, &cfg))
-        })
-    });
-    g.bench_function("gshare_engine_batch4096", |b| {
+    g.bench_function(&format!("gshare_engine_batch{DEFAULT_BATCH}"), |b| {
         b.iter(|| {
             let mut e = WindowEngine::new(baselines::Gshare::cbp_512k(), scenario, &cfg);
-            black_box(simulate_engine(&mut e, &mut TraceStream::new(&trace), DEFAULT_BATCH))
+            black_box(simulate_engine(&mut e, &mut TraceStream::new(&trace)))
         })
-    });
-    // The event-prefetch pair: the block engines' consumption pattern —
-    // sequential event reads interleaved with quasi-random table traffic
-    // that evicts the event buffer — with and without the software hint
-    // the hot loops issue (`prefetch_event`, EVENT_PREFETCH_AHEAD events
-    // ahead). The table is predictor-sized (512 K entries, 4 MiB) so its
-    // misses contend with the event stream like real tagged-bank walks.
-    let mut table = vec![0u64; 512 * 1024];
-    g.throughput(Throughput::Elements(trace.events.len() as u64));
-    let scan = |prefetch: bool, table: &mut [u64]| {
-        let mut acc = 0u64;
-        for (i, ev) in trace.events.iter().enumerate() {
-            if prefetch {
-                prefetch_event(&trace.events, i + EVENT_PREFETCH_AHEAD);
-            }
-            let slot = (ev.pc.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 45) as usize;
-            table[slot & (table.len() - 1)] ^= ev.target ^ ev.uops();
-            acc = acc.wrapping_add(ev.pc ^ ev.target);
-        }
-        acc
-    };
-    g.bench_function("event_scan_plain", |b| {
-        b.iter(|| black_box(scan(false, &mut table)))
-    });
-    g.bench_function("event_scan_prefetch", |b| {
-        b.iter(|| black_box(scan(true, &mut table)))
     });
     g.finish();
 }

@@ -25,7 +25,7 @@ fn experiments(c: &mut Criterion) {
         b.iter(|| {
             for t in &ts {
                 black_box(run_once(
-                    &mut TageSystem::reference_tage(),
+                    TageSystem::reference_tage(),
                     t,
                     UpdateScenario::RereadAtRetire,
                 ));
@@ -35,14 +35,14 @@ fn experiments(c: &mut Criterion) {
     // E01 — Figure 3 kernel (bimodal, tiny).
     g.bench_function("e01_fig3", |b| {
         b.iter(|| {
-            let mut p = baselines::Bimodal::new(64, 2);
-            black_box(run_once(&mut p, &ts[0], UpdateScenario::FetchOnly))
+            let p = baselines::Bimodal::new(64, 2);
+            black_box(run_once(p, &ts[0], UpdateScenario::FetchOnly))
         })
     });
     // E02 — silent-update accounting.
     g.bench_function("e02_writes", |b| {
         b.iter(|| {
-            let r = run_once(&mut Tage::reference_64kb(), &ts[0], UpdateScenario::RereadAtRetire);
+            let r = run_once(Tage::reference_64kb(), &ts[0], UpdateScenario::RereadAtRetire);
             black_box((r.writes_per_mispredict(), r.stats.silent_fraction()))
         })
     });
@@ -50,7 +50,7 @@ fn experiments(c: &mut Criterion) {
     g.bench_function("e03_scenarios", |b| {
         b.iter(|| {
             for s in UpdateScenario::ALL {
-                black_box(run_once(&mut baselines::Gshare::cbp_512k(), &ts[0], s));
+                black_box(run_once(baselines::Gshare::cbp_512k(), &ts[0], s));
             }
         })
     });
@@ -58,7 +58,7 @@ fn experiments(c: &mut Criterion) {
     g.bench_function("e04_interleave", |b| {
         b.iter(|| {
             black_box(run_once(
-                &mut Tage::reference_64kb().with_interleaving(),
+                Tage::reference_64kb().with_interleaving(),
                 &ts[0],
                 UpdateScenario::RereadOnMispredict,
             ))
@@ -67,14 +67,14 @@ fn experiments(c: &mut Criterion) {
     // E05 — IUM.
     g.bench_function("e05_ium", |b| {
         b.iter(|| {
-            black_box(run_once(&mut TageSystem::tage_ium(), &ts[0], UpdateScenario::FetchOnly))
+            black_box(run_once(TageSystem::tage_ium(), &ts[0], UpdateScenario::FetchOnly))
         })
     });
     // E06 — loop predictor.
     g.bench_function("e06_loop", |b| {
         b.iter(|| {
             black_box(run_once(
-                &mut TageSystem::tage_ium().with_loop(tage::LoopPredictor::cbp_64()),
+                TageSystem::tage_ium().with_loop(tage::LoopPredictor::cbp_64()),
                 &ts[0],
                 UpdateScenario::RereadAtRetire,
             ))
@@ -83,13 +83,13 @@ fn experiments(c: &mut Criterion) {
     // E07/E08 — ISL-TAGE.
     g.bench_function("e07_e08_isl", |b| {
         b.iter(|| {
-            black_box(run_once(&mut TageSystem::isl_tage(), &ts[1], UpdateScenario::RereadAtRetire))
+            black_box(run_once(TageSystem::isl_tage(), &ts[1], UpdateScenario::RereadAtRetire))
         })
     });
     // E09 — TAGE-LSC.
     g.bench_function("e09_lsc", |b| {
         b.iter(|| {
-            black_box(run_once(&mut TageSystem::tage_lsc(), &ts[2], UpdateScenario::RereadAtRetire))
+            black_box(run_once(TageSystem::tage_lsc(), &ts[2], UpdateScenario::RereadAtRetire))
         })
     });
     // E10 — ablation configuration.
@@ -97,7 +97,7 @@ fn experiments(c: &mut Criterion) {
         b.iter(|| {
             let cfg = tage::TageConfig::balanced(8, 6, 1000);
             black_box(run_once(
-                &mut TageSystem::new(cfg).with_ium(64).with_lsc(tage::Lsc::cbp_30kbit()),
+                TageSystem::new(cfg).with_ium(64).with_lsc(tage::Lsc::cbp_30kbit()),
                 &ts[0],
                 UpdateScenario::RereadAtRetire,
             ))
@@ -107,7 +107,7 @@ fn experiments(c: &mut Criterion) {
     g.bench_function("e11_fig9_point", |b| {
         b.iter(|| {
             black_box(run_once(
-                &mut TageSystem::scaled_tage_lsc(2),
+                TageSystem::scaled_tage_lsc(2),
                 &ts[0],
                 UpdateScenario::RereadAtRetire,
             ))
@@ -116,15 +116,15 @@ fn experiments(c: &mut Criterion) {
     // E12 — Figure 10 contenders.
     g.bench_function("e12_fig10_contenders", |b| {
         b.iter(|| {
-            black_box(run_once(&mut baselines::Snap::cbp_512k(), &ts[2], UpdateScenario::RereadAtRetire));
-            black_box(run_once(&mut baselines::Ftl::cbp_512k(), &ts[2], UpdateScenario::RereadAtRetire));
+            black_box(run_once(baselines::Snap::cbp_512k(), &ts[2], UpdateScenario::RereadAtRetire));
+            black_box(run_once(baselines::Ftl::cbp_512k(), &ts[2], UpdateScenario::RereadAtRetire));
         })
     });
     // E13 — cost-effective TAGE-LSC.
     g.bench_function("e13_cost_eff", |b| {
         b.iter(|| {
             black_box(run_once(
-                &mut TageSystem::tage_lsc_cost_effective(),
+                TageSystem::tage_lsc_cost_effective(),
                 &ts[0],
                 UpdateScenario::RereadOnMispredict,
             ))

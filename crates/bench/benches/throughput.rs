@@ -1,5 +1,5 @@
 //! Prediction throughput of every predictor in the workspace: how many
-//! simulated branches per second the functional models sustain.
+//! simulated branches per second the simulation engine sustains.
 
 use bench::{bench_trace, run_once, run_streamed};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -17,91 +17,72 @@ fn throughput(c: &mut Criterion) {
 
     g.bench_function("bimodal", |b| {
         b.iter(|| {
-            let mut p = baselines::Bimodal::new(1 << 15, 2);
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = baselines::Bimodal::new(1 << 15, 2);
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("gshare_512k", |b| {
         b.iter(|| {
-            let mut p = baselines::Gshare::cbp_512k();
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = baselines::Gshare::cbp_512k();
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("gehl_520k", |b| {
         b.iter(|| {
-            let mut p = baselines::Gehl::cbp_520k();
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = baselines::Gehl::cbp_520k();
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("perceptron", |b| {
         b.iter(|| {
-            let mut p = baselines::Perceptron::new(512, 32);
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = baselines::Perceptron::new(512, 32);
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("snap_512k", |b| {
         b.iter(|| {
-            let mut p = baselines::Snap::cbp_512k();
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = baselines::Snap::cbp_512k();
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("ftl_512k", |b| {
         b.iter(|| {
-            let mut p = baselines::Ftl::cbp_512k();
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = baselines::Ftl::cbp_512k();
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("tage_ref", |b| {
         b.iter(|| {
-            let mut p = tage::Tage::reference_64kb();
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = tage::Tage::reference_64kb();
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("isl_tage", |b| {
         b.iter(|| {
-            let mut p = tage::TageSystem::isl_tage();
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
-        })
-    });
-    g.bench_function("isl_tage_boxed_dyn", |b| {
-        // The same stack behind a bare `Box<dyn BranchPredictor>`: vtable
-        // dispatch plus one flight allocation per predicted branch — the
-        // "before" of the flight-arena change, kept as the baseline.
-        b.iter(|| {
-            let mut p: Box<dyn simkit::BranchPredictor> = Box::new(tage::TageSystem::isl_tage());
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
-        })
-    });
-    g.bench_function("isl_tage_dyn_pooled", |b| {
-        // The `DynPredictor` flight pool (the route trace mode uses):
-        // same vtable dispatch, flights recycled through reusable slots —
-        // the "after". The gap to `isl_tage_boxed_dyn` is the per-branch
-        // allocation cost; the gap to `isl_tage` is pure dyn dispatch.
-        b.iter(|| {
-            let mut p = simkit::DynPredictor::new(Box::new(tage::TageSystem::isl_tage()));
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = tage::TageSystem::isl_tage();
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("isl_tage_from_spec", |b| {
-        // Spec-assembled chain, monomorphized (the sweep route): measures
-        // the stage-chain walk against the preset constructor path.
+        // Spec-assembled chain: measures the stage-chain walk against the
+        // preset constructor path.
         let spec: tage::SystemSpec = "tage+ium+sc+loop/as=ISL-TAGE".parse().unwrap();
         b.iter(|| {
-            let mut p = spec.build().unwrap();
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = spec.build().unwrap();
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("tage_lsc", |b| {
         b.iter(|| {
-            let mut p = tage::TageSystem::tage_lsc();
-            black_box(run_once(&mut p, &trace, UpdateScenario::RereadAtRetire))
+            let p = tage::TageSystem::tage_lsc();
+            black_box(run_once(p, &trace, UpdateScenario::RereadAtRetire))
         })
     });
     g.bench_function("tage_ref_streamed", |b| {
         // Generation fused into simulation: no materialized event vector.
         b.iter(|| {
-            let mut p = tage::Tage::reference_64kb();
-            black_box(run_streamed(&mut p, "CLIENT08", UpdateScenario::RereadAtRetire))
+            let p = tage::Tage::reference_64kb();
+            black_box(run_streamed(p, "CLIENT08", UpdateScenario::RereadAtRetire))
         })
     });
     g.finish();

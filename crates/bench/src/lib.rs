@@ -9,8 +9,9 @@
 
 #![forbid(unsafe_code)]
 
-use pipeline::{simulate, PipelineConfig, SimReport};
+use pipeline::{simulate_engine, PipelineConfig, SimReport, WindowEngine};
 use simkit::predictor::{Predictor, UpdateScenario};
+use workloads::event::TraceStream;
 use workloads::suite::{by_name, Scale};
 use workloads::Trace;
 
@@ -21,18 +22,28 @@ pub fn bench_trace(name: &str) -> Trace {
     by_name(name, Scale::Tiny).expect("known trace").generate()
 }
 
-/// Runs one predictor over one trace under one scenario (the benchmark
-/// kernel shared by all experiment benches).
-pub fn run_once<P: Predictor>(p: &mut P, trace: &Trace, scenario: UpdateScenario) -> SimReport {
-    simulate(p, trace, scenario, &PipelineConfig::default())
+/// Runs one predictor over one trace under one scenario through the
+/// simulation engine (the benchmark kernel shared by all benches).
+pub fn run_once<P>(p: P, trace: &Trace, scenario: UpdateScenario) -> SimReport
+where
+    P: Predictor + Send,
+    P::Flight: Send,
+{
+    let mut engine = WindowEngine::new(p, scenario, &PipelineConfig::default());
+    simulate_engine(&mut engine, &mut TraceStream::new(trace))
 }
 
 /// Runs one predictor over a lazily streamed trace (generation fused into
 /// simulation, no materialized `Vec<TraceEvent>`): the streaming-path
 /// counterpart of [`run_once`].
-pub fn run_streamed<P: Predictor>(p: &mut P, name: &str, scenario: UpdateScenario) -> SimReport {
+pub fn run_streamed<P>(p: P, name: &str, scenario: UpdateScenario) -> SimReport
+where
+    P: Predictor + Send,
+    P::Flight: Send,
+{
     let spec = by_name(name, Scale::Tiny).expect("known trace"); // INVARIANT: see bench_trace
-    pipeline::simulate_source(p, &mut spec.stream(), scenario, &PipelineConfig::default())
+    let mut engine = WindowEngine::new(p, scenario, &PipelineConfig::default());
+    simulate_engine(&mut engine, &mut spec.stream())
 }
 
 #[cfg(test)]
@@ -42,8 +53,7 @@ mod tests {
     #[test]
     fn fixtures_work() {
         let t = bench_trace("MM01");
-        let mut p = baselines::Gshare::new(12);
-        let r = run_once(&mut p, &t, UpdateScenario::RereadAtRetire);
+        let r = run_once(baselines::Gshare::new(12), &t, UpdateScenario::RereadAtRetire);
         assert_eq!(r.conditionals, t.conditional_count());
     }
 }

@@ -26,8 +26,7 @@
 //!   [`TageSystem::isl_tage`], [`TageSystem::tage_lsc`],
 //!   [`TageSystem::full_stack`], and the scaled Figure-9 families.
 //!
-//! All predictors implement [`simkit::Predictor`] (and therefore the
-//! object-safe [`simkit::BranchPredictor`]), including the §4
+//! All predictors implement [`simkit::Predictor`], including the §4
 //! delayed-update scenarios `[I]/[A]/[B]/[C]` and access accounting with
 //! silent-update elimination.
 //!

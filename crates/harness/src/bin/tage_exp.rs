@@ -7,7 +7,7 @@
 //! tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N] [--stream]
 //!          [--artifacts DIR] [--branch-stats] [--top N]
 //! tage_exp budgets
-//! tage_exp trace <file...> [--threads N] [--batch auto|0|N]
+//! tage_exp trace <file...> [--threads N]
 //!          [--artifacts DIR] [--branch-stats] [--top N]
 //! tage_exp report <artifact|dir...> [--top N] [--fail-over PCT]
 //! ```
@@ -15,9 +15,9 @@
 //! Experiments are declarative: each is a table of (predictor spec ×
 //! update scenario) rows fed to one generic sweep runner. `tage_exp all`
 //! prefetches every experiment's suites onto the work-stealing pool
-//! before rendering the first table, so independent experiments overlap
-//! (set `TAGE_NO_PREFETCH=1` for the serial baseline); duplicate suites
-//! are memoized by canonical spec string and run exactly once. Set
+//! before rendering the first table, so independent experiments overlap;
+//! duplicate suites are memoized by canonical spec string and run exactly
+//! once. Set
 //! `TAGE_TRACE_CACHE=<dir>` to persist generated traces across
 //! invocations, or pass `--stream` to skip suite materialization entirely
 //! (each job regenerates its trace lazily; bit-identical results).
@@ -41,7 +41,9 @@
 //! rankings, and MPPKI diffs against the first artifact as baseline
 //! (`--fail-over PCT` makes regressions fail the exit code for CI).
 
-use harness::artifact::{collect_paths, RunArtifact, SamplingBlock, SchedulerBlock};
+use harness::artifact::{
+    collect_paths, scenario_from_label, RunArtifact, SamplingBlock, SchedulerBlock,
+};
 use harness::experiments::{by_id, prefetch, ALL_EXPERIMENTS, EXPERIMENTS};
 use harness::sample_mode::{self, SampleOptions};
 use harness::spec::PAPER_BUDGET_BITS;
@@ -271,14 +273,14 @@ fn print_usage() {
     println!("                [--threads N] [--stream] [--list]");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N] [--stream]");
-    println!("                [--trace FILE]... [--batch auto|0|N]");
+    println!("                [--trace FILE]...");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp budgets");
-    println!("       tage_exp trace <file...> [--threads N] [--batch auto|0|N]");
+    println!("       tage_exp trace <file...> [--threads N]");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp sample <file...> [--phases N] [--warmup W] [--measure M]");
     println!("                [--seed S] [--spec SPEC]... [--full-check PCT]");
-    println!("                [--threads N] [--batch auto|N] [--artifacts DIR] [--top N]");
+    println!("                [--threads N] [--artifacts DIR] [--top N]");
     println!("       tage_exp report <artifact|dir...> [--top N] [--fail-over PCT]");
     println!("  --threads N   scheduler worker threads (default: CPUs, max 16)");
     println!("  --stream      regenerate traces inside each job (no suite materialization)");
@@ -303,8 +305,6 @@ fn print_usage() {
     println!("                   (base/tagged/chooser provider sub-stage rows + side stages)");
     println!("  trace <file...>  run the predictor matrix over external trace files");
     println!("                   (.ttr / .ttr3 / cbp / csv, format autodetected)");
-    println!("  --batch N        trace mode: events decoded per engine dispatch");
-    println!("                   (auto: {}; 0: the scalar reference route)", pipeline::DEFAULT_BATCH);
     println!("  sample <file...> sampled simulation: fixed-interval warmup/measure");
     println!("                   slices, one pool job per (spec x slice), weighted");
     println!("                   whole-trace MPPKI estimate (defaults: 8 phases,");
@@ -312,7 +312,6 @@ fn print_usage() {
     println!("  --full-check PCT sample mode: also run every (spec, file) in full and");
     println!("                   exit 1 when any sampled MPPKI is off by > PCT percent");
     println!("  TAGE_TRACE_CACHE=<dir>  persist generated traces across runs");
-    println!("  TAGE_NO_PREFETCH=1      disable eager cross-experiment suite prefetch");
     println!("experiments:");
     for exp in EXPERIMENTS {
         println!("  {:<12} {}", exp.id, exp.description);
@@ -330,7 +329,6 @@ fn system_mode(args: &[String]) -> i32 {
     let mut branch_stats = false;
     let mut top = DEFAULT_TOP;
     let mut trace_files: Vec<PathBuf> = Vec::new();
-    let mut batch = pipeline::DEFAULT_BATCH;
     let mut specs: Vec<PredictorSpec> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -349,21 +347,6 @@ fn system_mode(args: &[String]) -> i32 {
                     return 2;
                 }
             },
-            "--batch" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                batch = match v {
-                    "auto" => pipeline::DEFAULT_BATCH,
-                    _ => match v.parse::<usize>() {
-                        Ok(n) => n,
-                        Err(_) => {
-                            eprintln!(
-                                "--batch expects 'auto', 0 (scalar) or a block size (got '{v}')"
-                            );
-                            return 2;
-                        }
-                    },
-                };
-            }
             "--branch-stats" => branch_stats = true,
             "--top" => {
                 let v = it.next().map(String::as_str).unwrap_or("");
@@ -398,12 +381,9 @@ fn system_mode(args: &[String]) -> i32 {
             "--stream" => stream = true,
             "--scenario" => {
                 let v = it.next().map(String::as_str).unwrap_or("");
-                scenario = match v {
-                    "I" => UpdateScenario::Immediate,
-                    "A" => UpdateScenario::RereadAtRetire,
-                    "B" => UpdateScenario::FetchOnly,
-                    "C" => UpdateScenario::RereadOnMispredict,
-                    _ => {
+                scenario = match scenario_from_label(v) {
+                    Ok(s) => s,
+                    Err(_) => {
                         eprintln!("--scenario expects I, A, B or C (got '{v}')");
                         return 2;
                     }
@@ -436,7 +416,6 @@ fn system_mode(args: &[String]) -> i32 {
             &specs,
             scenario,
             &trace_files,
-            batch,
             branch_stats,
             artifacts.as_deref(),
             top,
@@ -458,10 +437,10 @@ fn system_mode(args: &[String]) -> i32 {
     );
     for spec in &specs {
         let suite = ctx.run_spec(spec, scenario);
-        let built = spec.build().expect("spec validated at parse");
+        let built = spec.build_engine(scenario, &ctx.cfg).expect("spec validated at parse");
         t.row(vec![
             spec.to_string(),
-            built.name(),
+            built.predictor_name(),
             (built.storage_bits() / 1024).to_string(),
             format!("{:.1}", suite.mppki()),
             format!("{:.1}", suite.mppki_of(&HARD_TRACES)),
@@ -490,17 +469,15 @@ fn system_trace_files(
     specs: &[PredictorSpec],
     scenario: UpdateScenario,
     files: &[PathBuf],
-    batch: usize,
     branch_stats: bool,
     artifacts: Option<&Path>,
     top: usize,
 ) -> i32 {
     let start = std::time::Instant::now();
     println!(
-        "# tage_exp system: {} spec(s) over {} external trace file(s), scenario {scenario}, batch {}",
+        "# tage_exp system: {} spec(s) over {} external trace file(s), scenario {scenario}",
         specs.len(),
         files.len(),
-        if batch == 0 { "scalar".to_string() } else { batch.to_string() }
     );
     let cfg = pipeline::PipelineConfig { branch_stats, ..pipeline::PipelineConfig::default() };
     let mut t = Table::new(
@@ -509,7 +486,7 @@ fn system_trace_files(
     );
     let mut results: Vec<(String, SuiteReport)> = Vec::new();
     for spec in specs {
-        match trace_mode::run_spec_over_files(spec, scenario, files, &cfg, batch) {
+        match trace_mode::run_spec_over_files(spec, scenario, files, &cfg) {
             Ok(suite) => {
                 for r in &suite.reports {
                     t.row(vec![
@@ -607,7 +584,6 @@ fn budgets_mode() -> i32 {
 fn trace_files_mode(args: &[String]) -> i32 {
     let mut files: Vec<std::path::PathBuf> = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut batch = pipeline::DEFAULT_BATCH;
     let mut artifacts: Option<PathBuf> = None;
     let mut branch_stats = false;
     let mut top = DEFAULT_TOP;
@@ -642,19 +618,6 @@ fn trace_files_mode(args: &[String]) -> i32 {
                     }
                 }
             }
-            "--batch" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                batch = match v {
-                    "auto" => pipeline::DEFAULT_BATCH,
-                    _ => match v.parse::<usize>() {
-                        Ok(n) => n,
-                        Err(_) => {
-                            eprintln!("--batch expects 'auto', 0 (scalar) or a block size (got '{v}')");
-                            return 2;
-                        }
-                    },
-                };
-            }
             "--help" | "-h" => {
                 print_usage();
                 return 0;
@@ -673,13 +636,12 @@ fn trace_files_mode(args: &[String]) -> i32 {
     }
     let start = std::time::Instant::now();
     println!(
-        "# tage_exp trace: {} file(s), batch {}, predictors: {}",
+        "# tage_exp trace: {} file(s), predictors: {}",
         files.len(),
-        if batch == 0 { "scalar".to_string() } else { batch.to_string() },
         trace_mode::MATRIX.map(|(name, _)| name).join(", ")
     );
     let cfg = pipeline::PipelineConfig { branch_stats, ..pipeline::PipelineConfig::default() };
-    match trace_mode::run_files_batched(&files, &cfg, threads, batch) {
+    match trace_mode::run_files(&files, &cfg, threads) {
         Ok(results) => {
             print!("{}", trace_mode::render(&results));
             if let Some(dir) = &artifacts {
@@ -772,19 +734,6 @@ fn sample_files_mode(args: &[String]) -> i32 {
                         return 2;
                     }
                 }
-            }
-            "--batch" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                opts.batch = match v {
-                    "auto" => pipeline::DEFAULT_BATCH,
-                    _ => match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => {
-                            eprintln!("--batch expects 'auto' or a block size (got '{v}')");
-                            return 2;
-                        }
-                    },
-                };
             }
             "--full-check" => {
                 let v = it.next().map(String::as_str).unwrap_or("");

@@ -1,27 +1,27 @@
 //! Shared experiment context: the trace suite plus the deduplicating
 //! parallel scheduler every experiment runs through.
 //!
-//! The suite backs the context in one of two modes:
+//! The suite backs the context in one of two modes ([`SuiteSource`]):
 //!
 //! * **materialized** (default) — the 40 traces are generated once up
 //!   front (in parallel, optionally through the on-disk cache) and shared
 //!   with the worker threads;
-//! * **streamed** (`ExpOptions::stream`) — only the 40 [`TraceSpec`]
-//!   recipes are kept; every simulation job regenerates its trace lazily
-//!   through [`TraceSpec::stream`], so suite memory never exceeds one
+//! * **streamed** (`ExpOptions::stream`) — only the 40
+//!   [`workloads::TraceSpec`] recipes are kept; every simulation job
+//!   regenerates its trace lazily, so suite memory never exceeds one
 //!   in-flight window per worker. Bit-identical to materialized mode (the
 //!   `streamed_suite_matches_materialized_bit_for_bit` test pins this),
 //!   at the price of per-job regeneration — worth it above `Scale::Full`.
 
-use crate::runner::{SchedulerStats, SuiteRunner};
+use crate::runner::{default_threads, SchedulerStats, SuiteRunner, SuiteSource};
 use crate::spec::PredictorSpec;
 use pipeline::{PipelineConfig, SuiteReport};
-use simkit::predictor::{Predictor, UpdateScenario};
+use simkit::predictor::UpdateScenario;
 use std::sync::Arc;
-use workloads::event::{EventSource, TraceStream};
+use workloads::event::EventSource;
 use workloads::io::TraceCache;
 use workloads::suite::{generate_parallel, suite, Scale};
-use workloads::{Trace, TraceSpec, TraceStats};
+use workloads::{Trace, TraceStats};
 
 /// Construction options for [`ExpContext`].
 #[derive(Clone, Debug, Default)]
@@ -57,47 +57,6 @@ impl ExpOptions {
     }
 }
 
-/// Expands to a `(label, make-closure)` scheduler call for every
-/// [`PredictorSpec`] arm, so each predictor family keeps its own
-/// monomorphized simulation path (no per-branch flight boxing on the
-/// sweep hot loops).
-macro_rules! dispatch_spec {
-    ($self:ident, $method:ident, $label:expr, $spec:expr, $scenario:expr) => {
-        match $spec {
-            PredictorSpec::Stack(s) => {
-                let s = s.clone();
-                // INVARIANT: every spec reaching dispatch parsed and
-                // validated in PredictorSpec::parse.
-                $self.$method($label, move || s.build().expect("spec validated upstream"), $scenario)
-            }
-            PredictorSpec::Gshare { index_bits: None } => {
-                $self.$method($label, baselines::Gshare::cbp_512k, $scenario)
-            }
-            PredictorSpec::Gshare { index_bits: Some(bits) } => {
-                let bits = *bits;
-                $self.$method($label, move || baselines::Gshare::new(bits), $scenario)
-            }
-            PredictorSpec::Gehl520k => $self.$method($label, baselines::Gehl::cbp_520k, $scenario),
-            PredictorSpec::Bimodal { entries, ctr_bits } => {
-                let (entries, ctr_bits) = (*entries, *ctr_bits);
-                $self.$method($label, move || baselines::Bimodal::new(entries, ctr_bits), $scenario)
-            }
-            PredictorSpec::Perceptron { rows, hist } => {
-                let (rows, hist) = (*rows, *hist);
-                $self.$method($label, move || baselines::Perceptron::new(rows, hist), $scenario)
-            }
-            PredictorSpec::Snap512k => $self.$method($label, baselines::Snap::cbp_512k, $scenario),
-            PredictorSpec::Ftl512k => $self.$method($label, baselines::Ftl::cbp_512k, $scenario),
-        }
-    };
-}
-
-/// How the suite is held — see the module docs.
-enum SuiteSource {
-    Materialized(Arc<Vec<Trace>>),
-    Streamed(Arc<Vec<TraceSpec>>),
-}
-
 /// Everything an experiment needs: the 40-trace suite (materialized or
 /// streamed), the pipeline model, and the scheduler that runs (and
 /// memoizes) suite simulations.
@@ -106,7 +65,6 @@ pub struct ExpContext {
     pub scale: Scale,
     /// Pipeline configuration (in-flight window, core model).
     pub cfg: PipelineConfig,
-    source: SuiteSource,
     runner: SuiteRunner,
 }
 
@@ -120,35 +78,33 @@ impl ExpContext {
     /// generated in parallel (through the on-disk cache when one is
     /// configured); in stream mode only the recipes are built.
     pub fn with_options(scale: Scale, opts: ExpOptions) -> Self {
-        let runner = SuiteRunner::new(opts.threads);
+        let threads = opts.threads.unwrap_or_else(default_threads);
         let source = if opts.stream {
             SuiteSource::Streamed(Arc::new(suite(scale)))
         } else {
             let cache = opts.trace_cache.and_then(|dir| TraceCache::new(dir).ok());
-            let threads = Some(runner.pool().threads());
-            SuiteSource::Materialized(Arc::new(generate_parallel(scale, threads, cache.as_ref())))
+            let traces = generate_parallel(scale, Some(threads), cache.as_ref());
+            SuiteSource::Materialized(Arc::new(traces))
         };
+        let runner = SuiteRunner::new(source, Some(threads));
         let cfg = PipelineConfig { branch_stats: opts.branch_stats, ..PipelineConfig::default() };
-        Self { scale, cfg, source, runner }
+        Self { scale, cfg, runner }
     }
 
     /// Whether this context runs in stream-first mode.
     pub fn streaming(&self) -> bool {
-        matches!(self.source, SuiteSource::Streamed(_))
+        matches!(self.runner.source(), SuiteSource::Streamed(_))
     }
 
     /// Number of traces in the suite.
     pub fn trace_count(&self) -> usize {
-        match &self.source {
-            SuiteSource::Materialized(ts) => ts.len(),
-            SuiteSource::Streamed(specs) => specs.len(),
-        }
+        self.runner.source().len()
     }
 
     /// The materialized traces, when not in stream mode (equivalence
     /// tests compare against these).
     pub fn materialized(&self) -> Option<&Arc<Vec<Trace>>> {
-        match &self.source {
+        match self.runner.source() {
             SuiteSource::Materialized(ts) => Some(ts),
             SuiteSource::Streamed(_) => None,
         }
@@ -163,10 +119,7 @@ impl ExpContext {
     ///
     /// Panics if `i` is out of range.
     pub fn source_at(&self, i: usize) -> Box<dyn EventSource + '_> {
-        match &self.source {
-            SuiteSource::Materialized(ts) => Box::new(TraceStream::new(&ts[i])),
-            SuiteSource::Streamed(specs) => Box::new(specs[i].stream()),
-        }
+        self.runner.source().open(i)
     }
 
     /// Per-trace characterization statistics, in suite order. In stream
@@ -174,7 +127,7 @@ impl ExpContext {
     /// (one trace materialized per worker at a time — regeneration, the
     /// dominant cost, stays parallel like the materialized path's).
     pub fn trace_stats(&self) -> Vec<TraceStats> {
-        match &self.source {
+        match self.runner.source() {
             SuiteSource::Materialized(ts) => ts.iter().map(TraceStats::of).collect(),
             SuiteSource::Streamed(specs) => {
                 let threads = self.threads().clamp(1, specs.len().max(1));
@@ -201,85 +154,28 @@ impl ExpContext {
         }
     }
 
-    /// Runs a predictor (one cold instance per trace) over the whole
-    /// suite, one scheduler job per trace. Not memoized — see
-    /// [`ExpContext::run_cached`].
-    pub fn run<P, F>(&self, make: F, scenario: UpdateScenario) -> SuiteReport
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        match &self.source {
-            SuiteSource::Materialized(ts) => self.runner.run_suite(ts, &self.cfg, make, scenario),
-            SuiteSource::Streamed(specs) => {
-                self.runner.run_suite_streamed(specs, &self.cfg, make, scenario)
-            }
-        }
-    }
-
-    /// Like [`ExpContext::run`], memoized by `(label, scenario, pipeline
-    /// config)`: duplicate requests across experiments are served from
-    /// cache. `label` must uniquely identify the configuration `make`
-    /// builds.
-    pub fn run_cached<P, F>(&self, label: &str, make: F, scenario: UpdateScenario) -> SuiteReport
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        match &self.source {
-            SuiteSource::Materialized(ts) => {
-                self.runner.run_suite_cached(label, ts, &self.cfg, make, scenario)
-            }
-            SuiteSource::Streamed(specs) => {
-                self.runner.run_suite_streamed_cached(label, specs, &self.cfg, make, scenario)
-            }
-        }
-    }
-
-    /// Like [`ExpContext::run_cached`] but eager: submits the suite's
-    /// jobs to the pool and returns immediately. No-op when the suite is
-    /// already cached or in flight. A later `run_cached`/`run_spec` with
-    /// the same label collects the results.
-    pub fn prefetch_cached<P, F>(&self, label: &str, make: F, scenario: UpdateScenario)
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        match &self.source {
-            SuiteSource::Materialized(ts) => {
-                self.runner.prefetch_suite_cached(label, ts, &self.cfg, make, scenario);
-            }
-            SuiteSource::Streamed(specs) => {
-                self.runner.prefetch_suite_streamed_cached(label, specs, &self.cfg, make, scenario);
-            }
-        }
-    }
-
-    /// Runs a declarative [`PredictorSpec`] over the suite, memoized by
+    /// Runs a declarative [`PredictorSpec`] over the suite (one cold
+    /// predictor per trace, one scheduler job per trace), memoized by
     /// [`PredictorSpec::sim_key`] — the canonical string minus the
     /// display-only label — so two rows share a cached suite exactly
-    /// when they simulate the same composition. Stack and baseline arms
-    /// dispatch to monomorphized simulation paths — the boxed
-    /// [`simkit::BranchPredictor`] route is reserved for genuinely
-    /// dynamic callers (trace mode, `tage_exp system`).
+    /// when they simulate the same composition.
     ///
     /// # Panics
     ///
     /// Panics if the spec fails to build — validate specs before handing
     /// them to the scheduler.
     pub fn run_spec(&self, spec: &PredictorSpec, scenario: UpdateScenario) -> SuiteReport {
-        let label = spec.sim_key();
-        dispatch_spec!(self, run_cached, &label, spec, scenario)
+        self.runner.run(spec, scenario, &self.cfg)
     }
 
     /// Eager twin of [`ExpContext::run_spec`]: submit now, collect later.
+    /// No-op when the suite is already cached or in flight.
     ///
     /// # Panics
     ///
-    /// Panics if the spec fails to build.
+    /// A spec that fails to build panics when the suite is collected.
     pub fn prefetch_spec(&self, spec: &PredictorSpec, scenario: UpdateScenario) {
-        let label = spec.sim_key();
-        dispatch_spec!(self, prefetch_cached, &label, spec, scenario)
+        self.runner.prefetch(spec, scenario, &self.cfg);
     }
 
     /// Scheduler counters (jobs run vs requested, memo hits).
@@ -296,33 +192,30 @@ impl ExpContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::simulate;
+    use pipeline::{simulate_engine, WindowEngine};
+    use workloads::event::TraceStream;
+
+    fn spec(s: &str) -> PredictorSpec {
+        PredictorSpec::parse(s).unwrap()
+    }
 
     #[test]
     fn parallel_run_matches_serial() {
         let ctx = ExpContext::new(Scale::Tiny);
-        let par = ctx.run(|| baselines::Gshare::new(12), UpdateScenario::RereadAtRetire);
-        let serial = SuiteReport::new(
-            ctx.materialized()
-                .unwrap()
-                .iter()
-                .map(|t| {
-                    simulate(
-                        &mut baselines::Gshare::new(12),
-                        t,
-                        UpdateScenario::RereadAtRetire,
-                        &ctx.cfg,
-                    )
-                })
-                .collect(),
-        );
-        assert_eq!(par.total_mispredicts(), serial.total_mispredicts());
+        let par = ctx.run_spec(&spec("gshare:12"), UpdateScenario::RereadAtRetire);
+        let serial: Vec<_> = ctx
+            .materialized()
+            .unwrap()
+            .iter()
+            .map(|t| {
+                let p = baselines::Gshare::new(12);
+                let mut engine = WindowEngine::new(p, UpdateScenario::RereadAtRetire, &ctx.cfg);
+                simulate_engine(&mut engine, &mut TraceStream::new(t))
+            })
+            .collect();
         assert_eq!(par.reports.len(), 40);
-        // Order is preserved.
-        for (a, b) in par.reports.iter().zip(&serial.reports) {
-            assert_eq!(a.trace, b.trace);
-            assert_eq!(a.mispredicts, b.mispredicts);
-        }
+        // Order is preserved, every counter identical.
+        assert_eq!(par.reports, serial);
     }
 
     #[test]
@@ -331,8 +224,8 @@ mod tests {
             Scale::Tiny,
             ExpOptions { threads: Some(2), ..Default::default() },
         );
-        let a = ctx.run_cached("gshare-12", || baselines::Gshare::new(12), UpdateScenario::FetchOnly);
-        let b = ctx.run_cached("gshare-12", || baselines::Gshare::new(12), UpdateScenario::FetchOnly);
+        let a = ctx.run_spec(&spec("gshare:12"), UpdateScenario::FetchOnly);
+        let b = ctx.run_spec(&spec("gshare:12"), UpdateScenario::FetchOnly);
         assert_eq!(a.reports, b.reports);
         let s = ctx.scheduler_stats();
         assert_eq!(s.sim_jobs_run, 40);
@@ -370,14 +263,13 @@ mod tests {
         assert!(streamed.streaming());
         assert!(streamed.materialized().is_none());
         assert_eq!(streamed.trace_count(), 40);
-        let a = materialized.run(|| baselines::Gshare::new(12), UpdateScenario::RereadAtRetire);
-        let b = streamed.run(|| baselines::Gshare::new(12), UpdateScenario::RereadAtRetire);
-        assert_eq!(a.reports, b.reports, "stream mode must be bit-identical");
-        let ac = materialized
-            .run_cached("g12", || baselines::Gshare::new(12), UpdateScenario::FetchOnly);
-        let bc =
-            streamed.run_cached("g12", || baselines::Gshare::new(12), UpdateScenario::FetchOnly);
-        assert_eq!(ac.reports, bc.reports);
+        for (s, scenario) in
+            [("gshare:12", UpdateScenario::RereadAtRetire), ("tage+ium", UpdateScenario::FetchOnly)]
+        {
+            let a = materialized.run_spec(&spec(s), scenario);
+            let b = streamed.run_spec(&spec(s), scenario);
+            assert_eq!(a.reports, b.reports, "stream mode must be bit-identical for {s}");
+        }
     }
 
     #[test]
@@ -386,14 +278,24 @@ mod tests {
             Scale::Tiny,
             ExpOptions { threads: Some(2), ..Default::default() },
         );
-        let spec = PredictorSpec::parse("tage+ium").unwrap();
-        ctx.prefetch_spec(&spec, UpdateScenario::RereadAtRetire);
-        let via_spec = ctx.run_spec(&spec, UpdateScenario::RereadAtRetire);
-        let direct = ctx.run(tage::TageSystem::tage_ium, UpdateScenario::RereadAtRetire);
+        let tage_ium = spec("tage+ium");
+        ctx.prefetch_spec(&tage_ium, UpdateScenario::RereadAtRetire);
+        let via_spec = ctx.run_spec(&tage_ium, UpdateScenario::RereadAtRetire);
+        let direct: Vec<_> = ctx
+            .materialized()
+            .unwrap()
+            .iter()
+            .map(|t| {
+                let p = tage::TageSystem::tage_ium();
+                let mut engine = WindowEngine::new(p, UpdateScenario::RereadAtRetire, &ctx.cfg);
+                simulate_engine(&mut engine, &mut TraceStream::new(t))
+            })
+            .collect();
         assert_eq!(via_spec.reports.len(), 40);
-        assert_eq!(via_spec.reports, direct.reports, "spec route must be bit-identical");
+        assert_eq!(via_spec.reports, direct, "spec route must match the preset predictor");
         // The prefetch ran the suite once; the run_spec consumed it.
-        assert_eq!(ctx.scheduler_stats().sim_jobs_run, 80); // spec suite + direct run
+        let s = ctx.scheduler_stats();
+        assert_eq!((s.sim_jobs_run, s.sim_jobs_requested, s.suite_memo_hits), (40, 40, 0));
     }
 
     #[test]

@@ -132,13 +132,8 @@ pub fn by_id(id: &str) -> Option<&'static Experiment> {
 
 /// Eagerly enqueues the suites of every listed experiment (deduplicated
 /// by canonical spec label), so independent experiments overlap on the
-/// worker pool instead of running serially. Set `TAGE_NO_PREFETCH=1` to
-/// disable (the serial baseline the EXPERIMENTS.md timing compares
-/// against).
+/// worker pool instead of running serially.
 pub fn prefetch(ctx: &ExpContext, ids: &[&str]) {
-    if std::env::var_os("TAGE_NO_PREFETCH").is_some_and(|v| v == "1") {
-        return;
-    }
     for id in ids {
         if let Some(exp) = by_id(id) {
             exp.prefetch(ctx);
@@ -941,7 +936,7 @@ fn e15_chooser_base(_ctx: &ExpContext, reports: &[SuiteReport], out: &mut String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::{simulate, PipelineConfig};
+    use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
     use tage::TageSystem;
     use workloads::suite::{by_name, Scale};
 
@@ -1053,11 +1048,12 @@ mod tests {
         let scaled = TageSystem::scaled_tage(0);
         let reference = TageSystem::reference_tage();
         assert_eq!(scaled.storage_bits(), reference.storage_bits());
-        let t = by_name("CLIENT03", Scale::Tiny).unwrap().generate();
+        let spec = by_name("CLIENT03", Scale::Tiny).unwrap();
         let cfg = PipelineConfig::default();
-        let a = simulate(&mut TageSystem::scaled_tage(0), &t, UpdateScenario::RereadAtRetire, &cfg);
-        let b =
-            simulate(&mut TageSystem::reference_tage(), &t, UpdateScenario::RereadAtRetire, &cfg);
-        assert_eq!(a, b);
+        let run = |p: TageSystem| {
+            let mut engine = WindowEngine::new(p, UpdateScenario::RereadAtRetire, &cfg);
+            simulate_engine(&mut engine, &mut spec.stream())
+        };
+        assert_eq!(run(TageSystem::scaled_tage(0)), run(TageSystem::reference_tage()));
     }
 }

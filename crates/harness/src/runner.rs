@@ -11,9 +11,13 @@
 //! * jobs are distributed round-robin across per-worker deques and idle
 //!   workers *steal* from their peers, so a straggler trace (CLIENT02 runs
 //!   3× longer than the rest) never leaves the other cores idle;
-//! * suite results are memoized by `(label, scenario, pipeline-config)`,
-//!   so duplicate requests are served from cache and counted — the
-//!   [`SchedulerStats`] counters make the dedup observable (and testable);
+//! * the runner owns the suite ([`SuiteSource`]) and has one job shape:
+//!   build the spec's engine ([`PredictorSpec::build_engine`]) and run it
+//!   over trace `i` ([`simulate_engine`]);
+//! * suite results are memoized by `(spec.sim_key(), scenario,
+//!   cfg.fingerprint())`, so duplicate requests are served from cache and
+//!   counted — the [`SchedulerStats`] counters make the dedup observable
+//!   (and testable);
 //! * suites can be **prefetched**: `tage_exp all` enqueues every
 //!   experiment's suite jobs eagerly before rendering the first table, so
 //!   independent experiments' single-suite tails overlap on many-core
@@ -22,11 +26,13 @@
 //!   in-flight [`Batch`] in a pending map; the first consumer waits on it
 //!   and promotes the result into the memo cache.
 
-use pipeline::{simulate, simulate_source, PipelineConfig, SimReport, SuiteReport};
-use simkit::predictor::{Predictor, UpdateScenario};
+use crate::spec::PredictorSpec;
+use pipeline::{simulate_engine, PipelineConfig, SimReport, SuiteReport};
+use simkit::predictor::UpdateScenario;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use workloads::event::{EventSource, TraceStream};
 use workloads::{Trace, TraceSpec};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -49,6 +55,12 @@ fn timed<T>(busy: &AtomicU64, job: impl FnOnce() -> T) -> T {
 // propagating the panic is the fail-loud response, never an error path.
 fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap() // INVARIANT: see above — poison propagates the original panic.
+}
+
+/// Worker threads when the caller names none: available parallelism,
+/// capped at 16.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get()).min(16)
 }
 
 struct PoolShared {
@@ -261,12 +273,60 @@ impl SchedulerStats {
     }
 }
 
+/// How the suite is held.
+///
+/// * **materialized** — the traces are generated once up front and shared
+///   with the worker threads;
+/// * **streamed** — only the [`TraceSpec`] recipes are kept; every job
+///   regenerates its trace lazily through [`TraceSpec::stream`], so suite
+///   memory never exceeds one in-flight window per worker. Bit-identical
+///   to materialized mode — `ProgramStream` and `Program::generate` emit
+///   the same events by construction — at the price of per-job
+///   regeneration.
+#[derive(Clone, Debug)]
+pub enum SuiteSource {
+    /// Generated traces.
+    Materialized(Arc<Vec<Trace>>),
+    /// Trace recipes, regenerated per job.
+    Streamed(Arc<Vec<TraceSpec>>),
+}
+
+impl SuiteSource {
+    /// Number of traces in the suite.
+    pub fn len(&self) -> usize {
+        match self {
+            SuiteSource::Materialized(ts) => ts.len(),
+            SuiteSource::Streamed(specs) => specs.len(),
+        }
+    }
+
+    /// Whether the suite has no traces.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// A fresh event source for trace `i`: a borrowing stream over the
+    /// materialized trace, or a lazy regeneration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn open(&self, i: usize) -> Box<dyn EventSource + '_> {
+        match self {
+            SuiteSource::Materialized(ts) => Box::new(TraceStream::new(&ts[i])),
+            SuiteSource::Streamed(specs) => Box::new(specs[i].stream()),
+        }
+    }
+}
+
 type SuiteKey = (String, UpdateScenario, u64);
 
-/// Deduplicating parallel suite scheduler: a persistent [`WorkerPool`]
-/// plus a suite-result memo cache. See the module docs for the why.
+/// Deduplicating parallel suite scheduler: a persistent [`WorkerPool`],
+/// the suite it simulates, and a suite-result memo cache. See the module
+/// docs for the why.
 pub struct SuiteRunner {
     pool: WorkerPool,
+    source: SuiteSource,
     cache: Mutex<HashMap<SuiteKey, SuiteReport>>,
     /// Prefetched suites still in flight: submitted to the pool, not yet
     /// consumed into the memo cache.
@@ -279,13 +339,12 @@ pub struct SuiteRunner {
 }
 
 impl SuiteRunner {
-    /// A runner with `threads` pool workers (`None`: available
-    /// parallelism, capped at 16).
-    pub fn new(threads: Option<usize>) -> Self {
-        let threads = threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()).min(16));
+    /// A runner over `source` with `threads` pool workers (`None`:
+    /// [`default_threads`]).
+    pub fn new(source: SuiteSource, threads: Option<usize>) -> Self {
         Self {
-            pool: WorkerPool::new(threads),
+            pool: WorkerPool::new(threads.unwrap_or_else(default_threads)),
+            source,
             cache: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
             sim_jobs_run: AtomicU64::new(0),
@@ -298,6 +357,11 @@ impl SuiteRunner {
     /// The underlying pool.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
+    }
+
+    /// The suite the jobs simulate.
+    pub fn source(&self) -> &SuiteSource {
+        &self.source
     }
 
     /// Counter snapshot.
@@ -313,105 +377,34 @@ impl SuiteRunner {
         }
     }
 
-    /// Submits one simulate job per trace and returns the in-flight batch
-    /// without waiting.
-    fn submit_suite<P, F>(
+    /// Submits one job per trace — build `spec`'s engine, run it over the
+    /// trace — and returns the in-flight batch without waiting.
+    fn submit(
         &self,
-        traces: &Arc<Vec<Trace>>,
-        cfg: &PipelineConfig,
-        make: F,
+        spec: &PredictorSpec,
         scenario: UpdateScenario,
-    ) -> Arc<Batch<SimReport>>
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        let n = traces.len();
+        cfg: &PipelineConfig,
+    ) -> Arc<Batch<SimReport>> {
+        let n = self.source.len();
         // ORDERING: statistics only (see `stats`); the jobs themselves
         // synchronize through the queue mutex and batch condvar.
         self.sim_jobs_requested.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
         self.sim_jobs_run.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
-        let make = Arc::new(make);
+        let job = Arc::new((spec.clone(), cfg.clone()));
         let batch = Batch::new(n);
         for i in 0..n {
-            let make = Arc::clone(&make);
-            let traces = Arc::clone(traces);
+            let job = Arc::clone(&job);
+            let source = self.source.clone();
             let batch = Arc::clone(&batch);
-            let cfg = cfg.clone();
-            let busy = Arc::clone(&self.sim_busy_nanos);
-            self.pool.submit(Box::new(move || {
-                batch.run(i, || timed(&busy, || simulate(&mut make(), &traces[i], scenario, &cfg)));
-            }));
-        }
-        batch
-    }
-
-    /// Simulates a fresh `make()` predictor over every trace, one pool job
-    /// per trace, returning reports in suite order. Never consults the
-    /// memo cache.
-    pub fn run_suite<P, F>(
-        &self,
-        traces: &Arc<Vec<Trace>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> SuiteReport
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        SuiteReport::new(self.submit_suite(traces, cfg, make, scenario).wait())
-    }
-
-    /// Streaming twin of [`SuiteRunner::run_suite`]: each pool job
-    /// regenerates its trace through [`TraceSpec::stream`] instead of
-    /// reading a materialized `Vec<Trace>`, so suite memory stays bounded
-    /// by the in-flight windows (per-job regeneration is the price).
-    /// Bit-identical to the materialized path — `ProgramStream` and
-    /// `Program::generate` emit the same events by construction.
-    pub fn run_suite_streamed<P, F>(
-        &self,
-        specs: &Arc<Vec<TraceSpec>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> SuiteReport
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        SuiteReport::new(self.submit_suite_streamed(specs, cfg, make, scenario).wait())
-    }
-
-    /// Streaming twin of [`SuiteRunner::submit_suite`].
-    fn submit_suite_streamed<P, F>(
-        &self,
-        specs: &Arc<Vec<TraceSpec>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> Arc<Batch<SimReport>>
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        let n = specs.len();
-        // ORDERING: statistics only (see `stats`); the jobs themselves
-        // synchronize through the queue mutex and batch condvar.
-        self.sim_jobs_requested.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
-        self.sim_jobs_run.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
-        let make = Arc::new(make);
-        let batch = Batch::new(n);
-        for i in 0..n {
-            let make = Arc::clone(&make);
-            let specs = Arc::clone(specs);
-            let batch = Arc::clone(&batch);
-            let cfg = cfg.clone();
             let busy = Arc::clone(&self.sim_busy_nanos);
             self.pool.submit(Box::new(move || {
                 batch.run(i, || {
                     timed(&busy, || {
-                        simulate_source(&mut make(), &mut specs[i].stream(), scenario, &cfg)
+                        let (spec, cfg) = &*job;
+                        // INVARIANT: specs reach the scheduler validated
+                        // (PredictorSpec::parse); a failure re-raises on the waiter.
+                        let mut engine = spec.build_engine(scenario, cfg).expect("spec validated");
+                        simulate_engine(&mut *engine, &mut source.open(i))
                     })
                 });
             }));
@@ -419,30 +412,24 @@ impl SuiteRunner {
         batch
     }
 
-    /// Memoizes `compute` by `(label, scenario, config)`: the first
-    /// request computes, duplicates are served from cache. `n_jobs` is the
-    /// per-trace job count the request *would* have run (counted as
-    /// requested on a hit).
-    ///
-    /// `label` must uniquely identify the predictor configuration the
-    /// computation simulates — two different configurations sharing a
-    /// label would wrongly share results (`Predictor::name` is *not* used
-    /// precisely because distinct configurations can render the same
-    /// name).
-    pub fn cached_suite(
+    /// Simulates `spec` (one cold predictor per trace, one pool job per
+    /// trace) under `scenario`, returning reports in suite order. Memoized
+    /// by `(spec.sim_key(), scenario, cfg.fingerprint())`: the first
+    /// request computes (or collects a prefetched batch), duplicates are
+    /// served from cache. The key drops only the display label, so two
+    /// specs share an entry exactly when they simulate the same bits.
+    pub fn run(
         &self,
-        label: &str,
+        spec: &PredictorSpec,
         scenario: UpdateScenario,
         cfg: &PipelineConfig,
-        n_jobs: usize,
-        compute: impl FnOnce() -> SuiteReport,
     ) -> SuiteReport {
-        let key = (label.to_string(), scenario, cfg.fingerprint());
+        let key = (spec.sim_key(), scenario, cfg.fingerprint());
         if let Some(hit) = locked(&self.cache).get(&key) {
             // ORDERING: statistics only (see `stats`); the memo hit itself
             // is protected by the cache mutex.
             self.suite_memo_hits.fetch_add(1, Ordering::Relaxed); // ORDERING: see above
-            self.sim_jobs_requested.fetch_add(n_jobs as u64, Ordering::Relaxed); // ORDERING: see above
+            self.sim_jobs_requested.fetch_add(self.source.len() as u64, Ordering::Relaxed); // ORDERING: see above
             return hit.clone();
         }
         // A prefetched suite already runs (and was counted) on the pool:
@@ -450,27 +437,19 @@ impl SuiteRunner {
         // requested when the prefetch submitted them, so nothing is
         // double-counted here.
         let prefetched = locked(&self.pending).remove(&key);
-        let report = match prefetched {
-            Some(batch) => SuiteReport::new(batch.wait()),
-            None => compute(),
-        };
+        let batch = prefetched.unwrap_or_else(|| self.submit(spec, scenario, cfg));
+        let report = SuiteReport::new(batch.wait());
         locked(&self.cache).insert(key, report.clone());
         report
     }
 
-    /// Eagerly submits a suite's jobs without waiting for the results.
-    /// No-op when the suite is already cached or already in flight; the
-    /// first later `run_suite_*_cached` call with the same key consumes
+    /// [`SuiteRunner::run`]'s eager half: submits the suite's jobs without
+    /// waiting for the results. No-op when the suite is already cached or
+    /// already in flight; the first later `run` with the same key consumes
     /// the in-flight batch. This is what lets `tage_exp all` overlap
     /// independent experiments' suites on the pool.
-    fn prefetch_with(
-        &self,
-        label: &str,
-        scenario: UpdateScenario,
-        cfg: &PipelineConfig,
-        submit: impl FnOnce() -> Arc<Batch<SimReport>>,
-    ) {
-        let key = (label.to_string(), scenario, cfg.fingerprint());
+    pub fn prefetch(&self, spec: &PredictorSpec, scenario: UpdateScenario, cfg: &PipelineConfig) {
+        let key = (spec.sim_key(), scenario, cfg.fingerprint());
         if locked(&self.cache).contains_key(&key) {
             return;
         }
@@ -478,83 +457,13 @@ impl SuiteRunner {
         if pending.contains_key(&key) {
             return;
         }
-        pending.insert(key, submit());
-    }
-
-    /// [`SuiteRunner::run_suite_cached`]'s eager half: submit now, let a
-    /// later call collect.
-    pub fn prefetch_suite_cached<P, F>(
-        &self,
-        label: &str,
-        traces: &Arc<Vec<Trace>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        self.prefetch_with(label, scenario, cfg, || self.submit_suite(traces, cfg, make, scenario));
-    }
-
-    /// [`SuiteRunner::run_suite_streamed_cached`]'s eager half.
-    pub fn prefetch_suite_streamed_cached<P, F>(
-        &self,
-        label: &str,
-        specs: &Arc<Vec<TraceSpec>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        self.prefetch_with(label, scenario, cfg, || {
-            self.submit_suite_streamed(specs, cfg, make, scenario)
-        });
-    }
-
-    /// [`SuiteRunner::run_suite`] through the memo cache.
-    pub fn run_suite_cached<P, F>(
-        &self,
-        label: &str,
-        traces: &Arc<Vec<Trace>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> SuiteReport
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        self.cached_suite(label, scenario, cfg, traces.len(), || {
-            self.run_suite(traces, cfg, make, scenario)
-        })
-    }
-
-    /// [`SuiteRunner::run_suite_streamed`] through the memo cache.
-    pub fn run_suite_streamed_cached<P, F>(
-        &self,
-        label: &str,
-        specs: &Arc<Vec<TraceSpec>>,
-        cfg: &PipelineConfig,
-        make: F,
-        scenario: UpdateScenario,
-    ) -> SuiteReport
-    where
-        P: Predictor + Send + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        self.cached_suite(label, scenario, cfg, specs.len(), || {
-            self.run_suite_streamed(specs, cfg, make, scenario)
-        })
+        pending.insert(key, self.submit(spec, scenario, cfg));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::SimReport;
     use workloads::suite::{generate_parallel, Scale};
 
     fn tiny_traces() -> Arc<Vec<Trace>> {
@@ -606,30 +515,34 @@ mod tests {
         assert!(msg.contains("boom in job 1"), "unexpected payload: {msg}");
     }
 
+    fn spec(s: &str) -> PredictorSpec {
+        PredictorSpec::parse(s).unwrap()
+    }
+
+    /// Every trace through one cold engine each, serially, in suite order.
+    fn serial(traces: &[Trace], spec: &PredictorSpec, scenario: UpdateScenario) -> Vec<SimReport> {
+        let cfg = PipelineConfig::default();
+        traces
+            .iter()
+            .map(|t| {
+                let mut engine = spec.build_engine(scenario, &cfg).unwrap();
+                simulate_engine(&mut *engine, &mut TraceStream::new(t))
+            })
+            .collect()
+    }
+
     #[test]
     fn memoized_suite_is_computed_once() {
-        let runner = SuiteRunner::new(Some(2));
-        let traces = tiny_traces();
+        let runner = SuiteRunner::new(SuiteSource::Materialized(tiny_traces()), Some(2));
         let cfg = PipelineConfig::default();
-        let a = runner.run_suite_cached(
-            "bimodal-test",
-            &traces,
-            &cfg,
-            || baselines::Bimodal::new(4096, 2),
-            UpdateScenario::RereadAtRetire,
-        );
+        let bimodal = spec("bimodal:4096,2");
+        let a = runner.run(&bimodal, UpdateScenario::RereadAtRetire, &cfg);
         let stats = runner.stats();
         assert_eq!(stats.sim_jobs_run, 40);
         assert_eq!(stats.suite_memo_hits, 0);
         assert!(stats.sim_busy_nanos > 0, "job timing must accumulate");
         let busy_after_run = stats.sim_busy_nanos;
-        let b = runner.run_suite_cached(
-            "bimodal-test",
-            &traces,
-            &cfg,
-            || baselines::Bimodal::new(4096, 2),
-            UpdateScenario::RereadAtRetire,
-        );
+        let b = runner.run(&bimodal, UpdateScenario::RereadAtRetire, &cfg);
         let stats = runner.stats();
         assert_eq!(stats.sim_jobs_run, 40, "duplicate suite must not re-simulate");
         assert_eq!(stats.sim_jobs_requested, 80);
@@ -639,14 +552,23 @@ mod tests {
         assert!(stats.busy_seconds() > 0.0);
         assert_eq!(a.reports, b.reports);
         // A different scenario is a different key.
-        runner.run_suite_cached(
-            "bimodal-test",
-            &traces,
-            &cfg,
-            || baselines::Bimodal::new(4096, 2),
-            UpdateScenario::FetchOnly,
-        );
+        runner.run(&bimodal, UpdateScenario::FetchOnly, &cfg);
         assert_eq!(runner.stats().sim_jobs_run, 80);
+        // So is a different pipeline configuration.
+        let profiled = PipelineConfig { branch_stats: true, ..PipelineConfig::default() };
+        runner.run(&bimodal, UpdateScenario::FetchOnly, &profiled);
+        assert_eq!(runner.stats().sim_jobs_run, 120);
+    }
+
+    #[test]
+    fn label_only_variants_share_one_memo_entry() {
+        let runner = SuiteRunner::new(SuiteSource::Materialized(tiny_traces()), Some(2));
+        let cfg = PipelineConfig::default();
+        let labeled = runner.run(&spec("tage+ium/as=T"), UpdateScenario::RereadAtRetire, &cfg);
+        let plain = runner.run(&spec("tage+ium"), UpdateScenario::RereadAtRetire, &cfg);
+        assert_eq!(runner.stats().sim_jobs_run, 40);
+        assert_eq!(runner.stats().suite_memo_hits, 1);
+        assert_eq!(labeled.reports, plain.reports);
     }
 
     #[test]
@@ -654,44 +576,23 @@ mod tests {
         // The ROADMAP "stream-first harness mode" contract: per-job
         // ProgramStream regeneration must reproduce the materialized
         // suite's reports exactly, table for table.
-        let runner = SuiteRunner::new(Some(3));
         let specs = Arc::new(workloads::suite::suite(Scale::Tiny));
-        let traces = tiny_traces();
+        let streamed = SuiteRunner::new(SuiteSource::Streamed(specs), Some(3));
+        let materialized = SuiteRunner::new(SuiteSource::Materialized(tiny_traces()), Some(3));
         let cfg = PipelineConfig::default();
-        let streamed = runner.run_suite_streamed(
-            &specs,
-            &cfg,
-            || baselines::Gshare::new(11),
-            UpdateScenario::RereadAtRetire,
-        );
-        let materialized = runner.run_suite(
-            &traces,
-            &cfg,
-            || baselines::Gshare::new(11),
-            UpdateScenario::RereadAtRetire,
-        );
-        assert_eq!(streamed.reports, materialized.reports);
+        let gshare = spec("gshare:11");
+        let a = streamed.run(&gshare, UpdateScenario::RereadAtRetire, &cfg);
+        let b = materialized.run(&gshare, UpdateScenario::RereadAtRetire, &cfg);
+        assert_eq!(a.reports, b.reports);
     }
 
     #[test]
     fn streamed_cached_suite_dedupes() {
-        let runner = SuiteRunner::new(Some(2));
         let specs = Arc::new(workloads::suite::suite(Scale::Tiny));
+        let runner = SuiteRunner::new(SuiteSource::Streamed(specs), Some(2));
         let cfg = PipelineConfig::default();
-        let a = runner.run_suite_streamed_cached(
-            "gshare-10s",
-            &specs,
-            &cfg,
-            || baselines::Gshare::new(10),
-            UpdateScenario::FetchOnly,
-        );
-        let b = runner.run_suite_streamed_cached(
-            "gshare-10s",
-            &specs,
-            &cfg,
-            || baselines::Gshare::new(10),
-            UpdateScenario::FetchOnly,
-        );
+        let a = runner.run(&spec("gshare:10"), UpdateScenario::FetchOnly, &cfg);
+        let b = runner.run(&spec("gshare:10"), UpdateScenario::FetchOnly, &cfg);
         assert_eq!(a.reports, b.reports);
         let s = runner.stats();
         assert_eq!(s.sim_jobs_run, 40);
@@ -701,70 +602,67 @@ mod tests {
 
     #[test]
     fn prefetched_suite_is_consumed_not_recomputed() {
-        let runner = SuiteRunner::new(Some(2));
         let traces = tiny_traces();
+        let runner = SuiteRunner::new(SuiteSource::Materialized(Arc::clone(&traces)), Some(2));
         let cfg = PipelineConfig::default();
-        let make = || baselines::Gshare::new(11);
-        runner.prefetch_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        let g11 = spec("gshare:11");
+        let sc = UpdateScenario::FetchOnly;
+        runner.prefetch(&g11, sc, &cfg);
         // A duplicate prefetch of an in-flight suite is a no-op.
-        runner.prefetch_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        runner.prefetch(&g11, sc, &cfg);
         assert_eq!(runner.stats().sim_jobs_run, 40, "prefetch submits exactly once");
-        // The first cached request consumes the in-flight batch.
-        let a = runner.run_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        // The first request consumes the in-flight batch.
+        let a = runner.run(&g11, sc, &cfg);
         assert_eq!(runner.stats().sim_jobs_run, 40, "consume must not re-simulate");
         assert_eq!(runner.stats().suite_memo_hits, 0);
         // The second hits the promoted memo entry.
-        let b = runner.run_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        let b = runner.run(&g11, sc, &cfg);
         assert_eq!(runner.stats().suite_memo_hits, 1);
+        assert_eq!(runner.stats().sim_jobs_requested, 80);
         assert_eq!(a.reports, b.reports);
         // Prefetching an already-cached suite is a no-op too.
-        runner.prefetch_suite_cached("g11", &traces, &cfg, make, UpdateScenario::FetchOnly);
+        runner.prefetch(&g11, sc, &cfg);
         assert_eq!(runner.stats().sim_jobs_run, 40);
-        // And the result is bit-identical to an uncached direct run.
-        let direct = runner.run_suite(&traces, &cfg, make, UpdateScenario::FetchOnly);
-        assert_eq!(a.reports, direct.reports);
+        // And the result is bit-identical to a serial run.
+        assert_eq!(a.reports, serial(&traces, &g11, sc));
     }
 
     #[test]
     fn streamed_prefetch_matches_materialized() {
-        let runner = SuiteRunner::new(Some(2));
         let specs = Arc::new(workloads::suite::suite(Scale::Tiny));
-        let traces = tiny_traces();
+        let runner = SuiteRunner::new(SuiteSource::Streamed(specs), Some(2));
         let cfg = PipelineConfig::default();
-        let make = || baselines::Gshare::new(12);
-        runner.prefetch_suite_streamed_cached("g12s", &specs, &cfg, make, UpdateScenario::FetchOnly);
-        let streamed =
-            runner.run_suite_streamed_cached("g12s", &specs, &cfg, make, UpdateScenario::FetchOnly);
-        let materialized = runner.run_suite(&traces, &cfg, make, UpdateScenario::FetchOnly);
-        assert_eq!(streamed.reports, materialized.reports);
+        let g12 = spec("gshare:12");
+        runner.prefetch(&g12, UpdateScenario::FetchOnly, &cfg);
+        let streamed = runner.run(&g12, UpdateScenario::FetchOnly, &cfg);
+        assert_eq!(streamed.reports, serial(&tiny_traces(), &g12, UpdateScenario::FetchOnly));
     }
 
     #[test]
     fn pooled_suite_matches_serial_in_order() {
-        let runner = SuiteRunner::new(Some(3));
         let traces = tiny_traces();
-        let cfg = PipelineConfig::default();
-        let pooled = runner.run_suite(
-            &traces,
-            &cfg,
-            || baselines::Gshare::new(10),
-            UpdateScenario::RereadOnMispredict,
-        );
+        let runner = SuiteRunner::new(SuiteSource::Materialized(Arc::clone(&traces)), Some(3));
+        let g10 = spec("gshare:10");
+        let sc = UpdateScenario::RereadOnMispredict;
+        let pooled = runner.run(&g10, sc, &PipelineConfig::default());
         for (r, t) in pooled.reports.iter().zip(traces.iter()) {
             assert_eq!(r.trace, t.name);
         }
-        let serial: Vec<SimReport> = traces
-            .iter()
-            .map(|t| {
-                simulate(
-                    &mut baselines::Gshare::new(10),
-                    t,
-                    UpdateScenario::RereadOnMispredict,
-                    &cfg,
-                )
-            })
-            .collect();
-        assert_eq!(pooled.reports, serial);
+        assert_eq!(pooled.reports, serial(&traces, &g10, sc));
     }
 
+    #[test]
+    fn suite_source_opens_the_same_events_in_both_modes() {
+        let materialized = SuiteSource::Materialized(tiny_traces());
+        let streamed = SuiteSource::Streamed(Arc::new(workloads::suite::suite(Scale::Tiny)));
+        assert_eq!(materialized.len(), 40);
+        assert_eq!(streamed.len(), 40);
+        assert!(!streamed.is_empty());
+        let (mut a, mut b) = (materialized.open(5), streamed.open(5));
+        assert_eq!(a.name(), b.name());
+        while let Some(ea) = a.next_event() {
+            assert_eq!(Some(ea), b.next_event());
+        }
+        assert!(b.next_event().is_none());
+    }
 }

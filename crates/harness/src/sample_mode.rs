@@ -16,13 +16,12 @@
 //! than PCT percent from its full-run twin: the accuracy gate CI runs at
 //! tiny scale.
 
-use crate::runner::WorkerPool;
+use crate::runner::{default_threads, WorkerPool};
 use crate::spec::PredictorSpec;
 use crate::table::{f1, Table};
 use crate::trace_mode::MATRIX_SCENARIO;
 use pipeline::{
     fixed_interval, simulate_engine, Phase, PipelineConfig, SampledResult, SimReport, SimWindow,
-    DEFAULT_BATCH,
 };
 use std::io;
 use std::path::{Path, PathBuf};
@@ -42,8 +41,6 @@ pub struct SampleOptions {
     pub seed: u64,
     /// Pool worker threads (`None`: available parallelism, capped at 16).
     pub threads: Option<usize>,
-    /// Events per engine dispatch (see [`pipeline::DEFAULT_BATCH`]).
-    pub batch: usize,
     /// When set, also simulate every (spec × file) pair in full and gate
     /// the sampled MPPKI to within this percentage of the full run.
     pub full_check: Option<f64>,
@@ -57,7 +54,6 @@ impl Default for SampleOptions {
             measure: 40_000,
             seed: 0,
             threads: None,
-            batch: DEFAULT_BATCH,
             full_check: None,
         }
     }
@@ -130,7 +126,7 @@ fn slice_job(
     };
     // INVARIANT: specs were parse-validated by the caller before fan-out.
     let mut engine = spec.build_engine(MATRIX_SCENARIO, &cfg).expect("spec validated before fan-out");
-    let report = simulate_engine(&mut *engine, &mut src, opts.batch);
+    let report = simulate_engine(&mut *engine, &mut src);
     // The window stops mid-file by design, so the remaining-event
     // shortfall check does not apply — but a decode error still must.
     if let Some(e) = src.decode_error() {
@@ -141,13 +137,13 @@ fn slice_job(
 
 /// One full-run job (the `--full-check` reference): the whole file under
 /// the default window.
-fn full_job(path: &Path, spec: &PredictorSpec, batch: usize) -> io::Result<SimReport> {
+fn full_job(path: &Path, spec: &PredictorSpec) -> io::Result<SimReport> {
     let registry = CodecRegistry::standard();
     let mut src = registry.open(path)?;
     let cfg = PipelineConfig::default();
     // INVARIANT: see `slice_job`.
     let mut engine = spec.build_engine(MATRIX_SCENARIO, &cfg).expect("spec validated before fan-out");
-    let report = simulate_engine(&mut *engine, &mut src, batch);
+    let report = simulate_engine(&mut *engine, &mut src);
     traces::finish(src.as_ref())?;
     Ok(report)
 }
@@ -199,10 +195,7 @@ pub fn run_sampled(
         }
     }
 
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |t| t.get()).min(16))
-        .clamp(1, defs.len().max(1));
+    let threads = opts.threads.unwrap_or_else(default_threads).clamp(1, defs.len().max(1));
     let pool = WorkerPool::new(threads);
     let (tx, rx) = mpsc::channel::<(usize, io::Result<SimReport>)>();
     for (k, def) in defs.iter().enumerate() {
@@ -217,7 +210,7 @@ pub fn run_sampled(
             // as an error instead of hanging the collector.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match slice {
                 Some(phase) => slice_job(&path, &spec, phase, &opts),
-                None => full_job(&path, &spec, opts.batch),
+                None => full_job(&path, &spec),
             }))
             .unwrap_or_else(|p| {
                 let msg = p

@@ -22,15 +22,14 @@
 //! The canonical [`Display`](std::fmt::Display) string doubles as the
 //! suite-scheduler memo label (see [`crate::ctx::ExpContext::run_spec`]):
 //! two experiment rows share a cached suite exactly when their specs
-//! canonicalize identically. Every predictor a spec can build implements
-//! the object-safe [`simkit::BranchPredictor`], so
-//! [`PredictorSpec::build`] returns one boxable type for registry-style
-//! callers (the trace-mode matrix, `tage_exp system`).
+//! canonicalize identically. [`PredictorSpec::build_engine`] is the one
+//! place a spec turns into a predictor: every caller — suite jobs, the
+//! trace-mode matrix, sampled slices, a served session, the budget
+//! columns — gets the same boxed [`BlockSim`].
 
 use baselines::{Bimodal, Ftl, Gehl, Gshare, Perceptron, Snap};
 use pipeline::{BlockSim, PipelineConfig, WindowEngine};
 use simkit::predictor::UpdateScenario;
-use simkit::BranchPredictor;
 use std::fmt;
 use std::str::FromStr;
 use tage::{SpecError, SystemSpec};
@@ -135,36 +134,11 @@ impl PredictorSpec {
         }
     }
 
-    /// Builds the predictor behind the object-safe trait.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PredictorSpec::validate`].
-    pub fn build(&self) -> Result<Box<dyn BranchPredictor>, SpecError> {
-        self.validate()?;
-        Ok(match self {
-            PredictorSpec::Stack(spec) => Box::new(spec.build()?),
-            PredictorSpec::Gshare { index_bits: None } => Box::new(Gshare::cbp_512k()),
-            PredictorSpec::Gshare { index_bits: Some(bits) } => Box::new(Gshare::new(*bits)),
-            PredictorSpec::Gehl520k => Box::new(Gehl::cbp_520k()),
-            PredictorSpec::Bimodal { entries, ctr_bits } => {
-                Box::new(Bimodal::new(*entries, *ctr_bits))
-            }
-            PredictorSpec::Perceptron { rows, hist } => Box::new(Perceptron::new(*rows, *hist)),
-            PredictorSpec::Snap512k => Box::new(Snap::cbp_512k()),
-            PredictorSpec::Ftl512k => Box::new(Ftl::cbp_512k()),
-        })
-    }
-
-    /// Builds the predictor inside a block-at-a-time [`WindowEngine`] —
-    /// the batched counterpart of [`PredictorSpec::build`]. The returned
-    /// [`BlockSim`] erases the predictor type once per *block*
-    /// (`run_block`) instead of once per predictor call, and the window
-    /// loop inside stays monomorphized per arm, so dynamic callers (trace
-    /// mode, benches) amortize virtual dispatch without giving up the
-    /// registry interface. Bit-identical to the scalar route: both funnel
-    /// through the same per-event window step (pinned by the pipeline
-    /// engine tests and the trace-mode matrix test).
+    /// Builds the predictor inside a block-at-a-time [`WindowEngine`]:
+    /// the only match over the spec arms that constructs a predictor. The
+    /// returned [`BlockSim`] erases the predictor type once per *block*
+    /// (`run_block`) while the window loop inside stays monomorphized per
+    /// arm.
     ///
     /// # Errors
     ///
@@ -201,9 +175,10 @@ impl PredictorSpec {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PredictorSpec::build`].
+    /// Same conditions as [`PredictorSpec::validate`].
     pub fn storage_bits(&self) -> Result<u64, SpecError> {
-        Ok(self.build()?.storage_bits())
+        let engine = self.build_engine(UpdateScenario::Immediate, &PipelineConfig::default())?;
+        Ok(engine.storage_bits())
     }
 
     /// The suite-scheduler memoization key: the canonical string with
@@ -322,6 +297,7 @@ fn parse_pair(s: &str, token: &'static str) -> Result<(usize, usize), SpecError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::Predictor;
 
     #[test]
     fn baseline_specs_round_trip_and_build() {
@@ -339,8 +315,7 @@ mod tests {
         ] {
             let spec = PredictorSpec::parse(s).unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(spec.to_string(), s, "canonical form changed");
-            let p = spec.build().unwrap();
-            assert!(p.storage_bits() > 0, "{s}");
+            assert!(spec.storage_bits().unwrap() > 0, "{s}");
         }
     }
 
@@ -400,47 +375,38 @@ mod tests {
         );
     }
 
-    #[test]
-    fn engine_route_is_bit_identical_to_the_scalar_route_per_arm() {
-        use workloads::suite::{by_name, Scale};
-        let spec_src = by_name("INT02", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig::default();
-        let scenario = UpdateScenario::RereadAtRetire;
-        // One spec per PredictorSpec arm: every monomorphized engine arm
-        // must reproduce the boxed scalar route report for report.
-        for s in [
-            "tage+ium",
-            "gshare:512k",
-            "gshare:14",
-            "gehl:520k",
-            "bimodal:4096,2",
-            "perceptron:512,32",
-            "snap:512k",
-            "ftl:512k",
-        ] {
-            let spec = PredictorSpec::parse(s).unwrap();
-            let mut scalar = simkit::DynPredictor::new(spec.build().unwrap());
-            let want = pipeline::simulate_source(&mut scalar, &mut spec_src.stream(), scenario, &cfg);
-            for batch in [1usize, 7, pipeline::DEFAULT_BATCH] {
-                let mut engine = spec.build_engine(scenario, &cfg).unwrap();
-                let got = pipeline::simulate_engine(&mut *engine, &mut spec_src.stream(), batch);
-                assert_eq!(got, want, "{s} diverged at batch {batch}");
-            }
-        }
+    /// Name and storage of `p` built directly, for comparison with the
+    /// engine a spec builds.
+    fn direct<P: Predictor>(p: P) -> (String, u64) {
+        (p.name(), p.storage_bits())
     }
 
     #[test]
     fn built_names_match_direct_construction() {
-        use simkit::Predictor;
-        let boxed = PredictorSpec::parse("gehl:520k").unwrap().build().unwrap();
-        assert_eq!(
-            BranchPredictor::name(&*boxed),
-            Predictor::name(&baselines::Gehl::cbp_520k())
-        );
-        let stack = PredictorSpec::parse("tage:lsc+ium+lsc/as=TAGE-LSC").unwrap().build().unwrap();
-        assert_eq!(
-            BranchPredictor::name(&*stack),
-            Predictor::name(&tage::TageSystem::tage_lsc())
-        );
+        // One spec per PredictorSpec arm: the engine `build_engine`
+        // returns must report the name and storage of the predictor the
+        // arm stands for. `perceptron`, `bimodal:N,M` and `gshare:N` are
+        // reached by no golden table, so this is their pin.
+        let cases: [(&str, (String, u64)); 9] = [
+            ("tage:lsc+ium+lsc/as=TAGE-LSC", direct(tage::TageSystem::tage_lsc())),
+            ("tage+ium", direct(tage::TageSystem::tage_ium())),
+            ("gshare:512k", direct(Gshare::cbp_512k())),
+            ("gshare:14", direct(Gshare::new(14))),
+            ("gehl:520k", direct(Gehl::cbp_520k())),
+            ("bimodal:4096,2", direct(Bimodal::new(4096, 2))),
+            ("perceptron:512,32", direct(Perceptron::new(512, 32))),
+            ("snap:512k", direct(Snap::cbp_512k())),
+            ("ftl:512k", direct(Ftl::cbp_512k())),
+        ];
+        let cfg = PipelineConfig::default();
+        for (s, (name, bits)) in cases {
+            let spec = PredictorSpec::parse(s).unwrap();
+            for scenario in UpdateScenario::ALL {
+                let engine = spec.build_engine(scenario, &cfg).unwrap();
+                assert_eq!(engine.predictor_name(), name, "{s}");
+                assert_eq!(engine.storage_bits(), bits, "{s}");
+            }
+            assert_eq!(spec.storage_bits().unwrap(), bits, "{s}");
+        }
     }
 }

@@ -14,7 +14,8 @@
 
 use crate::spec::PredictorSpec;
 use crate::table::{f1, Table};
-use pipeline::{simulate_engine, simulate_source, PipelineConfig, SuiteReport, DEFAULT_BATCH};
+use crate::runner::default_threads;
+use pipeline::{simulate_engine, PipelineConfig, SuiteReport};
 use simkit::predictor::UpdateScenario;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -25,12 +26,8 @@ use workloads::event::{EventSource, Trace, TraceEvent};
 use workloads::TraceSpec;
 
 /// The predictor matrix as `(display name, spec)` pairs, in table-column
-/// order. Each cell builds its predictor through the declarative
-/// [`PredictorSpec`] registry behind the object-safe
-/// [`simkit::BranchPredictor`], wrapped in a [`simkit::DynPredictor`]
-/// flight pool — this is the genuinely dynamic path (the suite
-/// experiments keep monomorphized dispatch; see
-/// [`crate::ctx::ExpContext::run_spec`]).
+/// order. Each cell builds its engine through
+/// [`PredictorSpec::build_engine`], like every other simulation.
 pub const MATRIX: [(&str, &str); 6] = [
     ("gshare-512K", "gshare:512k"),
     ("GEHL-520K", "gehl:520k"),
@@ -67,21 +64,12 @@ impl TraceDecoder for SpecSource {
     }
 }
 
-/// One simulation cell: a fresh spec-built predictor streamed over one
+/// One simulation cell: a fresh spec-built engine streamed over one
 /// source under `scenario`, with a post-run decode-integrity check.
-/// This is THE per-(spec × trace) recipe — the matrix runner, `tage_exp
-/// system --trace`, and a `tage_serve` session all funnel through it,
-/// which is what makes a served result bit-identical to the offline run
-/// by construction.
-///
-/// `batch == 0` takes the scalar reference route — the pooled
-/// [`simkit::DynPredictor`] behind [`simulate_source`], dynamic dispatch
-/// per predictor call. `batch >= 1` takes the block route —
-/// [`PredictorSpec::build_engine`]'s [`pipeline::WindowEngine`] behind
-/// [`simulate_engine`], one virtual `run_block` per `batch` events with a
-/// monomorphized window loop inside. Both funnel through the same
-/// per-event window step, so the reports are bit-identical (pinned by
-/// `batched_matrix_is_bit_identical_to_scalar`).
+/// This is THE per-(spec × trace) recipe — the matrix runner and `tage_exp
+/// system --trace` funnel through it, and a `tage_serve` session runs the
+/// same engine and driver, which is what makes a served result
+/// bit-identical to the offline run.
 ///
 /// # Errors
 ///
@@ -94,17 +82,11 @@ pub fn run_spec_cell(
     scenario: UpdateScenario,
     src: &mut Box<dyn TraceDecoder + Send>,
     cfg: &PipelineConfig,
-    batch: usize,
 ) -> io::Result<pipeline::SimReport> {
-    let bad_spec =
-        |e: tage::SpecError| io::Error::new(io::ErrorKind::InvalidInput, e.to_string());
-    let r = if batch == 0 {
-        let mut predictor = simkit::DynPredictor::new(spec.build().map_err(bad_spec)?);
-        simulate_source(&mut predictor, src, scenario, cfg)
-    } else {
-        let mut engine = spec.build_engine(scenario, cfg).map_err(bad_spec)?;
-        simulate_engine(&mut *engine, src, batch)
-    };
+    let mut engine = spec
+        .build_engine(scenario, cfg)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let r = simulate_engine(&mut *engine, src);
     traces::finish(src.as_ref())?;
     Ok(r)
 }
@@ -123,14 +105,13 @@ pub fn run_spec_over_files(
     scenario: UpdateScenario,
     files: &[PathBuf],
     cfg: &PipelineConfig,
-    batch: usize,
 ) -> io::Result<SuiteReport> {
     let registry = CodecRegistry::standard();
     let reports: io::Result<Vec<_>> = files
         .iter()
         .map(|f| {
             let mut src = registry.open(f)?;
-            run_spec_cell(spec, scenario, &mut src, cfg, batch)
+            run_spec_cell(spec, scenario, &mut src, cfg)
         })
         .collect();
     Ok(SuiteReport::new(reports?))
@@ -144,11 +125,6 @@ pub fn run_spec_over_files(
 /// deterministic (predictor, source) order regardless of completion
 /// order.
 ///
-/// `batch` selects the per-cell simulation route (see [`run_cell`]):
-/// `0` is the scalar reference, `n >= 1` the block engine decoding `n`
-/// events per virtual dispatch. [`DEFAULT_BATCH`] is the auto default
-/// the CLI uses.
-///
 /// # Errors
 ///
 /// Propagates source-open and decode-integrity errors (the first error in
@@ -158,15 +134,12 @@ pub fn run_matrix<F>(
     open: F,
     cfg: &PipelineConfig,
     threads: Option<usize>,
-    batch: usize,
 ) -> io::Result<Vec<(&'static str, SuiteReport)>>
 where
     F: Fn(usize) -> io::Result<Box<dyn TraceDecoder + Send>> + Sync,
 {
     let cells = MATRIX.len() * n;
-    let threads = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |t| t.get()).min(16))
-        .clamp(1, cells.max(1));
+    let threads = threads.unwrap_or_else(default_threads).clamp(1, cells.max(1));
     let specs: Vec<PredictorSpec> = MATRIX
         .iter()
         // INVARIANT: MATRIX is a static table; a bad entry is a bug the
@@ -188,7 +161,7 @@ where
                 }
                 let (predictor, source) = (cell / n, cell % n);
                 let result = open(source).and_then(|mut src| {
-                    run_spec_cell(&specs[predictor], MATRIX_SCENARIO, &mut src, cfg, batch)
+                    run_spec_cell(&specs[predictor], MATRIX_SCENARIO, &mut src, cfg)
                 });
                 // INVARIANT: slot mutexes are uncontended by construction
                 // (each cell index is claimed once); poison would mean a
@@ -223,23 +196,8 @@ pub fn run_files(
     cfg: &PipelineConfig,
     threads: Option<usize>,
 ) -> io::Result<Vec<(&'static str, SuiteReport)>> {
-    run_files_batched(files, cfg, threads, DEFAULT_BATCH)
-}
-
-/// [`run_files`] with an explicit batch size (`0`: the scalar reference
-/// route; see [`run_matrix`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_files`].
-pub fn run_files_batched(
-    files: &[PathBuf],
-    cfg: &PipelineConfig,
-    threads: Option<usize>,
-    batch: usize,
-) -> io::Result<Vec<(&'static str, SuiteReport)>> {
     let registry = CodecRegistry::standard();
-    run_matrix(files.len(), |i| registry.open(&files[i]), cfg, threads, batch)
+    run_matrix(files.len(), |i| registry.open(&files[i]), cfg, threads)
 }
 
 /// The matrix over synthetic trace recipes (the direct-run baseline the
@@ -254,23 +212,8 @@ pub fn run_specs(
     cfg: &PipelineConfig,
     threads: Option<usize>,
 ) -> io::Result<Vec<(&'static str, SuiteReport)>> {
-    run_specs_batched(specs, cfg, threads, DEFAULT_BATCH)
-}
-
-/// [`run_specs`] with an explicit batch size (`0`: the scalar reference
-/// route; see [`run_matrix`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_specs`].
-pub fn run_specs_batched(
-    specs: &[TraceSpec],
-    cfg: &PipelineConfig,
-    threads: Option<usize>,
-    batch: usize,
-) -> io::Result<Vec<(&'static str, SuiteReport)>> {
     let open = |i: usize| Ok(Box::new(SpecSource(specs[i].stream())) as _);
-    run_matrix(specs.len(), open, cfg, threads, batch)
+    run_matrix(specs.len(), open, cfg, threads)
 }
 
 /// Renders the matrix: a per-trace MPPKI table plus category means,
@@ -415,19 +358,32 @@ mod tests {
     }
 
     #[test]
-    fn batched_matrix_is_bit_identical_to_scalar() {
-        // The trace-mode acceptance bar: the engine route must reproduce
-        // the scalar DynPredictor route exactly, at the auto batch, a
-        // deliberately awkward one, and N=1.
+    fn matrix_cells_match_directly_built_predictors() {
+        // Each column's spec string must simulate exactly the predictor
+        // its display name promises: the preset constructors, run through
+        // the engine directly, reproduce the matrix report for report.
+        use pipeline::{BlockSim, WindowEngine};
+        use tage::TageSystem;
         let specs: Vec<TraceSpec> =
             ["INT02", "WS03"].iter().map(|n| by_name(n, Scale::Tiny).unwrap()).collect();
         let cfg = PipelineConfig::default();
-        let scalar = run_specs_batched(&specs, &cfg, Some(2), 0).unwrap();
-        for batch in [1usize, 37, DEFAULT_BATCH] {
-            let batched = run_specs_batched(&specs, &cfg, Some(2), batch).unwrap();
-            for ((n1, a), (n2, b)) in scalar.iter().zip(&batched) {
-                assert_eq!(n1, n2);
-                assert_eq!(a.reports, b.reports, "{n1} diverged at batch {batch}");
+        let matrix = run_specs(&specs, &cfg, Some(2)).unwrap();
+        let direct = |column: usize| -> Box<dyn BlockSim> {
+            let sc = MATRIX_SCENARIO;
+            match column {
+                0 => Box::new(WindowEngine::new(baselines::Gshare::cbp_512k(), sc, &cfg)),
+                1 => Box::new(WindowEngine::new(baselines::Gehl::cbp_520k(), sc, &cfg)),
+                2 => Box::new(WindowEngine::new(TageSystem::reference_tage(), sc, &cfg)),
+                3 => Box::new(WindowEngine::new(TageSystem::tage_ium(), sc, &cfg)),
+                4 => Box::new(WindowEngine::new(TageSystem::isl_tage(), sc, &cfg)),
+                _ => Box::new(WindowEngine::new(TageSystem::tage_lsc(), sc, &cfg)),
+            }
+        };
+        assert_eq!(matrix.len(), 6);
+        for (column, (name, suite)) in matrix.iter().enumerate() {
+            for (report, spec) in suite.reports.iter().zip(&specs) {
+                let want = simulate_engine(&mut *direct(column), &mut spec.stream());
+                assert_eq!(*report, want, "{name} diverged on {}", spec.name);
             }
         }
     }

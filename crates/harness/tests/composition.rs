@@ -119,34 +119,19 @@ fn label_only_variants_share_one_suite() {
     assert_eq!(counts(&a), counts(&b));
 }
 
-/// The dynamic `BranchPredictor` routes — bare boxed (allocating) and
-/// `DynPredictor`-pooled (trace mode's arena path) — are bit-identical
-/// to the monomorphized route the sweeps use.
+/// The boxed engine a spec string builds is bit-identical to the preset
+/// constructor's predictor in a concretely typed `WindowEngine`.
 #[test]
 fn boxed_spec_route_matches_monomorphized_route() {
     let spec = PredictorSpec::parse("tage:lsc+ium+lsc/as=TAGE-LSC").unwrap();
     let trace = workloads::suite::by_name("MM05", Scale::Tiny).unwrap().generate();
     let cfg = pipeline::PipelineConfig::default();
-    let mut boxed = spec.build().unwrap();
-    let via_box =
-        pipeline::simulate(&mut boxed, &trace, UpdateScenario::RereadOnMispredict, &cfg);
-    let mut pooled = simkit::DynPredictor::new(spec.build().unwrap());
-    let via_pool =
-        pipeline::simulate(&mut pooled, &trace, UpdateScenario::RereadOnMispredict, &cfg);
-    let direct = pipeline::simulate(
-        &mut tage::TageSystem::tage_lsc(),
-        &trace,
-        UpdateScenario::RereadOnMispredict,
-        &cfg,
-    );
-    assert_eq!(via_box, direct, "dyn dispatch must not change a single bit");
-    assert_eq!(via_pool, direct, "flight recycling must not change a single bit");
-    // The pool really did bound allocations by the in-flight window.
-    assert!(
-        pooled.flight_allocations() <= cfg.retire_lag as u64 + 1,
-        "pooled route allocated {} flights",
-        pooled.flight_allocations()
-    );
+    let scenario = UpdateScenario::RereadOnMispredict;
+    let mut boxed = spec.build_engine(scenario, &cfg).unwrap();
+    let via_box = pipeline::simulate_engine(&mut *boxed, &mut trace.stream());
+    let mut direct = pipeline::WindowEngine::new(tage::TageSystem::tage_lsc(), scenario, &cfg);
+    let direct = pipeline::simulate_engine(&mut direct, &mut trace.stream());
+    assert_eq!(via_box, direct, "the spec route must not change a single bit");
 }
 
 /// A decomposed-provider ablation spec runs end to end through the same

@@ -1,12 +1,12 @@
 //! Observability invariants: the opt-in per-branch profiler must sum
 //! exactly to the aggregate counters under every update scenario, run
 //! artifacts must round-trip through JSON bit-for-bit, and artifact
-//! bytes must be invariant across worker-thread counts and across the
-//! batched vs scalar simulation routes.
+//! bytes must be invariant across worker-thread counts and across
+//! materialized and streamed suites.
 
 use harness::artifact::{collect_paths, RunArtifact, SchedulerBlock};
 use harness::{ExpContext, ExpOptions, PredictorSpec};
-use pipeline::{simulate_source, simulate_source_batched, PipelineConfig};
+use pipeline::{simulate_engine, PipelineConfig, SimReport, WindowEngine};
 use simkit::UpdateScenario;
 use workloads::program::ProgramStream;
 use workloads::suite::{by_name, Scale};
@@ -19,6 +19,12 @@ fn tiny_stream(name: &str) -> ProgramStream {
     by_name(name, Scale::Tiny).expect("suite trace").stream()
 }
 
+/// A cold `gshare:bits` over one Tiny suite trace.
+fn gshare(bits: u32, name: &str, scenario: UpdateScenario, cfg: &PipelineConfig) -> SimReport {
+    let mut engine = WindowEngine::new(baselines::Gshare::new(bits), scenario, cfg);
+    simulate_engine(&mut engine, &mut tiny_stream(name))
+}
+
 /// The tentpole invariant, asserted on every scenario arm: each profile
 /// counter column sums exactly to its aggregate `SimReport` twin.
 #[test]
@@ -26,11 +32,7 @@ fn branch_profile_sums_to_aggregate_on_every_scenario() {
     let spec = PredictorSpec::parse("tage+ium+loop").expect("spec");
     for scenario in UpdateScenario::ALL {
         let mut p = spec.build_engine(scenario, &profiled_cfg()).expect("engine");
-        let r = pipeline::simulate_engine(
-            p.as_mut(),
-            &mut tiny_stream("SERVER01"),
-            pipeline::DEFAULT_BATCH,
-        );
+        let r = simulate_engine(p.as_mut(), &mut tiny_stream("SERVER01"));
         let profile = r.branches.as_ref().expect("profiler was on");
         assert!(!profile.branches.is_empty());
         assert_eq!(profile.total_executions(), r.conditionals, "{scenario}");
@@ -49,8 +51,7 @@ fn artifact_round_trips_a_real_run() {
     let scenario = UpdateScenario::RereadAtRetire;
     let mut reports = Vec::new();
     for name in ["CLIENT01", "MM01", "WS01"] {
-        let mut p = baselines::Gshare::new(12);
-        reports.push(simulate_source(&mut p, &mut tiny_stream(name), scenario, &cfg));
+        reports.push(gshare(12, name, scenario, &cfg));
     }
     let suite = pipeline::SuiteReport::new(reports);
     let block = SchedulerBlock { sim_jobs_run: 3, sim_jobs_requested: 3, suite_memo_hits: 0 };
@@ -99,30 +100,17 @@ fn artifacts_are_byte_deterministic_across_thread_counts() {
     assert_eq!(single, parallel);
 }
 
-/// The batched block-dispatch route and the scalar reference route must
-/// serialize to the same artifact bytes — the profiler cannot observe
-/// which driver ran.
+/// A materialized suite and a streamed one (each job regenerating its
+/// trace) must serialize to the same artifact bytes, profiles included.
 #[test]
-fn artifacts_are_byte_deterministic_across_batched_and_scalar_routes() {
-    let cfg = profiled_cfg();
+fn artifacts_are_byte_deterministic_across_suite_modes() {
+    let spec = PredictorSpec::parse("gshare:12").expect("spec");
     let scenario = UpdateScenario::FetchOnly;
-    let emit = |batched: bool| {
-        let mut p = baselines::Gshare::new(12);
-        let mut src = tiny_stream("INT03");
-        let r = if batched {
-            simulate_source_batched(&mut p, &mut src, scenario, &cfg, pipeline::DEFAULT_BATCH)
-        } else {
-            simulate_source(&mut p, &mut src, scenario, &cfg)
-        };
-        RunArtifact::from_suite(
-            "gshare:12",
-            scenario,
-            "tiny",
-            &pipeline::SuiteReport::new(vec![r]),
-            None,
-            10,
-        )
-        .to_json()
+    let emit = |stream: bool| {
+        let opts = ExpOptions { threads: Some(2), stream, branch_stats: true, ..Default::default() };
+        let ctx = ExpContext::with_options(Scale::Tiny, opts);
+        let suite = ctx.run_spec(&spec, scenario);
+        RunArtifact::from_suite(&spec.sim_key(), scenario, "tiny", &suite, None, 10).to_json()
     };
     assert_eq!(emit(true), emit(false));
 }
@@ -132,8 +120,7 @@ fn artifacts_are_byte_deterministic_across_batched_and_scalar_routes() {
 #[test]
 fn emitted_directory_loads_back() {
     let scenario = UpdateScenario::Immediate;
-    let mut p = baselines::Gshare::new(10);
-    let r = simulate_source(&mut p, &mut tiny_stream("WS02"), scenario, &profiled_cfg());
+    let r = gshare(10, "WS02", scenario, &profiled_cfg());
     let suite = pipeline::SuiteReport::new(vec![r]);
     let dir = std::env::temp_dir().join(format!("tage-observability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

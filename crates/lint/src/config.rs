@@ -26,7 +26,7 @@ pub struct LintConfig {
     /// The file holding the `RunArtifact`/`TraceRow` run-artifact schema
     /// and the `ARTIFACT_SCHEMA` version constant.
     pub artifact_file: String,
-    /// The file holding the `tage.wire/1` protocol surface: the `FRAMES`
+    /// The file holding the `tage.wire/2` protocol surface: the `FRAMES`
     /// frame-type table, the `Handshake` struct, and the `WIRE_SCHEMA`
     /// version constant — all pinned against DESIGN.md §9 by doc-sync.
     pub wire_file: String,
@@ -48,9 +48,9 @@ impl LintConfig {
     pub fn for_workspace(root: PathBuf) -> Self {
         Self {
             root,
-            // The audited unsafe prefetch hints: tage-core's tagged-table
-            // prefetch and workloads' decoded-block prefetch.
-            unsafe_allowed_crates: vec!["core".to_string(), "workloads".to_string()],
+            // The audited unsafe prefetch hint: tage-core's tagged-table
+            // prefetch.
+            unsafe_allowed_crates: vec!["core".to_string()],
             wildcard_guarded_files: [
                 // Trace-cache fingerprint coverage (the PR-3 stale-cache fix).
                 "crates/workloads/src/io.rs",

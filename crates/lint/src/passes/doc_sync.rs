@@ -8,7 +8,7 @@
 //! (`SimWindow`, `Phase`, `SamplingBlock` — the skip/warmup/measure
 //! contract of DESIGN.md §8), plus every `FRAMES` row, every
 //! `Handshake` field, and the `WIRE_SCHEMA` version string from the
-//! `tage.wire/1` protocol module (the server contract of DESIGN.md §9),
+//! `tage.wire/2` protocol module (the server contract of DESIGN.md §9),
 //! and requires each to appear in at least one of the configured
 //! documentation files (DESIGN.md / EXPERIMENTS.md — the scheme-byte
 //! table lives in DESIGN.md §3b, the artifact schema table in §7, the
@@ -224,7 +224,7 @@ impl Pass for DocSync {
                 }
             }
         }
-        // Wire-protocol pinning: the `tage.wire/1` surface of DESIGN.md
+        // Wire-protocol pinning: the `tage.wire/2` surface of DESIGN.md
         // §9 — every FRAMES row, every Handshake field (backticked, same
         // rule as the artifact schema: `spec` or `batch` unadorned would
         // match ambient prose), and the schema version literal itself.

@@ -6,20 +6,22 @@
 //! its resolution lag (when the IUM learns its outcome) and *retires* — in
 //! program order — `retire_lag` branches later, at which point the
 //! predictor tables are updated according to the chosen scenario.
+//!
+//! There is one simulation route: a [`WindowEngine`] (predictor plus
+//! window, behind the object-safe [`BlockSim`]) fed block by block by a
+//! [`ChunkDriver`]. [`simulate_engine`] runs a driver to the end of its
+//! source.
 
 use crate::core_model::CoreModel;
 use crate::report::{BranchProfile, BranchStat, SimReport};
 use simkit::predictor::{Predictor, UpdateScenario};
 use simkit::stats::AccessStats;
 use std::collections::{HashMap, VecDeque};
-use workloads::event::{
-    prefetch_event, EventBlock, EventSource, Trace, TraceEvent, TraceStream, EVENT_PREFETCH_AHEAD,
-};
+use workloads::event::{EventBlock, EventSource, TraceEvent};
 
-/// Default block size for the batched drivers ([`simulate_source_batched`],
-/// [`simulate_engine`]). Big enough to amortize the per-block virtual
-/// calls to nothing, small enough that the reusable [`EventBlock`] stays
-/// cache-resident (~160 KiB of events).
+/// Events pulled from a source per block. Big enough to amortize the
+/// per-block virtual calls to nothing, small enough that the reusable
+/// [`EventBlock`] stays cache-resident (~160 KiB of events).
 pub const DEFAULT_BATCH: usize = 4096;
 
 /// Skip/warmup/measure windows over the event stream (sampled
@@ -145,11 +147,9 @@ struct Inflight<F> {
     executed: bool,
 }
 
-/// The in-flight window plus the accumulated counters of one simulation —
-/// everything `simulate_source` used to keep in locals, factored out so
-/// the scalar loop, the batched loop, and the type-erased [`WindowEngine`]
-/// all drive the *same* per-event body ([`WindowState::step`]) and stay
-/// bit-identical by construction.
+/// The in-flight window plus the accumulated counters of one simulation.
+/// [`WindowEngine::run_block`] is the only caller of its per-event body,
+/// [`WindowState::step`].
 struct WindowState<F> {
     // INVARIANT: `base` is the sequence number of `window.front()`, and
     // `pending_exec` holds sequence numbers of not-yet-executed window
@@ -212,10 +212,9 @@ impl<F> WindowState<F> {
         self.position >= self.window_end
     }
 
-    /// Advances the simulation by exactly one trace event. This is *the*
-    /// per-event body: every driver funnels through it, so batched and
-    /// scalar runs perform the identical predict/execute/retire call
-    /// sequence against the predictor.
+    /// Advances the simulation by exactly one trace event: *the* per-event
+    /// body. Block boundaries never reach it, so the same events fed in
+    /// any slicing produce the same predict/execute/retire sequence.
     #[inline]
     fn step<P: Predictor<Flight = F>>(&mut self, predictor: &mut P, ev: &TraceEvent) {
         // Window gating. The default full-trace window resolves to
@@ -340,89 +339,21 @@ impl<F> WindowState<F> {
     }
 }
 
-/// Simulates one predictor over one trace under one update scenario.
-///
-/// Thin wrapper over [`simulate_source`] streaming the materialized trace;
-/// the two paths are bit-identical.
-pub fn simulate<P: Predictor>(
-    predictor: &mut P,
-    trace: &Trace,
-    scenario: UpdateScenario,
-    cfg: &PipelineConfig,
-) -> SimReport {
-    simulate_source(predictor, &mut TraceStream::new(trace), scenario, cfg)
-}
-
-/// Simulates one predictor over any [`EventSource`] under one update
-/// scenario. Memory use is bounded by the in-flight window, not the trace
-/// length, so arbitrarily long streamed traces are feasible.
-///
-/// Under [`UpdateScenario::Immediate`] the window is bypassed entirely
-/// (oracle fetch-time update); the other scenarios run the full in-flight
-/// window.
-pub fn simulate_source<P: Predictor, S: EventSource>(
-    predictor: &mut P,
-    source: &mut S,
-    scenario: UpdateScenario,
-    cfg: &PipelineConfig,
-) -> SimReport {
-    predictor.reset_stats();
-    let mut st = WindowState::new(scenario, cfg);
-    while let Some(ev) = source.next_event() {
-        st.step(predictor, &ev);
-        if st.complete() {
-            break;
-        }
-    }
-    st.drain(predictor);
-    st.report(predictor, source.name(), source.category())
-}
-
-/// Like [`simulate_source`], but pulls events in blocks of `batch` through
-/// a reusable [`EventBlock`] instead of one virtual `next_event` call per
-/// event. The per-event call sequence against the predictor is identical
-/// to the scalar path (both funnel through the same [`WindowState::step`]),
-/// so results are bit-identical for every scenario and any `batch >= 1`;
-/// the win is amortized source dispatch — one `next_block` call per
-/// `batch` events — which matters most for `Box<dyn EventSource>` decoder
-/// chains.
-pub fn simulate_source_batched<P: Predictor, S: EventSource>(
-    predictor: &mut P,
-    source: &mut S,
-    scenario: UpdateScenario,
-    cfg: &PipelineConfig,
-    batch: usize,
-) -> SimReport {
-    let batch = batch.max(1);
-    predictor.reset_stats();
-    let mut st = WindowState::new(scenario, cfg);
-    let mut block = EventBlock::with_capacity(batch);
-    while source.next_block(&mut block, batch) > 0 {
-        for (i, ev) in block.events.iter().enumerate() {
-            block.prefetch(i + EVENT_PREFETCH_AHEAD);
-            st.step(predictor, ev);
-        }
-        if st.complete() {
-            break;
-        }
-    }
-    st.drain(predictor);
-    st.report(predictor, source.name(), source.category())
-}
-
 /// An object-safe whole-window simulation engine: predictor, in-flight
 /// window, and counters behind one vtable, driven a *block* of events at a
 /// time.
 ///
-/// This is the batched counterpart of `Box<dyn BranchPredictor>`: instead
-/// of erasing the predictor and paying four virtual calls plus a
-/// `FlightSlot` round-trip per branch, [`WindowEngine`] monomorphizes the
-/// entire hot loop over the concrete predictor (typed flights, inlined
-/// table access) and erases *outside* the loop — one virtual
-/// [`run_block`](BlockSim::run_block) call per [`EventBlock`].
+/// [`WindowEngine`] monomorphizes the entire hot loop over the concrete
+/// predictor (typed flights, inlined table access) and erases *outside*
+/// the loop — one virtual [`run_block`](BlockSim::run_block) call per
+/// [`EventBlock`].
 pub trait BlockSim: Send {
     /// The composed predictor's display name (for reports).
     fn predictor_name(&self) -> String;
+
+    /// Total storage of the composed predictor, in bits (the budget axis
+    /// of Figure 9).
+    fn storage_bits(&self) -> u64;
 
     /// Feeds `events` through the window in order.
     fn run_block(&mut self, events: &[TraceEvent]);
@@ -440,8 +371,7 @@ pub trait BlockSim: Send {
 }
 
 /// The concrete [`BlockSim`] implementation: a predictor plus its
-/// [`WindowState`], monomorphized together. See the trait docs for why
-/// this beats per-event dynamic dispatch.
+/// [`WindowState`], monomorphized together.
 pub struct WindowEngine<P: Predictor> {
     predictor: P,
     state: WindowState<P::Flight>,
@@ -454,6 +384,12 @@ impl<P: Predictor> WindowEngine<P> {
         predictor.reset_stats();
         Self { predictor, state: WindowState::new(scenario, cfg) }
     }
+
+    /// The predictor being simulated, for state the report does not carry
+    /// (e.g. bank-conflict counters).
+    pub fn predictor(&self) -> &P {
+        &self.predictor
+    }
 }
 
 impl<P: Predictor + Send> BlockSim for WindowEngine<P>
@@ -464,9 +400,12 @@ where
         self.predictor.name()
     }
 
+    fn storage_bits(&self) -> u64 {
+        self.predictor.storage_bits()
+    }
+
     fn run_block(&mut self, events: &[TraceEvent]) {
-        for (i, ev) in events.iter().enumerate() {
-            prefetch_event(events, i + EVENT_PREFETCH_AHEAD);
+        for ev in events {
             self.state.step(&mut self.predictor, ev);
         }
     }
@@ -481,55 +420,44 @@ where
     }
 }
 
-/// Drives a type-erased [`BlockSim`] over an event source in blocks of
-/// `batch`. Two virtual calls per block (`next_block` + `run_block`)
-/// replace the scalar path's four-per-branch, which is where the batched
-/// throughput win on runtime-composed stacks comes from.
-pub fn simulate_engine<S: EventSource>(
+/// Runs `engine` over all of `source` (or until its measurement window is
+/// spent) and returns the report: one [`ChunkDriver`] run to the end.
+pub fn simulate_engine<S: EventSource + ?Sized>(
     engine: &mut dyn BlockSim,
     source: &mut S,
-    batch: usize,
 ) -> SimReport {
-    let batch = batch.max(1);
-    let mut block = EventBlock::with_capacity(batch);
-    while source.next_block(&mut block, batch) > 0 {
-        engine.run_block(&block.events);
-        if engine.done() {
-            break;
-        }
-    }
-    engine.finish(source.name(), source.category())
+    let mut driver = ChunkDriver::new();
+    driver.run_chunk(engine, source, usize::MAX);
+    driver.finish(engine, source)
 }
 
-/// A resumable twin of [`simulate_engine`]: the same loop — whole
-/// [`EventBlock`]s of `batch` events, two virtual calls per block, stop
-/// on stream end or a spent window — but sliced into caller-bounded
-/// chunks so the driver can interleave other work (the prediction
-/// server emits a `Stats` frame between chunks). Because the chunking
-/// never changes block boundaries, pull order, or the stop condition,
-/// a chunked run is bit-identical to one [`simulate_engine`] call by
-/// construction (and pinned by test).
+/// The block loop: pulls [`DEFAULT_BATCH`] events at a time from a source
+/// into a reusable [`EventBlock`] and feeds them to a [`BlockSim`] — two
+/// virtual calls per block — stopping on stream end or a spent window.
+/// Callers bound each [`run_chunk`](ChunkDriver::run_chunk) so they can
+/// interleave other work (the prediction server emits a `stats` frame
+/// between chunks). Chunking never changes block boundaries, pull order
+/// or the stop condition, so a chunked run equals one
+/// [`simulate_engine`] call.
 pub struct ChunkDriver {
     block: EventBlock,
-    batch: usize,
     events_fed: u64,
     done: bool,
 }
 
+impl Default for ChunkDriver {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ChunkDriver {
-    /// A fresh driver pulling blocks of `batch` events (clamped to ≥ 1,
-    /// like [`simulate_engine`]).
-    pub fn new(batch: usize) -> Self {
-        let batch = batch.max(1);
-        Self { block: EventBlock::with_capacity(batch), batch, events_fed: 0, done: false }
+    /// A fresh driver.
+    pub fn new() -> Self {
+        Self { block: EventBlock::with_capacity(DEFAULT_BATCH), events_fed: 0, done: false }
     }
 
-    /// The clamped block size.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Total events fed to the engine so far.
+    /// Total trace events fed to the engine so far.
     pub fn events_fed(&self) -> u64 {
         self.events_fed
     }
@@ -543,7 +471,7 @@ impl ChunkDriver {
     /// Feeds up to `max_blocks` blocks (clamped to ≥ 1) from `source`
     /// into `engine`, returning the events fed by this chunk (0 once
     /// [`ChunkDriver::is_done`]).
-    pub fn run_chunk<S: EventSource>(
+    pub fn run_chunk<S: EventSource + ?Sized>(
         &mut self,
         engine: &mut dyn BlockSim,
         source: &mut S,
@@ -554,7 +482,7 @@ impl ChunkDriver {
         }
         let mut fed = 0u64;
         for _ in 0..max_blocks.max(1) {
-            let n = source.next_block(&mut self.block, self.batch);
+            let n = source.next_block(&mut self.block, DEFAULT_BATCH);
             if n == 0 {
                 self.done = true;
                 break;
@@ -570,29 +498,15 @@ impl ChunkDriver {
         fed
     }
 
-    /// Drains the window and assembles the final report — the tail of
-    /// [`simulate_engine`]. The engine is spent afterwards.
-    pub fn finish<S: EventSource>(self, engine: &mut dyn BlockSim, source: &S) -> SimReport {
+    /// Drains the window and assembles the final report. The engine is
+    /// spent afterwards.
+    pub fn finish<S: EventSource + ?Sized>(
+        self,
+        engine: &mut dyn BlockSim,
+        source: &S,
+    ) -> SimReport {
         engine.finish(source.name(), source.category())
     }
-}
-
-/// Runs a freshly built predictor (from `make`) over every trace of a
-/// suite, returning one report per trace.
-///
-/// Each trace gets a *cold* predictor, as in CBP-3 (one simulation per
-/// trace).
-pub fn simulate_suite<P, F>(
-    make: F,
-    traces: &[Trace],
-    scenario: UpdateScenario,
-    cfg: &PipelineConfig,
-) -> Vec<SimReport>
-where
-    P: Predictor,
-    F: Fn() -> P,
-{
-    traces.iter().map(|t| simulate(&mut make(), t, scenario, cfg)).collect()
 }
 
 /// Convenience: merged access statistics over a set of reports.
@@ -608,17 +522,35 @@ pub fn merged_stats(reports: &[SimReport]) -> AccessStats {
 mod tests {
     use super::*;
     use baselines::{Bimodal, Gshare};
+    use workloads::event::{Trace, TraceStream};
     use workloads::suite::{by_name, Scale};
 
     fn tiny(name: &str) -> Trace {
         by_name(name, Scale::Tiny).unwrap().generate()
     }
 
+    /// One cold predictor over a whole source.
+    fn run<P, S>(p: P, src: &mut S, scenario: UpdateScenario, cfg: &PipelineConfig) -> SimReport
+    where
+        P: Predictor + Send,
+        P::Flight: Send,
+        S: EventSource,
+    {
+        simulate_engine(&mut WindowEngine::new(p, scenario, cfg), src)
+    }
+
+    fn run_trace<P>(p: P, t: &Trace, scenario: UpdateScenario) -> SimReport
+    where
+        P: Predictor + Send,
+        P::Flight: Send,
+    {
+        run(p, &mut TraceStream::new(t), scenario, &PipelineConfig::default())
+    }
+
     #[test]
     fn counts_are_consistent() {
         let t = tiny("CLIENT01");
-        let mut p = Gshare::new(12);
-        let r = simulate(&mut p, &t, UpdateScenario::RereadAtRetire, &PipelineConfig::default());
+        let r = run_trace(Gshare::new(12), &t, UpdateScenario::RereadAtRetire);
         assert_eq!(r.conditionals, t.conditional_count());
         assert_eq!(r.uops, t.total_uops());
         assert!(r.mispredicts <= r.conditionals);
@@ -634,18 +566,13 @@ mod tests {
         // aggregate claim — assert it over several traces.
         let traces: Vec<Trace> =
             ["CLIENT04", "CLIENT06", "MM04", "WS06"].iter().map(|n| tiny(n)).collect();
-        let run = |s| -> u64 {
-            traces
-                .iter()
-                .map(|t| {
-                    simulate(&mut Gshare::new(12), t, s, &PipelineConfig::default()).mispredicts
-                })
-                .sum()
+        let total = |s| -> u64 {
+            traces.iter().map(|t| run_trace(Gshare::new(12), t, s).mispredicts).sum()
         };
-        let i = run(UpdateScenario::Immediate);
-        let a = run(UpdateScenario::RereadAtRetire);
-        let b = run(UpdateScenario::FetchOnly);
-        let c = run(UpdateScenario::RereadOnMispredict);
+        let i = total(UpdateScenario::Immediate);
+        let a = total(UpdateScenario::RereadAtRetire);
+        let b = total(UpdateScenario::FetchOnly);
+        let c = total(UpdateScenario::RereadOnMispredict);
         // [I] vs [A] can invert slightly on small noisy subsets (stale
         // updates act as a slower, sometimes beneficial learning rate);
         // the strict suite-wide ordering is asserted in the workspace
@@ -658,85 +585,28 @@ mod tests {
     #[test]
     fn retire_reads_only_on_mispredicts_under_c() {
         let t = tiny("WS01");
-        let mut p = Bimodal::new(4096, 2);
-        let r = simulate(&mut p, &t, UpdateScenario::RereadOnMispredict, &PipelineConfig::default());
+        let r = run_trace(Bimodal::new(4096, 2), &t, UpdateScenario::RereadOnMispredict);
         assert_eq!(r.stats.retire_reads, r.mispredicts);
-        let mut p2 = Bimodal::new(4096, 2);
-        let r2 = simulate(&mut p2, &t, UpdateScenario::RereadAtRetire, &PipelineConfig::default());
+        let r2 = run_trace(Bimodal::new(4096, 2), &t, UpdateScenario::RereadAtRetire);
         assert_eq!(r2.stats.retire_reads, r2.conditionals);
     }
 
     #[test]
     fn streamed_source_matches_materialized_bit_for_bit() {
         // The same spec driven as a lazy ProgramStream and as a
-        // materialized Vec<Trace> slice must produce identical SimReports,
-        // for every scenario (the §4.1.2 window behaviours all exercise
-        // the in-flight bookkeeping differently).
-        let spec = by_name("INT02", Scale::Tiny).unwrap();
-        let trace = spec.generate();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let materialized = simulate(&mut Gshare::new(12), &trace, scenario, &cfg);
-            let streamed =
-                simulate_source(&mut Gshare::new(12), &mut spec.stream(), scenario, &cfg);
-            assert_eq!(streamed, materialized, "scenario {scenario} diverged");
-        }
-    }
-
-    #[test]
-    fn streamed_source_matches_for_stateful_predictor() {
-        // TAGE-LSC exercises IUM execute ordering; a load-heavy hard trace
-        // exercises variable execute lags through the pending-execute
-        // queue.
+        // materialized trace must produce identical SimReports, for every
+        // scenario, for a cheap and a stateful predictor (TAGE-LSC
+        // exercises IUM execute ordering).
         let spec = by_name("MM05", Scale::Tiny).unwrap();
         let trace = spec.generate();
         let cfg = PipelineConfig::default();
-        let materialized = simulate(
-            &mut tage::TageSystem::tage_lsc(),
-            &trace,
-            UpdateScenario::RereadOnMispredict,
-            &cfg,
-        );
-        let streamed = simulate_source(
-            &mut tage::TageSystem::tage_lsc(),
-            &mut spec.stream(),
-            UpdateScenario::RereadOnMispredict,
-            &cfg,
-        );
-        assert_eq!(streamed, materialized);
-    }
-
-    #[test]
-    fn boxed_branch_predictor_matches_static_stack() {
-        // Runtime-composed stacks arrive as `Box<dyn BranchPredictor>` —
-        // bare (one flight allocation per branch) or wrapped in the
-        // recycling `DynPredictor` pool. The engine must drive both with
-        // bit-identical results: flights round-trip through type-erased
-        // `FlightSlot`s across the whole in-flight window.
-        let spec = by_name("INT02", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let static_r = simulate_source(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-            );
-            let mut boxed: Box<dyn simkit::BranchPredictor> =
-                Box::new(tage::TageSystem::isl_tage());
-            let dyn_r = simulate_source(&mut boxed, &mut spec.stream(), scenario, &cfg);
-            assert_eq!(dyn_r, static_r, "dyn dispatch diverged under {scenario}");
-            let mut pooled =
-                simkit::DynPredictor::new(Box::new(tage::TageSystem::isl_tage()));
-            let pooled_r = simulate_source(&mut pooled, &mut spec.stream(), scenario, &cfg);
-            assert_eq!(pooled_r, static_r, "pooled dispatch diverged under {scenario}");
-            // The pool bounds flight allocations by the in-flight depth,
-            // not the branch count.
-            assert!(
-                pooled.flight_allocations() <= cfg.retire_lag as u64 + 1,
-                "pooled route allocated {} flights under {scenario}",
-                pooled.flight_allocations()
-            );
+        for scenario in UpdateScenario::ALL {
+            let materialized = run_trace(Gshare::new(12), &trace, scenario);
+            let streamed = run(Gshare::new(12), &mut spec.stream(), scenario, &cfg);
+            assert_eq!(streamed, materialized, "gshare diverged under {scenario}");
+            let materialized = run_trace(tage::TageSystem::tage_lsc(), &trace, scenario);
+            let streamed = run(tage::TageSystem::tage_lsc(), &mut spec.stream(), scenario, &cfg);
+            assert_eq!(streamed, materialized, "TAGE-LSC diverged under {scenario}");
         }
     }
 
@@ -746,89 +616,48 @@ mod tests {
         // engine must produce identical reports through the boxed path.
         let spec = by_name("CLIENT03", Scale::Tiny).unwrap();
         let cfg = PipelineConfig::default();
-        let concrete =
-            simulate_source(&mut Gshare::new(12), &mut spec.stream(), UpdateScenario::FetchOnly, &cfg);
+        let scenario = UpdateScenario::FetchOnly;
+        let concrete = run(Gshare::new(12), &mut spec.stream(), scenario, &cfg);
         let mut boxed: Box<dyn EventSource + Send> = Box::new(spec.stream());
-        let via_box =
-            simulate_source(&mut Gshare::new(12), &mut boxed, UpdateScenario::FetchOnly, &cfg);
+        let via_box = run(Gshare::new(12), &mut boxed, scenario, &cfg);
         assert_eq!(via_box, concrete);
     }
 
     #[test]
-    fn batched_matches_scalar_for_every_scenario_and_edge_batch_size() {
-        // The batched driver must be bit-identical to the scalar reference
-        // for every §4.1.2 scenario at the in-flight-depth edge sizes:
-        // N=1 (degenerate), N=7 (smaller than the retire lag, so blocks
-        // straddle window boundaries), N=len, and N>len (single block).
-        let spec = by_name("INT02", Scale::Tiny).unwrap();
-        let trace = spec.generate();
-        let len = trace.events.len();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let scalar =
-                simulate_source(&mut Gshare::new(12), &mut spec.stream(), scenario, &cfg);
-            for batch in [1usize, 7, len, len + 13] {
-                let batched = simulate_source_batched(
-                    &mut Gshare::new(12),
-                    &mut spec.stream(),
-                    scenario,
-                    &cfg,
-                    batch,
-                );
-                assert_eq!(batched, scalar, "batch {batch} diverged under {scenario}");
+    fn run_block_slicing_never_changes_the_report() {
+        // Block boundaries are invisible to the per-event body: one trace
+        // fed in slices of 1, 7 (shorter than the retire lag, so slices
+        // straddle window boundaries), DEFAULT_BATCH and whole must give
+        // the same report — every scenario, profile on, and a
+        // skip/warmup/measure window whose edges fall mid-slice.
+        let trace = tiny("MM05");
+        let n = trace.events.len() as u64;
+        let cfg = PipelineConfig {
+            branch_stats: true,
+            window: SimWindow { skip: 101, warmup: 333, measure: n / 2 },
+            ..PipelineConfig::default()
+        };
+        let feed = |engine: &mut dyn BlockSim, slice: usize| {
+            for block in trace.events.chunks(slice) {
+                engine.run_block(block);
             }
-        }
-    }
-
-    #[test]
-    fn batched_matches_scalar_for_stateful_predictor_and_dyn_stack() {
-        // IUM/loop/SC state is order-sensitive; a load-heavy trace drives
-        // variable execute lags through the pending-execute queue. The
-        // batched path must track the scalar one through both a concrete
-        // TAGE system and the boxed-dyn + pooled routes.
-        let spec = by_name("MM05", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let scalar = simulate_source(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-            );
-            let batched = simulate_source_batched(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-                64,
-            );
-            assert_eq!(batched, scalar, "concrete batched diverged under {scenario}");
-            let mut pooled = simkit::DynPredictor::new(Box::new(tage::TageSystem::isl_tage()));
-            let pooled_r =
-                simulate_source_batched(&mut pooled, &mut spec.stream(), scenario, &cfg, 64);
-            assert_eq!(pooled_r, scalar, "pooled batched diverged under {scenario}");
-        }
-    }
-
-    #[test]
-    fn window_engine_matches_scalar_bit_for_bit() {
-        // The type-erased block engine (one virtual call per block, typed
-        // flights inside) is the third driver over the same step body.
-        let spec = by_name("INT02", Scale::Tiny).unwrap();
-        let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let scalar = simulate_source(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-            );
-            for batch in [1usize, DEFAULT_BATCH] {
-                let mut engine: Box<dyn BlockSim> =
-                    Box::new(WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg));
-                assert_eq!(engine.predictor_name(), scalar.predictor);
-                let r = simulate_engine(&mut *engine, &mut spec.stream(), batch);
-                assert_eq!(r, scalar, "engine batch {batch} diverged under {scenario}");
+            engine.finish(&trace.name, &trace.category)
+        };
+        for scenario in UpdateScenario::ALL {
+            let mut whole = WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg);
+            let want = feed(&mut whole, trace.events.len());
+            assert!(want.branches.is_some(), "profile requested");
+            assert!(want.conditionals > 0 && want.conditionals < trace.conditional_count());
+            for slice in [1usize, 7, DEFAULT_BATCH] {
+                let mut engine = WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg);
+                assert_eq!(feed(&mut engine, slice), want, "slice {slice} diverged under {scenario}");
+                let mut engine = WindowEngine::new(Gshare::new(12), scenario, &cfg);
+                let mut gshare_whole = WindowEngine::new(Gshare::new(12), scenario, &cfg);
+                assert_eq!(
+                    feed(&mut engine, slice),
+                    feed(&mut gshare_whole, trace.events.len()),
+                    "gshare slice {slice} diverged under {scenario}"
+                );
             }
         }
     }
@@ -837,34 +666,22 @@ mod tests {
     fn chunked_driver_is_bit_identical_to_simulate_engine() {
         // The server's resumable driver must reproduce one-shot
         // `simulate_engine` exactly for any chunk granularity — same
-        // block boundaries, same stop condition — across scenarios and
-        // edge batch sizes.
+        // block boundaries, same stop condition — across scenarios.
         let spec = by_name("INT02", Scale::Tiny).unwrap();
         let cfg = PipelineConfig::default();
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            for batch in [1usize, 97, DEFAULT_BATCH] {
-                let mut engine: Box<dyn BlockSim> =
-                    Box::new(WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg));
-                let whole = simulate_engine(&mut *engine, &mut spec.stream(), batch);
-                for max_blocks in [1usize, 3, usize::MAX] {
-                    let mut engine: Box<dyn BlockSim> = Box::new(WindowEngine::new(
-                        tage::TageSystem::isl_tage(),
-                        scenario,
-                        &cfg,
-                    ));
-                    let mut src = spec.stream();
-                    let mut driver = ChunkDriver::new(batch);
-                    let mut fed = 0u64;
-                    while !driver.is_done() {
-                        fed += driver.run_chunk(&mut *engine, &mut src, max_blocks);
-                    }
-                    assert_eq!(fed, driver.events_fed());
-                    let r = driver.finish(&mut *engine, &src);
-                    assert_eq!(
-                        r, whole,
-                        "chunked run (batch {batch}, max_blocks {max_blocks}) diverged under {scenario}"
-                    );
+        for scenario in UpdateScenario::ALL {
+            let whole = run(tage::TageSystem::isl_tage(), &mut spec.stream(), scenario, &cfg);
+            for max_blocks in [1usize, 3, usize::MAX] {
+                let mut engine = WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg);
+                let mut src = spec.stream();
+                let mut driver = ChunkDriver::new();
+                let mut fed = 0u64;
+                while !driver.is_done() {
+                    fed += driver.run_chunk(&mut engine, &mut src, max_blocks);
                 }
+                assert_eq!(fed, driver.events_fed());
+                let r = driver.finish(&mut engine, &src);
+                assert_eq!(r, whole, "chunked run (max_blocks {max_blocks}) diverged under {scenario}");
             }
         }
     }
@@ -879,20 +696,26 @@ mod tests {
             ..PipelineConfig::default()
         };
         let scenario = UpdateScenario::FetchOnly;
-        let mut engine: Box<dyn BlockSim> =
-            Box::new(WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg));
-        let whole = simulate_engine(&mut *engine, &mut spec.stream(), 64);
-        let mut engine: Box<dyn BlockSim> =
-            Box::new(WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg));
+        let whole = run(tage::TageSystem::isl_tage(), &mut spec.stream(), scenario, &cfg);
+        let mut engine = WindowEngine::new(tage::TageSystem::isl_tage(), scenario, &cfg);
         let mut src = spec.stream();
-        let mut driver = ChunkDriver::new(64);
+        let mut driver = ChunkDriver::new();
         while !driver.is_done() {
-            driver.run_chunk(&mut *engine, &mut src, 2);
+            driver.run_chunk(&mut engine, &mut src, 2);
         }
         // Stopped by the window, well short of the whole trace.
         assert!(driver.events_fed() < spec.generate().events.len() as u64);
-        let r = driver.finish(&mut *engine, &src);
+        let r = driver.finish(&mut engine, &src);
         assert_eq!(r, whole);
+    }
+
+    #[test]
+    fn engine_reports_the_predictor_name_and_storage() {
+        let engine =
+            WindowEngine::new(Gshare::new(12), UpdateScenario::Immediate, &PipelineConfig::default());
+        assert_eq!(engine.predictor_name(), Predictor::name(&Gshare::new(12)));
+        assert_eq!(BlockSim::storage_bits(&engine), Predictor::storage_bits(&Gshare::new(12)));
+        assert_eq!(Predictor::name(engine.predictor()), engine.predictor_name());
     }
 
     #[test]
@@ -902,13 +725,8 @@ mod tests {
         // exercises the window bookkeeping differently).
         let spec = by_name("INT02", Scale::Tiny).unwrap();
         let cfg = PipelineConfig { branch_stats: true, ..PipelineConfig::default() };
-        for scenario in simkit::predictor::UpdateScenario::ALL {
-            let r = simulate_source(
-                &mut tage::TageSystem::isl_tage(),
-                &mut spec.stream(),
-                scenario,
-                &cfg,
-            );
+        for scenario in UpdateScenario::ALL {
+            let r = run(tage::TageSystem::isl_tage(), &mut spec.stream(), scenario, &cfg);
             let p = r.branches.as_ref().expect("branch_stats=true attaches a profile");
             assert_eq!(p.total_executions(), r.conditionals, "executions diverged under {scenario}");
             assert_eq!(p.total_mispredicts(), r.mispredicts, "mispredicts diverged under {scenario}");
@@ -925,56 +743,36 @@ mod tests {
     }
 
     #[test]
-    fn branch_profile_identical_across_drivers_and_free_when_off() {
-        // All three drivers share `step`, so the profile — not just the
-        // aggregate — must match bit-for-bit; and switching collection on
-        // must leave every aggregate counter untouched.
+    fn branch_profile_is_free_when_off() {
+        // Switching collection on must leave every aggregate counter
+        // untouched, and a config with it on never shares a memo key
+        // with one without.
         let spec = by_name("MM05", Scale::Tiny).unwrap();
         let scenario = UpdateScenario::RereadAtRetire;
         let off = PipelineConfig::default();
         let on = PipelineConfig { branch_stats: true, ..PipelineConfig::default() };
         assert_ne!(off.fingerprint(), on.fingerprint());
-        let plain = simulate_source(&mut Gshare::new(12), &mut spec.stream(), scenario, &off);
+        let plain = run(Gshare::new(12), &mut spec.stream(), scenario, &off);
         assert!(plain.branches.is_none());
-        let scalar = simulate_source(&mut Gshare::new(12), &mut spec.stream(), scenario, &on);
-        let batched =
-            simulate_source_batched(&mut Gshare::new(12), &mut spec.stream(), scenario, &on, 64);
-        let mut engine: Box<dyn BlockSim> =
-            Box::new(WindowEngine::new(Gshare::new(12), scenario, &on));
-        let engined = simulate_engine(&mut *engine, &mut spec.stream(), 64);
-        assert_eq!(scalar, batched);
-        assert_eq!(scalar, engined);
-        // Aggregates unchanged by collection.
-        assert_eq!(plain.mispredicts, scalar.mispredicts);
-        assert_eq!(plain.penalty_cycles, scalar.penalty_cycles);
-        assert_eq!(plain.conditionals, scalar.conditionals);
-        assert_eq!(plain.uops, scalar.uops);
-        assert_eq!(plain.stats, scalar.stats);
+        let profiled = run(Gshare::new(12), &mut spec.stream(), scenario, &on);
+        assert!(profiled.branches.is_some());
+        assert_eq!(SimReport { branches: None, ..profiled }, plain);
     }
 
     #[test]
     fn deterministic_simulation() {
         let t = tiny("INT03");
-        let run = || {
-            let mut p = Gshare::new(12);
-            simulate(&mut p, &t, UpdateScenario::RereadAtRetire, &PipelineConfig::default())
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.mispredicts, b.mispredicts);
-        assert_eq!(a.penalty_cycles, b.penalty_cycles);
+        let a = run_trace(Gshare::new(12), &t, UpdateScenario::RereadAtRetire);
+        let b = run_trace(Gshare::new(12), &t, UpdateScenario::RereadAtRetire);
+        assert_eq!(a, b);
     }
 
     #[test]
-    fn suite_runner_covers_all_traces() {
-        let traces: Vec<Trace> = ["MM01", "MM02"].iter().map(|n| tiny(n)).collect();
-        let reports = simulate_suite(
-            || Gshare::new(10),
-            &traces,
-            UpdateScenario::RereadAtRetire,
-            &PipelineConfig::default(),
-        );
-        assert_eq!(reports.len(), 2);
+    fn merged_stats_sums_every_report() {
+        let reports: Vec<SimReport> = ["MM01", "MM02"]
+            .iter()
+            .map(|n| run_trace(Gshare::new(10), &tiny(n), UpdateScenario::RereadAtRetire))
+            .collect();
         assert_eq!(reports[0].trace, "MM01");
         let merged = merged_stats(&reports);
         assert_eq!(merged.predict_reads, reports.iter().map(|r| r.stats.predict_reads).sum::<u64>());
@@ -982,15 +780,12 @@ mod tests {
 
     #[test]
     fn hard_traces_have_higher_penalty_per_mispredict() {
-        let easy = tiny("MM01");
-        let hard = tiny("INT02");
-        let run = |t: &Trace| {
-            let mut p = Gshare::new(14);
-            let r = simulate(&mut p, t, UpdateScenario::RereadAtRetire, &PipelineConfig::default());
+        let penalty_per_miss = |t: &Trace| {
+            let r = run_trace(Gshare::new(14), t, UpdateScenario::RereadAtRetire);
             r.penalty_cycles as f64 / r.mispredicts.max(1) as f64
         };
         assert!(
-            run(&hard) > run(&easy),
+            penalty_per_miss(&tiny("INT02")) > penalty_per_miss(&tiny("MM01")),
             "cold-data traces should pay more per misprediction"
         );
     }

@@ -19,13 +19,14 @@
 //! # Example
 //!
 //! ```
-//! use pipeline::{simulate, PipelineConfig};
+//! use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
 //! use simkit::UpdateScenario;
 //! use workloads::suite::{by_name, Scale};
 //!
-//! let trace = by_name("MM01", Scale::Tiny).unwrap().generate();
-//! let mut p = baselines::Gshare::new(12);
-//! let r = simulate(&mut p, &trace, UpdateScenario::RereadAtRetire, &PipelineConfig::default());
+//! let cfg = PipelineConfig::default();
+//! let p = baselines::Gshare::new(12);
+//! let mut engine = WindowEngine::new(p, UpdateScenario::RereadAtRetire, &cfg);
+//! let r = simulate_engine(&mut engine, &mut by_name("MM01", Scale::Tiny).unwrap().stream());
 //! assert!(r.conditionals > 0);
 //! ```
 
@@ -38,8 +39,7 @@ pub mod sampling;
 
 pub use core_model::{CoreModel, MemoryHierarchy};
 pub use engine::{
-    simulate, simulate_engine, simulate_source, simulate_source_batched, simulate_suite, BlockSim,
-    ChunkDriver, PipelineConfig, SimWindow, WindowEngine, DEFAULT_BATCH,
+    simulate_engine, BlockSim, ChunkDriver, PipelineConfig, SimWindow, WindowEngine, DEFAULT_BATCH,
 };
 pub use report::{BranchProfile, BranchStat, SimReport, SuiteReport};
 pub use sampling::{fixed_interval, Phase, SampledResult, SampleSlice};

@@ -11,7 +11,7 @@
 //!   on the same stream position, so a data-path seek (`.ttr` v3 index)
 //!   and a window skip are interchangeable.
 
-use pipeline::{simulate, simulate_source, PipelineConfig, SimWindow};
+use pipeline::{simulate_engine, PipelineConfig, SimWindow, WindowEngine};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkit::predictor::{BranchKind, UpdateScenario};
@@ -61,8 +61,17 @@ fn windowed(window: SimWindow) -> PipelineConfig {
     PipelineConfig { window, ..PipelineConfig::default() }
 }
 
+fn run_source(
+    src: &mut TraceStream<'_>,
+    scenario: UpdateScenario,
+    cfg: &PipelineConfig,
+) -> pipeline::SimReport {
+    let mut engine = WindowEngine::new(baselines::Gshare::cbp_512k(), scenario, cfg);
+    simulate_engine(&mut engine, src)
+}
+
 fn run(t: &Trace, scenario: UpdateScenario, cfg: &PipelineConfig) -> pipeline::SimReport {
-    simulate(&mut baselines::Gshare::cbp_512k(), t, scenario, cfg)
+    run_source(&mut TraceStream::new(t), scenario, cfg)
 }
 
 proptest! {
@@ -115,12 +124,8 @@ proptest! {
             let mut source = TraceStream::new(&t);
             let skipped = EventSource::skip(&mut source, s);
             prop_assert_eq!(skipped, s.min(t.events.len() as u64));
-            let via_source = simulate_source(
-                &mut baselines::Gshare::cbp_512k(),
-                &mut source,
-                sc,
-                &windowed(SimWindow { skip: 0, warmup: w, measure: m }),
-            );
+            let via_source =
+                run_source(&mut source, sc, &windowed(SimWindow { skip: 0, warmup: w, measure: m }));
             prop_assert_eq!(via_window.mispredicts, via_source.mispredicts, "{:?}", sc);
             prop_assert_eq!(via_window.penalty_cycles, via_source.penalty_cycles, "{:?}", sc);
             prop_assert_eq!(via_window.uops, via_source.uops, "{:?}", sc);

@@ -15,7 +15,7 @@ use serve::{
 };
 
 fn usage() -> &'static str {
-    "tage_serve — prediction-as-a-service for TAGE trace simulation (tage.wire/1)
+    "tage_serve — prediction-as-a-service for TAGE trace simulation (tage.wire/2)
 
 USAGE:
   tage_serve [serve] [--host H] [--port N] [--max-sessions N] [--threads N] [--allow-fault-injection]
@@ -43,7 +43,6 @@ USAGE:
 
 SESSION OPTIONS (client and manyclient):
   --scenario I|A|B|C   update scenario (default A)
-  --batch auto|0|N     block batch size; 0 = scalar engine (default auto)
   --skip N / --warmup N / --measure N   simulation window (events)
   --branch-stats       collect per-branch profiles
   --top N              per-branch rows kept in the artifact (default 20)
@@ -132,14 +131,6 @@ fn parse_session_flags(
             "--addr" => *addr = take(&mut it, "--addr")?,
             "--spec" => hs.spec = take(&mut it, "--spec")?,
             "--scenario" => hs.scenario = take(&mut it, "--scenario")?,
-            "--batch" => {
-                let v = take(&mut it, "--batch")?;
-                hs.batch = if v == "auto" {
-                    pipeline::DEFAULT_BATCH
-                } else {
-                    v.parse::<usize>().map_err(|_| format!("bad --batch value {v:?}"))?
-                };
-            }
             "--skip" => {
                 hs.skip = take(&mut it, "--skip")?.parse().map_err(|_| "bad --skip".to_string())?
             }

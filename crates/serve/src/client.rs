@@ -1,4 +1,4 @@
-//! Client side of a `tage.wire/1` session: stream one trace, collect the
+//! Client side of a `tage.wire/2` session: stream one trace, collect the
 //! result artifact.
 //!
 //! Frames from the server arrive on a dedicated reader thread and are
@@ -24,7 +24,7 @@ use crate::wire::{self, Frame, FrameType, Handshake, WireError, DATA_CHUNK};
 pub struct ClientOptions {
     /// Server address, `host:port`.
     pub addr: String,
-    /// Handshake template (spec, scenario, window, batch, …).
+    /// Handshake template (spec, scenario, window, …).
     pub handshake: Handshake,
     /// Suppress per-frame progress lines.
     pub quiet: bool,

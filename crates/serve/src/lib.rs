@@ -10,7 +10,7 @@
 //!
 //! Layering:
 //!
-//! * [`wire`] — the `tage.wire/1` frame protocol: framing, handshake,
+//! * [`wire`] — the `tage.wire/2` frame protocol: framing, handshake,
 //!   typed errors (pinned against DESIGN.md §9 by `tage_lint`);
 //! * [`session`] — one connection end-to-end: handshake → frame-fed trace
 //!   decode → simulate → result;

@@ -1,7 +1,8 @@
 //! One served session: handshake → streamed trace → result artifact.
 //!
 //! A session IS the offline `tage_exp system --trace` recipe
-//! ([`harness::trace_mode::run_spec_cell`]) with the trace bytes arriving
+//! ([`harness::trace_mode::run_spec_cell`]: `build_engine`, then a
+//! [`ChunkDriver`] to the end of the trace) with the trace bytes arriving
 //! over a socket instead of from a file. The socket's read half is wrapped
 //! in [`FrameFeed`] — a `Read` adapter that unwraps `data` frames — and
 //! handed to `traces::CodecRegistry::open_feed`, which sniffs the codec
@@ -29,9 +30,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use harness::artifact::{scenario_from_label, RunArtifact};
-use harness::trace_mode::run_spec_cell;
 use harness::PredictorSpec;
-use pipeline::{ChunkDriver, PipelineConfig, SimWindow, SuiteReport};
+use pipeline::{ChunkDriver, PipelineConfig, SimWindow, SuiteReport, DEFAULT_BATCH};
 use traces::CodecRegistry;
 
 use crate::wire::{
@@ -53,7 +53,8 @@ pub struct SessionConfig {
 /// How a session ended, for the server's log line and drain logic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SessionEnd {
-    /// Result frame sent; `events` is what the final `stats` frame carried.
+    /// Result frame sent; `events` is what the final `stats` frame carried
+    /// (trace events fed to the engine).
     Completed { events: u64 },
     /// A typed `error` frame was sent (or attempted) with this code.
     Errored { code: String, message: String },
@@ -268,43 +269,39 @@ pub(crate) fn session_body(stream: TcpStream, cfg: &SessionConfig) -> SessionEnd
         window: SimWindow { skip: hs.skip, warmup: hs.warmup, measure: hs.measure },
         ..PipelineConfig::default()
     };
-    let mut chunk_events: Option<u64> = None;
-    let report = if hs.batch > 0 && hs.stats_every > 0 {
-        // Periodic progress: drive the engine in chunks so `stats` frames
-        // interleave with simulation. ChunkDriver is bit-identical to the
-        // one-shot engine run (pinned in pipeline::engine tests).
-        let mut engine = match spec.build_engine(scenario, &sim_cfg) {
-            Ok(e) => e,
-            Err(e) => return fail(&mut wr, ERR_SPEC, e.to_string()),
-        };
-        let mut driver = ChunkDriver::new(hs.batch);
-        let blocks_per_chunk = (hs.stats_every / hs.batch as u64).max(1) as usize;
-        while !driver.is_done() {
-            driver.run_chunk(&mut *engine, &mut decoder, blocks_per_chunk);
-            if wire::write_frame(&mut wr, FrameType::Stats, &encode_stats(driver.events_fed()))
-                .is_err()
-            {
-                return SessionEnd::Errored {
-                    code: ERR_DECODE.to_string(),
-                    message: "peer vanished mid-session".to_string(),
-                };
-            }
-        }
-        if let Err(e) = traces::finish(decoder.as_ref()) {
-            return fail(&mut wr, pick_code(&protocol_code, &e), e.to_string());
-        }
-        chunk_events = Some(driver.events_fed());
-        driver.finish(&mut *engine, &decoder)
-    } else {
-        // Default path: exactly the offline per-(spec × trace) recipe.
-        match run_spec_cell(&spec, scenario, &mut decoder, &sim_cfg, hs.batch) {
-            Ok(r) => r,
-            Err(e) => return fail(&mut wr, pick_code(&protocol_code, &e), e.to_string()),
-        }
+    let mut engine = match spec.build_engine(scenario, &sim_cfg) {
+        Ok(e) => e,
+        Err(e) => return fail(&mut wr, ERR_SPEC, e.to_string()),
     };
+    // One chunk per periodic `stats` frame; `stats_every = 0` runs to the
+    // end in one chunk. Chunking never changes the result (pinned in the
+    // pipeline engine tests).
+    let blocks_per_chunk = match hs.stats_every {
+        0 => usize::MAX,
+        every => (every / DEFAULT_BATCH as u64).max(1) as usize,
+    };
+    let mut driver = ChunkDriver::new();
+    while !driver.is_done() {
+        driver.run_chunk(&mut *engine, &mut decoder, blocks_per_chunk);
+        if hs.stats_every > 0
+            && wire::write_frame(&mut wr, FrameType::Stats, &encode_stats(driver.events_fed()))
+                .is_err()
+        {
+            return SessionEnd::Errored {
+                code: ERR_DECODE.to_string(),
+                message: "peer vanished mid-session".to_string(),
+            };
+        }
+    }
+    if let Err(e) = traces::finish(decoder.as_ref()) {
+        return fail(&mut wr, pick_code(&protocol_code, &e), e.to_string());
+    }
+    let events = driver.events_fed();
+    let report = driver.finish(&mut *engine, &decoder);
 
     // --- result ----------------------------------------------------------
-    let events = chunk_events.unwrap_or(report.conditionals);
+    // The final `stats` frame counts trace events fed, the same unit the
+    // periodic frames count in.
     let suite = SuiteReport::new(vec![report]);
     let artifact =
         RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suite, None, hs.top);

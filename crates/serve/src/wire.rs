@@ -1,4 +1,4 @@
-//! The `tage.wire/1` framed binary protocol.
+//! The `tage.wire/2` framed binary protocol.
 //!
 //! Everything on a serve connection is a **frame**: a 1-byte type tag, a
 //! 4-byte little-endian payload length, then the payload. The layout is
@@ -29,7 +29,7 @@ use std::io::{self, Read, Write};
 /// Wire schema identifier. The client sends it in the handshake; the server
 /// rejects any mismatch with a `bad-handshake` error so old clients fail
 /// loudly instead of mis-parsing frames.
-pub const WIRE_SCHEMA: &str = "tage.wire/1";
+pub const WIRE_SCHEMA: &str = "tage.wire/2";
 
 /// Hard cap on a single frame payload. Anything larger is a protocol error
 /// (`oversized-frame`), not an allocation: the reader refuses before
@@ -166,8 +166,6 @@ pub struct Handshake {
     pub spec: String,
     /// Update-scenario label: `I`, `A`, `B`, or `C`.
     pub scenario: String,
-    /// Block-sim batch size; `0` selects the scalar (non-batched) engine.
-    pub batch: usize,
     /// Simulation-window prefix skipped entirely (events).
     pub skip: u64,
     /// Window warmup length (events): simulated, not measured.
@@ -181,8 +179,8 @@ pub struct Handshake {
     /// Client-side trace file name; drives codec detection fallback and the
     /// trace's display name, so served results match offline runs byte-for-byte.
     pub name_hint: String,
-    /// Emit a `stats` frame roughly every this many events (`0` = only the
-    /// final one before `result`).
+    /// Emit a `stats` frame roughly every this many trace events (`0` =
+    /// only the final one before `result`).
     pub stats_every: u64,
     /// Fault-injection hook for robustness tests: empty = none, `panic` =
     /// deliberately panic mid-session. Honored only when the server runs
@@ -196,7 +194,6 @@ impl Default for Handshake {
             wire: WIRE_SCHEMA.to_string(),
             spec: String::new(),
             scenario: "A".to_string(),
-            batch: pipeline::DEFAULT_BATCH,
             skip: 0,
             warmup: 0,
             measure: u64::MAX,
@@ -216,7 +213,6 @@ impl Handshake {
         s.push_str(&format!("wire={}\n", self.wire));
         s.push_str(&format!("spec={}\n", self.spec));
         s.push_str(&format!("scenario={}\n", self.scenario));
-        s.push_str(&format!("batch={}\n", self.batch));
         s.push_str(&format!("skip={}\n", self.skip));
         s.push_str(&format!("warmup={}\n", self.warmup));
         s.push_str(&format!("measure={}\n", self.measure));
@@ -230,12 +226,20 @@ impl Handshake {
 
     /// Strict parse of a `hello` payload. Rejects non-UTF-8 bytes, lines
     /// without `=`, unknown keys, unparsable numbers, and a `wire` value
-    /// that is not exactly [`WIRE_SCHEMA`].
+    /// that is not exactly [`WIRE_SCHEMA`]. A schema mismatch is reported
+    /// ahead of any other field error, so a client of another protocol
+    /// version learns that first.
     pub fn parse(payload: &[u8]) -> io::Result<Handshake> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let text = std::str::from_utf8(payload)
             .map_err(|_| bad("handshake payload is not UTF-8".to_string()))?;
-        let mut hs = Handshake { wire: String::new(), ..Handshake::default() };
+        let wire = text.lines().find_map(|l| l.strip_prefix("wire=")).unwrap_or_default();
+        if wire != WIRE_SCHEMA {
+            return Err(bad(format!(
+                "wire schema mismatch: client sent {wire:?}, server speaks {WIRE_SCHEMA:?}"
+            )));
+        }
+        let mut hs = Handshake::default();
         for line in text.lines() {
             if line.is_empty() {
                 continue;
@@ -244,10 +248,9 @@ impl Handshake {
                 .split_once('=')
                 .ok_or_else(|| bad(format!("handshake line without '=': {line:?}")))?;
             match key {
-                "wire" => hs.wire = value.to_string(),
+                "wire" => {}
                 "spec" => hs.spec = value.to_string(),
                 "scenario" => hs.scenario = value.to_string(),
-                "batch" => hs.batch = parse_num(key, value)? as usize,
                 "skip" => hs.skip = parse_num(key, value)?,
                 "warmup" => hs.warmup = parse_num(key, value)?,
                 "measure" => hs.measure = parse_num(key, value)?,
@@ -264,12 +267,6 @@ impl Handshake {
                 "fault" => hs.fault = value.to_string(),
                 other => return Err(bad(format!("unknown handshake key {other:?}"))),
             }
-        }
-        if hs.wire != WIRE_SCHEMA {
-            return Err(bad(format!(
-                "wire schema mismatch: client sent {:?}, server speaks {WIRE_SCHEMA:?}",
-                hs.wire
-            )));
         }
         if hs.spec.is_empty() {
             return Err(bad("handshake is missing a predictor spec".to_string()));
@@ -399,7 +396,6 @@ mod tests {
         let hs = Handshake {
             spec: "tage -b 256".to_string(),
             scenario: "C".to_string(),
-            batch: 97,
             skip: 5,
             warmup: 10,
             measure: 1000,
@@ -418,12 +414,19 @@ mod tests {
     fn handshake_rejects_drift() {
         assert!(Handshake::parse(b"\xff\xfe").is_err(), "non-UTF-8");
         assert!(Handshake::parse(b"no equals sign").is_err());
-        let unknown = b"wire=tage.wire/1\nspec=tage\nflux_capacitor=1\n";
-        assert!(Handshake::parse(unknown).is_err(), "unknown key");
+        let unknown = b"wire=tage.wire/2\nspec=tage\nflux_capacitor=1\n";
+        let err = Handshake::parse(unknown).unwrap_err();
+        assert!(err.to_string().contains("unknown handshake key"), "{err}");
         let old = b"wire=tage.wire/0\nspec=tage\n";
         let err = Handshake::parse(old).unwrap_err();
         assert!(err.to_string().contains("wire schema mismatch"));
-        assert!(Handshake::parse(b"wire=tage.wire/1\n").is_err(), "missing spec");
+        assert!(Handshake::parse(b"wire=tage.wire/2\n").is_err(), "missing spec");
+        assert!(Handshake::parse(b"spec=tage\n").is_err(), "missing wire");
+        // A version-1 client still sends `batch`; it must hear about the
+        // version, not about the key version 2 dropped.
+        let v1 = b"wire=tage.wire/1\nspec=tage\nscenario=A\nbatch=4096\n";
+        let err = Handshake::parse(v1).unwrap_err();
+        assert!(err.to_string().contains("wire schema mismatch"), "{err}");
     }
 
     #[test]

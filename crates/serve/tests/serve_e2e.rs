@@ -60,7 +60,6 @@ fn offline_artifact_json(file: &Path) -> String {
         scenario,
         &[file.to_path_buf()],
         &PipelineConfig::default(),
-        pipeline::DEFAULT_BATCH,
     )
     .unwrap();
     RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suite, None, 20).to_json()
@@ -100,22 +99,24 @@ fn periodic_stats_frames_do_not_change_the_result() {
     let dir = test_dir("stats");
     let trace = by_name("MM05", Scale::Tiny).unwrap().generate();
     let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let offline = offline_artifact_json(&file);
 
     let (addr, handle) = start_server(8, false);
-    let mut opts = client_opts(addr);
-    opts.handshake.batch = 97;
-    opts.handshake.stats_every = 500;
-    let res = run_one(&file, &opts).unwrap();
-    assert!(res.error.is_none(), "server error {:?}", res.error);
-    assert!(res.stats_frames > 1, "expected periodic stats frames, got {}", res.stats_frames);
+    for stats_every in [0, 500] {
+        let mut opts = client_opts(addr);
+        opts.handshake.stats_every = stats_every;
+        let res = run_one(&file, &opts).unwrap();
+        assert!(res.error.is_none(), "server error {:?}", res.error);
+        let periodic = res.stats_frames - 1;
+        assert_eq!(periodic > 0, stats_every > 0, "{periodic} periodic stats frames");
+        // The final frame counts trace events fed — the unit
+        // `stats_every` counts in — whether or not periodic frames ran.
+        assert_eq!(res.events, trace.events.len() as u64, "stats_every {stats_every}");
 
-    // The chunked, stats-interleaved run must equal the one-shot offline
-    // run — ChunkDriver bit-identity carried over the wire. MPPKI and all
-    // counters live in the trace rows, so compare artifacts modulo nothing:
-    // batch size is not part of the artifact.
-    let served = RunArtifact::from_json(&res.artifact_json.unwrap()).unwrap();
-    let offline = RunArtifact::from_json(&offline_artifact_json(&file)).unwrap();
-    assert_eq!(served.to_json(), offline.to_json());
+        // The chunked, stats-interleaved run must equal the one-shot
+        // offline run byte for byte.
+        assert_eq!(res.artifact_json.unwrap(), offline, "stats_every {stats_every}");
+    }
     stop_server(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -176,7 +177,7 @@ fn every_fault_kills_only_its_own_session() {
     // 1. Malformed handshake: hello payload that fails the strict parser.
     {
         let (mut rd, mut wr) = raw_connect(addr);
-        wire::write_frame(&mut wr, FrameType::Hello, b"wire=tage.wire/1\nnot a key value line")
+        wire::write_frame(&mut wr, FrameType::Hello, b"wire=tage.wire/2\nnot a key value line")
             .unwrap();
         expect_error(&mut rd, "bad-handshake", "malformed handshake");
     }

@@ -14,11 +14,6 @@
 //!   `predict` → `fetch_commit` → `execute` → `retire`, with an associated
 //!   `Flight` snapshot type that models the information a real pipeline
 //!   propagates alongside each in-flight branch;
-//! * [`dynamic`] — the object-safe [`BranchPredictor`] twin of that trait
-//!   plus the recycling [`FlightSlot`]/[`DynPredictor`] arena, so
-//!   runtime-composed predictor stacks (`SystemSpec`-built chains,
-//!   registries, CLI-selected predictors) share one boxable type without
-//!   per-branch flight allocation;
 //! * [`chooser`] — the provider/alternate arbitration contract
 //!   ([`Chooser`]) tagged-geometric providers plug their chooser policies
 //!   into;
@@ -42,7 +37,6 @@
 pub mod bits;
 pub mod chooser;
 pub mod counter;
-pub mod dynamic;
 pub mod history;
 pub mod predictor;
 pub mod rng;
@@ -51,7 +45,6 @@ pub mod stats;
 
 pub use chooser::{Chooser, ChooserView};
 pub use counter::{SignedCounter, UnsignedCounter};
-pub use dynamic::{BranchPredictor, DynPredictor, FlightSlot};
 pub use history::{FoldedHistory, GlobalHistory, LocalHistories, PathHistory};
 pub use predictor::{BranchInfo, BranchKind, Predictor, UpdateScenario};
 pub use rng::{SplitMix64, Xoshiro256};

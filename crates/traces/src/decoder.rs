@@ -89,7 +89,7 @@ pub fn drain_checked<D: TraceDecoder + ?Sized>(decoder: &mut D) -> io::Result<u6
 
 /// Post-stream integrity check: surfaces a recorded decode error or an
 /// event-count shortfall after the caller drained `decoder` itself (e.g.
-/// through `pipeline::simulate_source`).
+/// through `pipeline::simulate_engine`).
 ///
 /// # Errors
 ///

@@ -23,7 +23,7 @@
 //!
 //! Decoders hold the static-branch table in memory and nothing else, so
 //! ingestion memory is bounded by the static footprint, never the trace
-//! length — the same property that makes `pipeline::simulate_source`
+//! length — the same property that makes `pipeline::simulate_engine`
 //! usable on arbitrarily long streams.
 //!
 //! # Example

@@ -101,45 +101,6 @@ impl EventBlock {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Hints the cache hierarchy that the event at `index` is about to
-    /// be consumed (see [`prefetch_event`]).
-    #[inline]
-    pub fn prefetch(&self, index: usize) {
-        prefetch_event(&self.events, index);
-    }
-}
-
-/// How far ahead of the consuming loop the event prefetch runs: far
-/// enough (a few cache lines of packed events) that the line arrives
-/// before the loop does, near enough that it is not evicted again by the
-/// predictor's own table traffic in between.
-pub const EVENT_PREFETCH_AHEAD: usize = 8;
-
-/// Hints the cache hierarchy that `events[index]` is about to be read.
-/// A full decode block is ~160 KiB of events — larger than L1 — and the
-/// predictor's table traffic between steps evicts the tail of the
-/// buffer, so the consuming loops issue one hint
-/// [`EVENT_PREFETCH_AHEAD`] events ahead to overlap the refill with
-/// prediction work. Purely a performance hint — never changes results.
-// SAFETY: mirrors the audited tagged-table prefetch in tage-core —
-// scoped allow under the crate-level `#![deny(unsafe_code)]`; any new
-// unsafe elsewhere in this crate fails the build.
-#[allow(unsafe_code)]
-#[inline]
-pub fn prefetch_event(events: &[TraceEvent], index: usize) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: the pointer is in-bounds (`index` is checked against the
-    // slice length here) and prefetch has no memory effects.
-    if index < events.len() {
-        unsafe {
-            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                events.as_ptr().add(index).cast::<i8>(),
-            );
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (events, index);
 }
 
 /// A pull-based stream of trace events plus the metadata reports need.
@@ -209,7 +170,7 @@ pub trait EventSource {
 
 /// Boxed sources forward, so `Box<dyn EventSource>` (and boxed subtraits,
 /// e.g. foreign-format trace decoders) plug directly into generic
-/// consumers like `pipeline::simulate_source`.
+/// consumers like `pipeline::simulate_engine`.
 impl<E: EventSource + ?Sized> EventSource for Box<E> {
     fn name(&self) -> &str {
         (**self).name()

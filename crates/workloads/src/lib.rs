@@ -34,12 +34,7 @@
 //! assert!(!trace.events.is_empty());
 //! ```
 
-// SAFETY: this crate hosts one audited `unsafe` (the decoded-block
-// prefetch hint in `event::prefetch_event`). The block carries a
-// scoped `#[allow(unsafe_code)]` with its SAFETY audit, and the lint
-// gate pins this crate to deny-plus-scoped-allow; any new unsafe
-// elsewhere fails the build.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod behavior;
 pub mod event;

@@ -5,7 +5,7 @@
 //! cargo run --release --example budget_sweep
 //! ```
 
-use pipeline::{simulate, PipelineConfig};
+use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
 use simkit::UpdateScenario;
 use tage::TageSystem;
 use workloads::suite::{by_name, Scale};
@@ -23,7 +23,10 @@ fn main() {
     let mean = |make: &dyn Fn() -> TageSystem| -> f64 {
         let sum: f64 = traces
             .iter()
-            .map(|tr| simulate(&mut make(), tr, UpdateScenario::RereadAtRetire, &cfg).mpki())
+            .map(|tr| {
+                let mut engine = WindowEngine::new(make(), UpdateScenario::RereadAtRetire, &cfg);
+                simulate_engine(&mut engine, &mut tr.stream()).mpki()
+            })
             .sum();
         sum / traces.len() as f64
     };

@@ -10,7 +10,7 @@
 //! ```
 
 use baselines::{Gehl, Gshare};
-use pipeline::{simulate, PipelineConfig};
+use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
 use simkit::{Predictor, UpdateScenario};
 use tage::TageSystem;
 use workloads::suite::{by_name, Scale};
@@ -36,15 +36,15 @@ fn main() {
     println!("the IUM (§5.1) recovers most of what remains.");
 }
 
-fn run<P: Predictor>(
-    name: &str,
-    trace: &workloads::Trace,
-    cfg: &PipelineConfig,
-    make: impl Fn() -> P,
-) {
+fn run<P>(name: &str, trace: &workloads::Trace, cfg: &PipelineConfig, make: impl Fn() -> P)
+where
+    P: Predictor + Send,
+    P::Flight: Send,
+{
     let mut m = [0u64; 4];
     for (k, scen) in UpdateScenario::ALL.iter().enumerate() {
-        m[k] = simulate(&mut make(), trace, *scen, cfg).mispredicts;
+        let mut engine = WindowEngine::new(make(), *scen, cfg);
+        m[k] = simulate_engine(&mut engine, &mut trace.stream()).mispredicts;
     }
     println!(
         "{:<18} {:>8} {:>8} {:>8} {:>8} {:>6.1}% {:>6.1}%",

@@ -8,7 +8,7 @@
 //! cargo run --release --example local_history
 //! ```
 
-use pipeline::{simulate, PipelineConfig};
+use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
 use simkit::{Predictor, UpdateScenario};
 use tage::TageSystem;
 use workloads::behavior::Behavior;
@@ -42,9 +42,9 @@ fn main() {
     let scenario = UpdateScenario::RereadAtRetire;
     println!("one period-29 branch drowned in noise, {} branches total\n", trace.conditional_count());
     println!("{:<34} {:>8} {:>8}", "predictor", "MPKI", "mispred");
-    for mut p in [TageSystem::reference_tage(), TageSystem::isl_tage(), TageSystem::tage_lsc()] {
+    for p in [TageSystem::reference_tage(), TageSystem::isl_tage(), TageSystem::tage_lsc()] {
         let name = p.name();
-        let r = simulate(&mut p, &trace, scenario, &cfg);
+        let r = simulate_engine(&mut WindowEngine::new(p, scenario, &cfg), &mut trace.stream());
         println!("{:<34} {:>8.2} {:>8}", name, r.mpki(), r.mispredicts);
     }
     println!("\nTAGE cannot memorize the pattern (every occurrence has a fresh");

@@ -9,7 +9,7 @@
 //! cargo run --release --example loop_heavy
 //! ```
 
-use pipeline::{simulate, PipelineConfig};
+use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
 use simkit::UpdateScenario;
 use tage::{LoopPredictor, TageSystem};
 use workloads::behavior::Behavior;
@@ -37,13 +37,11 @@ fn main() {
     let cfg = PipelineConfig::default();
     let scenario = UpdateScenario::RereadAtRetire;
 
-    let plain = simulate(&mut TageSystem::tage_ium(), &trace, scenario, &cfg);
-    let with_loop = simulate(
-        &mut TageSystem::tage_ium().with_loop(LoopPredictor::cbp_64()),
-        &trace,
-        scenario,
-        &cfg,
-    );
+    let run = |p: TageSystem| {
+        simulate_engine(&mut WindowEngine::new(p, scenario, &cfg), &mut trace.stream())
+    };
+    let plain = run(TageSystem::tage_ium());
+    let with_loop = run(TageSystem::tage_ium().with_loop(LoopPredictor::cbp_64()));
 
     println!("constant trip 37, noisy body — {} branches", trace.conditional_count());
     println!("TAGE+IUM       : {:6} mispredictions ({:.2} MPKI)", plain.mispredicts, plain.mpki());

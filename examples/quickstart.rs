@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pipeline::{simulate, PipelineConfig};
+use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
 use simkit::{Predictor, UpdateScenario};
 use tage::TageSystem;
 use workloads::suite::{by_name, Scale};
@@ -28,10 +28,11 @@ fn main() {
         "predictor", "storage", "MPKI", "MPPKI", "mispred"
     );
     // The three headline predictors of the paper at the same budget class.
-    for mut p in [TageSystem::reference_tage(), TageSystem::isl_tage(), TageSystem::tage_lsc()] {
+    for p in [TageSystem::reference_tage(), TageSystem::isl_tage(), TageSystem::tage_lsc()] {
         let name = p.name();
         let kbit = p.storage_bits() / 1024;
-        let report = simulate(&mut p, &trace, scenario, &cfg);
+        let report =
+            simulate_engine(&mut WindowEngine::new(p, scenario, &cfg), &mut trace.stream());
         println!(
             "{:<28} {:>8}K {:>8.2} {:>8.1} {:>9}",
             name,

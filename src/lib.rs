@@ -18,18 +18,15 @@
 //! # Quickstart
 //!
 //! ```
-//! use simkit::{Predictor, UpdateScenario};
-//! use pipeline::{simulate, PipelineConfig};
+//! use simkit::UpdateScenario;
+//! use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
 //! use workloads::suite::{by_name, Scale};
 //!
 //! let trace = by_name("MM01", Scale::Tiny).unwrap().generate();
-//! let mut predictor = tage::TageSystem::tage_lsc();
-//! let report = simulate(
-//!     &mut predictor,
-//!     &trace,
-//!     UpdateScenario::RereadAtRetire,
-//!     &PipelineConfig::default(),
-//! );
+//! let predictor = tage::TageSystem::tage_lsc();
+//! let cfg = PipelineConfig::default();
+//! let mut engine = WindowEngine::new(predictor, UpdateScenario::RereadAtRetire, &cfg);
+//! let report = simulate_engine(&mut engine, &mut trace.stream());
 //! println!("{}: {:.2} MPKI, {:.1} MPPKI", trace.name, report.mpki(), report.mppki());
 //! ```
 //!

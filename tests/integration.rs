@@ -7,7 +7,7 @@
 //! debug-ignored: they run under `--release` (or `-- --ignored`), where
 //! they cost seconds instead of minutes.
 
-use pipeline::{simulate, PipelineConfig, SuiteReport};
+use pipeline::{simulate_engine, PipelineConfig, SimReport, SuiteReport, WindowEngine};
 use simkit::{Predictor, UpdateScenario};
 use std::sync::{Arc, OnceLock};
 use tage::TageSystem;
@@ -20,9 +20,21 @@ fn tiny_suite() -> Arc<Vec<Trace>> {
     SUITE.get_or_init(|| Arc::new(generate_parallel(Scale::Tiny, None, None))).clone()
 }
 
-fn run_all<P: Predictor>(make: impl Fn() -> P, traces: &[Trace], s: UpdateScenario) -> SuiteReport {
-    let cfg = PipelineConfig::default();
-    SuiteReport::new(traces.iter().map(|t| simulate(&mut make(), t, s, &cfg)).collect())
+/// One cold predictor over one trace, through the simulation engine.
+fn run<P>(p: P, t: &Trace, s: UpdateScenario) -> SimReport
+where
+    P: Predictor + Send,
+    P::Flight: Send,
+{
+    simulate_engine(&mut WindowEngine::new(p, s, &PipelineConfig::default()), &mut t.stream())
+}
+
+fn run_all<P>(make: impl Fn() -> P, traces: &[Trace], s: UpdateScenario) -> SuiteReport
+where
+    P: Predictor + Send,
+    P::Flight: Send,
+{
+    SuiteReport::new(traces.iter().map(|t| run(make(), t, s)).collect())
 }
 
 #[test]
@@ -163,14 +175,11 @@ fn figure9_lsc_beats_same_size_tage() {
 fn interleaving_costs_little_and_counts_conflicts() {
     let t = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
     let cfg = PipelineConfig::default();
-    let base = simulate(
-        &mut tage::Tage::reference_64kb(),
-        &t,
-        UpdateScenario::RereadOnMispredict,
-        &cfg,
-    );
-    let mut inter_p = tage::Tage::reference_64kb().with_interleaving();
-    let inter = simulate(&mut inter_p, &t, UpdateScenario::RereadOnMispredict, &cfg);
+    let scenario = UpdateScenario::RereadOnMispredict;
+    let base = run(tage::Tage::reference_64kb(), &t, scenario);
+    let mut engine =
+        WindowEngine::new(tage::Tage::reference_64kb().with_interleaving(), scenario, &cfg);
+    let inter = simulate_engine(&mut engine, &mut t.stream());
     // On an easy trace the interleaving loss must be small.
     assert!(
         (inter.mispredicts as f64) < base.mispredicts as f64 * 2.0 + 50.0,
@@ -178,7 +187,7 @@ fn interleaving_costs_little_and_counts_conflicts() {
         inter.mispredicts,
         base.mispredicts
     );
-    let conflicts = inter_p.conflict_stats().expect("interleaved");
+    let conflicts = engine.predictor().conflict_stats().expect("interleaved");
     assert_eq!(conflicts.dropped, 0, "updates must not be dropped at predictor rates");
 }
 
@@ -186,9 +195,9 @@ fn interleaving_costs_little_and_counts_conflicts() {
 fn mppki_exceeds_mpki_scaled_by_min_penalty() {
     // The penalty model must charge at least the refill penalty.
     let t = by_name("SERVER02", Scale::Tiny).unwrap().generate();
-    let cfg = PipelineConfig::default();
-    let r = simulate(&mut TageSystem::reference_tage(), &t, UpdateScenario::RereadAtRetire, &cfg);
-    assert!(r.mppki() >= r.mpki() * cfg.core.refill_penalty as f64);
+    let r = run(TageSystem::reference_tage(), &t, UpdateScenario::RereadAtRetire);
+    let refill_penalty = PipelineConfig::default().core.refill_penalty;
+    assert!(r.mppki() >= r.mpki() * refill_penalty as f64);
 }
 
 #[test]
@@ -196,13 +205,7 @@ fn access_counts_match_scenario_c_structure() {
     // §4.2: under [C], retire reads == mispredictions; accesses/branch is
     // 1 + (mispredict rate) + (effective writes rate).
     let t = by_name("WS01", Scale::Tiny).unwrap().generate();
-    let cfg = PipelineConfig::default();
-    let r = simulate(
-        &mut TageSystem::reference_tage(),
-        &t,
-        UpdateScenario::RereadOnMispredict,
-        &cfg,
-    );
+    let r = run(TageSystem::reference_tage(), &t, UpdateScenario::RereadOnMispredict);
     assert_eq!(r.stats.retire_reads, r.mispredicts);
     let expected = 1.0
         + r.mispredicts as f64 / r.conditionals as f64
@@ -213,12 +216,8 @@ fn access_counts_match_scenario_c_structure() {
 #[test]
 fn full_lifecycle_is_deterministic_across_runs() {
     let t = by_name("MM07", Scale::Tiny).unwrap().generate();
-    let cfg = PipelineConfig::default();
-    let run = || {
-        simulate(&mut TageSystem::tage_lsc(), &t, UpdateScenario::RereadOnMispredict, &cfg)
-            .mispredicts
-    };
-    assert_eq!(run(), run());
+    let once = || run(TageSystem::tage_lsc(), &t, UpdateScenario::RereadOnMispredict);
+    assert_eq!(once(), once());
 }
 
 #[test]
@@ -227,19 +226,10 @@ fn streamed_simulation_is_bit_identical_end_to_end() {
     // a lazily streamed program equals simulating its materialized trace,
     // report for report, for the full TAGE-LSC system.
     let spec = by_name("CLIENT02", Scale::Tiny).unwrap();
-    let cfg = PipelineConfig::default();
-    let materialized = simulate(
-        &mut TageSystem::tage_lsc(),
-        &spec.generate(),
-        UpdateScenario::RereadAtRetire,
-        &cfg,
-    );
-    let streamed = pipeline::simulate_source(
-        &mut TageSystem::tage_lsc(),
-        &mut spec.stream(),
-        UpdateScenario::RereadAtRetire,
-        &cfg,
-    );
+    let scenario = UpdateScenario::RereadAtRetire;
+    let materialized = run(TageSystem::tage_lsc(), &spec.generate(), scenario);
+    let mut engine = WindowEngine::new(TageSystem::tage_lsc(), scenario, &PipelineConfig::default());
+    let streamed = simulate_engine(&mut engine, &mut spec.stream());
     assert_eq!(streamed, materialized);
 }
 

@@ -4,7 +4,7 @@
 //! additionally runs the actual `examples/*.rs` binaries and `tage_exp` in
 //! release mode (see .github/workflows/ci.yml).
 
-use pipeline::{simulate, PipelineConfig};
+use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
 use simkit::{Predictor, UpdateScenario};
 use tage::TageSystem;
 use workloads::suite::{by_name, Scale};
@@ -17,9 +17,10 @@ fn quickstart_flow_runs_and_ranks_sanely() {
 
     let cfg = PipelineConfig::default();
     let mut mpki = Vec::new();
-    for mut p in [TageSystem::reference_tage(), TageSystem::isl_tage(), TageSystem::tage_lsc()] {
+    for p in [TageSystem::reference_tage(), TageSystem::isl_tage(), TageSystem::tage_lsc()] {
         assert!(p.storage_bits() > 0);
-        let report = simulate(&mut p, &trace, UpdateScenario::RereadAtRetire, &cfg);
+        let mut engine = WindowEngine::new(p, UpdateScenario::RereadAtRetire, &cfg);
+        let report = simulate_engine(&mut engine, &mut trace.stream());
         assert_eq!(report.conditionals, trace.conditional_count());
         assert!(report.mpki().is_finite() && report.mpki() >= 0.0);
         mpki.push(report.mpki());
