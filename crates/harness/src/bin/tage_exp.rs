@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! tage_exp <experiment|all> [--scale tiny|small|default|full]
-//!          [--threads N] [--stream] [--list]
+//!          [--threads N] [--list]
 //!          [--artifacts DIR] [--branch-stats] [--top N]
-//! tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N] [--stream]
-//!          [--artifacts DIR] [--branch-stats] [--top N]
+//! tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N]
+//!          [--trace FILE]... [--artifacts DIR] [--branch-stats] [--top N]
 //! tage_exp budgets
 //! tage_exp trace <file...> [--threads N]
 //!          [--artifacts DIR] [--branch-stats] [--top N]
@@ -17,10 +17,8 @@
 //! prefetches every experiment's suites onto the work-stealing pool
 //! before rendering the first table, so independent experiments overlap;
 //! duplicate suites are memoized by canonical spec string and run exactly
-//! once. Set
-//! `TAGE_TRACE_CACHE=<dir>` to persist generated traces across
-//! invocations, or pass `--stream` to skip suite materialization entirely
-//! (each job regenerates its trace lazily; bit-identical results).
+//! once. The 40-trace suite is generated once per invocation, in
+//! parallel, and every job streams one of its traces.
 //!
 //! `tage_exp system` simulates *any* user-composed predictor stack over
 //! the suite — including compositions no experiment table covers, e.g.
@@ -65,7 +63,6 @@ fn main() {
     }
     let mut scale = Scale::Default;
     let mut threads: Option<usize> = None;
-    let mut stream = false;
     let mut artifacts: Option<PathBuf> = None;
     let mut branch_stats = false;
     let mut top = DEFAULT_TOP;
@@ -90,7 +87,6 @@ fn main() {
                     }
                 }
             }
-            "--stream" => stream = true,
             "--artifacts" => match it.next() {
                 Some(dir) => artifacts = Some(PathBuf::from(dir)),
                 None => {
@@ -160,26 +156,15 @@ fn main() {
     };
     println!("# tage_exp: scale={scale:?} ({} branches/trace)", scale.branches());
     let start = std::time::Instant::now();
-    let mut opts = ExpOptions::from_env();
-    opts.threads = threads;
-    opts.stream = stream;
-    opts.branch_stats = branch_stats;
-    let ctx = ExpContext::with_options(scale, opts);
+    let ctx = ExpContext::with_options(scale, ExpOptions { threads, branch_stats });
     if branch_stats {
         println!("# branch stats: per-static-branch profiler on (top {top} land in artifacts)");
     }
-    if ctx.streaming() {
-        println!(
-            "# stream mode: traces regenerate inside each job ({} worker threads)",
-            ctx.threads()
-        );
-    } else {
-        println!(
-            "# generated 40 traces in {:.1}s ({} worker threads)",
-            start.elapsed().as_secs_f32(),
-            ctx.threads()
-        );
-    }
+    println!(
+        "# generated 40 traces in {:.1}s ({} worker threads)",
+        start.elapsed().as_secs_f32(),
+        ctx.threads()
+    );
     // Cross-experiment pipelining: enqueue every experiment's suites
     // before rendering the first table.
     prefetch(&ctx, &ids);
@@ -270,9 +255,9 @@ fn emit_artifacts(
 
 fn print_usage() {
     println!("usage: tage_exp <experiment|all> [--scale tiny|small|default|full]");
-    println!("                [--threads N] [--stream] [--list]");
+    println!("                [--threads N] [--list]");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
-    println!("       tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N] [--stream]");
+    println!("       tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N]");
     println!("                [--trace FILE]...");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp budgets");
@@ -283,7 +268,6 @@ fn print_usage() {
     println!("                [--threads N] [--artifacts DIR] [--top N]");
     println!("       tage_exp report <artifact|dir...> [--top N] [--fail-over PCT]");
     println!("  --threads N   scheduler worker threads (default: CPUs, max 16)");
-    println!("  --stream      regenerate traces inside each job (no suite materialization)");
     println!("  --list        print the experiment ids, spec counts and descriptions");
     println!("  --artifacts DIR   write one versioned JSON run artifact per unique");
     println!("                    (composition, scenario) suite into DIR");
@@ -311,7 +295,6 @@ fn print_usage() {
     println!("                   10k warmup + 40k measure, the trace-mode matrix)");
     println!("  --full-check PCT sample mode: also run every (spec, file) in full and");
     println!("                   exit 1 when any sampled MPPKI is off by > PCT percent");
-    println!("  TAGE_TRACE_CACHE=<dir>  persist generated traces across runs");
     println!("experiments:");
     for exp in EXPERIMENTS {
         println!("  {:<12} {}", exp.id, exp.description);
@@ -323,7 +306,6 @@ fn print_usage() {
 fn system_mode(args: &[String]) -> i32 {
     let mut scale = Scale::Default;
     let mut threads: Option<usize> = None;
-    let mut stream = false;
     let mut scenario = UpdateScenario::RereadAtRetire;
     let mut artifacts: Option<PathBuf> = None;
     let mut branch_stats = false;
@@ -378,7 +360,6 @@ fn system_mode(args: &[String]) -> i32 {
                     }
                 }
             }
-            "--stream" => stream = true,
             "--scenario" => {
                 let v = it.next().map(String::as_str).unwrap_or("");
                 scenario = match scenario_from_label(v) {
@@ -423,11 +404,7 @@ fn system_mode(args: &[String]) -> i32 {
     }
     let start = std::time::Instant::now();
     println!("# tage_exp system: scale={scale:?}, scenario {scenario}, {} spec(s)", specs.len());
-    let mut opts = ExpOptions::from_env();
-    opts.threads = threads;
-    opts.stream = stream;
-    opts.branch_stats = branch_stats;
-    let ctx = ExpContext::with_options(scale, opts);
+    let ctx = ExpContext::with_options(scale, ExpOptions { threads, branch_stats });
     for spec in &specs {
         ctx.prefetch_spec(spec, scenario);
     }

@@ -25,7 +25,7 @@ use simkit::predictor::{BranchInfo, Predictor, UpdateScenario};
 use std::fmt::Write as _;
 use tage::{SystemSpec, Tage};
 use workloads::suite::HARD_TRACES;
-use workloads::EventSource;
+use workloads::TraceStats;
 
 /// All experiment ids, in paper order (the last two are extensions: the
 /// §8-cited storage-free confidence classes and the provider-internal
@@ -317,7 +317,8 @@ fn e00_bench_chars(ctx: &ExpContext, reports: &[SuiteReport], out: &mut String) 
         "E00 (§2.2) Benchmark characterization — reference TAGE, scenario [A]",
         &["trace", "hard", "uops", "branches", "static", "mispred", "MPKI", "MPPKI"],
     );
-    for (r, st) in suite.reports.iter().zip(ctx.trace_stats()) {
+    for (r, trace) in suite.reports.iter().zip(ctx.traces()) {
+        let st = TraceStats::of(trace);
         t.row(vec![
             r.trace.clone(),
             if HARD_TRACES.contains(&r.trace.as_str()) { "*".into() } else { "".into() },
@@ -827,11 +828,9 @@ fn e13_cost_eff(_ctx: &ExpContext, reports: &[SuiteReport], out: &mut String) {
 fn e14_confidence(ctx: &ExpContext, _reports: &[SuiteReport], out: &mut String) {
     use tage::confidence::{classify, Confidence, ConfidenceStats};
     let mut stats = ConfidenceStats::default();
-    for i in 0..ctx.trace_count() {
-        // Event sources work in both materialized and streamed modes.
-        let mut src = ctx.source_at(i);
+    for trace in ctx.traces() {
         let mut p = Tage::reference_64kb();
-        while let Some(ev) = src.next_event() {
+        for ev in &trace.events {
             let b = ev.branch_info();
             if !b.kind.is_conditional() {
                 p.note_uncond(&b);

@@ -23,6 +23,6 @@ pub use artifact::{
     ARTIFACT_SCHEMA,
 };
 pub use ctx::{ExpContext, ExpOptions};
-pub use runner::{SchedulerStats, SuiteRunner, SuiteSource, WorkerPool};
+pub use runner::{SchedulerStats, SuiteRunner, WorkerPool};
 pub use spec::PredictorSpec;
 pub use table::Table;

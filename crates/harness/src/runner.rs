@@ -11,9 +11,9 @@
 //! * jobs are distributed round-robin across per-worker deques and idle
 //!   workers *steal* from their peers, so a straggler trace (CLIENT02 runs
 //!   3× longer than the rest) never leaves the other cores idle;
-//! * the runner owns the suite ([`SuiteSource`]) and has one job shape:
-//!   build the spec's engine ([`PredictorSpec::build_engine`]) and run it
-//!   over trace `i` ([`simulate_engine`]);
+//! * the runner owns the materialized suite and has one job shape: build
+//!   the spec's engine ([`PredictorSpec::build_engine`]) and run it over a
+//!   [`TraceStream`] of trace `i` ([`simulate_engine`]);
 //! * suite results are memoized by `(spec.sim_key(), scenario,
 //!   cfg.fingerprint())`, so duplicate requests are served from cache and
 //!   counted — the [`SchedulerStats`] counters make the dedup observable
@@ -32,8 +32,8 @@ use simkit::predictor::UpdateScenario;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use workloads::event::{EventSource, TraceStream};
-use workloads::{Trace, TraceSpec};
+use workloads::event::TraceStream;
+use workloads::Trace;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -273,52 +273,6 @@ impl SchedulerStats {
     }
 }
 
-/// How the suite is held.
-///
-/// * **materialized** — the traces are generated once up front and shared
-///   with the worker threads;
-/// * **streamed** — only the [`TraceSpec`] recipes are kept; every job
-///   regenerates its trace lazily through [`TraceSpec::stream`], so suite
-///   memory never exceeds one in-flight window per worker. Bit-identical
-///   to materialized mode — `ProgramStream` and `Program::generate` emit
-///   the same events by construction — at the price of per-job
-///   regeneration.
-#[derive(Clone, Debug)]
-pub enum SuiteSource {
-    /// Generated traces.
-    Materialized(Arc<Vec<Trace>>),
-    /// Trace recipes, regenerated per job.
-    Streamed(Arc<Vec<TraceSpec>>),
-}
-
-impl SuiteSource {
-    /// Number of traces in the suite.
-    pub fn len(&self) -> usize {
-        match self {
-            SuiteSource::Materialized(ts) => ts.len(),
-            SuiteSource::Streamed(specs) => specs.len(),
-        }
-    }
-
-    /// Whether the suite has no traces.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A fresh event source for trace `i`: a borrowing stream over the
-    /// materialized trace, or a lazy regeneration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn open(&self, i: usize) -> Box<dyn EventSource + '_> {
-        match self {
-            SuiteSource::Materialized(ts) => Box::new(TraceStream::new(&ts[i])),
-            SuiteSource::Streamed(specs) => Box::new(specs[i].stream()),
-        }
-    }
-}
-
 type SuiteKey = (String, UpdateScenario, u64);
 
 /// Deduplicating parallel suite scheduler: a persistent [`WorkerPool`],
@@ -326,7 +280,7 @@ type SuiteKey = (String, UpdateScenario, u64);
 /// docs for the why.
 pub struct SuiteRunner {
     pool: WorkerPool,
-    source: SuiteSource,
+    traces: Arc<Vec<Trace>>,
     cache: Mutex<HashMap<SuiteKey, SuiteReport>>,
     /// Prefetched suites still in flight: submitted to the pool, not yet
     /// consumed into the memo cache.
@@ -339,12 +293,12 @@ pub struct SuiteRunner {
 }
 
 impl SuiteRunner {
-    /// A runner over `source` with `threads` pool workers (`None`:
+    /// A runner over `traces` with `threads` pool workers (`None`:
     /// [`default_threads`]).
-    pub fn new(source: SuiteSource, threads: Option<usize>) -> Self {
+    pub fn new(traces: Arc<Vec<Trace>>, threads: Option<usize>) -> Self {
         Self {
             pool: WorkerPool::new(threads.unwrap_or_else(default_threads)),
-            source,
+            traces,
             cache: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
             sim_jobs_run: AtomicU64::new(0),
@@ -359,9 +313,9 @@ impl SuiteRunner {
         &self.pool
     }
 
-    /// The suite the jobs simulate.
-    pub fn source(&self) -> &SuiteSource {
-        &self.source
+    /// The suite the jobs simulate, in suite order.
+    pub fn traces(&self) -> &[Trace] {
+        &self.traces
     }
 
     /// Counter snapshot.
@@ -385,7 +339,7 @@ impl SuiteRunner {
         scenario: UpdateScenario,
         cfg: &PipelineConfig,
     ) -> Arc<Batch<SimReport>> {
-        let n = self.source.len();
+        let n = self.traces.len();
         // ORDERING: statistics only (see `stats`); the jobs themselves
         // synchronize through the queue mutex and batch condvar.
         self.sim_jobs_requested.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
@@ -394,7 +348,7 @@ impl SuiteRunner {
         let batch = Batch::new(n);
         for i in 0..n {
             let job = Arc::clone(&job);
-            let source = self.source.clone();
+            let traces = Arc::clone(&self.traces);
             let batch = Arc::clone(&batch);
             let busy = Arc::clone(&self.sim_busy_nanos);
             self.pool.submit(Box::new(move || {
@@ -404,7 +358,7 @@ impl SuiteRunner {
                         // INVARIANT: specs reach the scheduler validated
                         // (PredictorSpec::parse); a failure re-raises on the waiter.
                         let mut engine = spec.build_engine(scenario, cfg).expect("spec validated");
-                        simulate_engine(&mut *engine, &mut source.open(i))
+                        simulate_engine(&mut *engine, &mut TraceStream::new(&traces[i]))
                     })
                 });
             }));
@@ -429,7 +383,7 @@ impl SuiteRunner {
             // ORDERING: statistics only (see `stats`); the memo hit itself
             // is protected by the cache mutex.
             self.suite_memo_hits.fetch_add(1, Ordering::Relaxed); // ORDERING: see above
-            self.sim_jobs_requested.fetch_add(self.source.len() as u64, Ordering::Relaxed); // ORDERING: see above
+            self.sim_jobs_requested.fetch_add(self.traces.len() as u64, Ordering::Relaxed); // ORDERING: see above
             return hit.clone();
         }
         // A prefetched suite already runs (and was counted) on the pool:
@@ -467,7 +421,7 @@ mod tests {
     use workloads::suite::{generate_parallel, Scale};
 
     fn tiny_traces() -> Arc<Vec<Trace>> {
-        Arc::new(generate_parallel(Scale::Tiny, None, None))
+        Arc::new(generate_parallel(Scale::Tiny, None))
     }
 
     #[test]
@@ -533,7 +487,7 @@ mod tests {
 
     #[test]
     fn memoized_suite_is_computed_once() {
-        let runner = SuiteRunner::new(SuiteSource::Materialized(tiny_traces()), Some(2));
+        let runner = SuiteRunner::new(tiny_traces(), Some(2));
         let cfg = PipelineConfig::default();
         let bimodal = spec("bimodal:4096,2");
         let a = runner.run(&bimodal, UpdateScenario::RereadAtRetire, &cfg);
@@ -562,7 +516,7 @@ mod tests {
 
     #[test]
     fn label_only_variants_share_one_memo_entry() {
-        let runner = SuiteRunner::new(SuiteSource::Materialized(tiny_traces()), Some(2));
+        let runner = SuiteRunner::new(tiny_traces(), Some(2));
         let cfg = PipelineConfig::default();
         let labeled = runner.run(&spec("tage+ium/as=T"), UpdateScenario::RereadAtRetire, &cfg);
         let plain = runner.run(&spec("tage+ium"), UpdateScenario::RereadAtRetire, &cfg);
@@ -572,38 +526,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_suite_matches_materialized_bit_for_bit() {
-        // The ROADMAP "stream-first harness mode" contract: per-job
-        // ProgramStream regeneration must reproduce the materialized
-        // suite's reports exactly, table for table.
-        let specs = Arc::new(workloads::suite::suite(Scale::Tiny));
-        let streamed = SuiteRunner::new(SuiteSource::Streamed(specs), Some(3));
-        let materialized = SuiteRunner::new(SuiteSource::Materialized(tiny_traces()), Some(3));
-        let cfg = PipelineConfig::default();
-        let gshare = spec("gshare:11");
-        let a = streamed.run(&gshare, UpdateScenario::RereadAtRetire, &cfg);
-        let b = materialized.run(&gshare, UpdateScenario::RereadAtRetire, &cfg);
-        assert_eq!(a.reports, b.reports);
-    }
-
-    #[test]
-    fn streamed_cached_suite_dedupes() {
-        let specs = Arc::new(workloads::suite::suite(Scale::Tiny));
-        let runner = SuiteRunner::new(SuiteSource::Streamed(specs), Some(2));
-        let cfg = PipelineConfig::default();
-        let a = runner.run(&spec("gshare:10"), UpdateScenario::FetchOnly, &cfg);
-        let b = runner.run(&spec("gshare:10"), UpdateScenario::FetchOnly, &cfg);
-        assert_eq!(a.reports, b.reports);
-        let s = runner.stats();
-        assert_eq!(s.sim_jobs_run, 40);
-        assert_eq!(s.sim_jobs_requested, 80);
-        assert_eq!(s.suite_memo_hits, 1);
-    }
-
-    #[test]
     fn prefetched_suite_is_consumed_not_recomputed() {
         let traces = tiny_traces();
-        let runner = SuiteRunner::new(SuiteSource::Materialized(Arc::clone(&traces)), Some(2));
+        let runner = SuiteRunner::new(Arc::clone(&traces), Some(2));
         let cfg = PipelineConfig::default();
         let g11 = spec("gshare:11");
         let sc = UpdateScenario::FetchOnly;
@@ -628,20 +553,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_prefetch_matches_materialized() {
-        let specs = Arc::new(workloads::suite::suite(Scale::Tiny));
-        let runner = SuiteRunner::new(SuiteSource::Streamed(specs), Some(2));
-        let cfg = PipelineConfig::default();
-        let g12 = spec("gshare:12");
-        runner.prefetch(&g12, UpdateScenario::FetchOnly, &cfg);
-        let streamed = runner.run(&g12, UpdateScenario::FetchOnly, &cfg);
-        assert_eq!(streamed.reports, serial(&tiny_traces(), &g12, UpdateScenario::FetchOnly));
-    }
-
-    #[test]
     fn pooled_suite_matches_serial_in_order() {
         let traces = tiny_traces();
-        let runner = SuiteRunner::new(SuiteSource::Materialized(Arc::clone(&traces)), Some(3));
+        let runner = SuiteRunner::new(Arc::clone(&traces), Some(3));
         let g10 = spec("gshare:10");
         let sc = UpdateScenario::RereadOnMispredict;
         let pooled = runner.run(&g10, sc, &PipelineConfig::default());
@@ -649,20 +563,5 @@ mod tests {
             assert_eq!(r.trace, t.name);
         }
         assert_eq!(pooled.reports, serial(&traces, &g10, sc));
-    }
-
-    #[test]
-    fn suite_source_opens_the_same_events_in_both_modes() {
-        let materialized = SuiteSource::Materialized(tiny_traces());
-        let streamed = SuiteSource::Streamed(Arc::new(workloads::suite::suite(Scale::Tiny)));
-        assert_eq!(materialized.len(), 40);
-        assert_eq!(streamed.len(), 40);
-        assert!(!streamed.is_empty());
-        let (mut a, mut b) = (materialized.open(5), streamed.open(5));
-        assert_eq!(a.name(), b.name());
-        while let Some(ea) = a.next_event() {
-            assert_eq!(Some(ea), b.next_event());
-        }
-        assert!(b.next_event().is_none());
     }
 }

@@ -19,7 +19,7 @@
 use crate::runner::{default_threads, WorkerPool};
 use crate::spec::PredictorSpec;
 use crate::table::{f1, Table};
-use crate::trace_mode::MATRIX_SCENARIO;
+use crate::trace_mode::{check_run, run_spec_cell, MATRIX_SCENARIO};
 use pipeline::{
     fixed_interval, simulate_engine, Phase, PipelineConfig, SampledResult, SimReport, SimWindow,
 };
@@ -112,9 +112,7 @@ fn slice_job(
     let mut src = registry.open(path)?;
     let skipped = src.skip(phase.start);
     if skipped != phase.start {
-        if let Some(e) = src.decode_error() {
-            return Err(io::Error::new(e.kind(), format!("{}: {e}", src.format())));
-        }
+        traces::check_decode(src.as_ref())?;
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("file ended {} events short of phase start {}", phase.start - skipped, phase.start),
@@ -127,25 +125,15 @@ fn slice_job(
     // INVARIANT: specs were parse-validated by the caller before fan-out.
     let mut engine = spec.build_engine(MATRIX_SCENARIO, &cfg).expect("spec validated before fan-out");
     let report = simulate_engine(&mut *engine, &mut src);
-    // The window stops mid-file by design, so the remaining-event
-    // shortfall check does not apply — but a decode error still must.
-    if let Some(e) = src.decode_error() {
-        return Err(io::Error::new(e.kind(), format!("{}: {e}", src.format())));
-    }
+    check_run(src.as_ref(), &*engine)?;
     Ok(report)
 }
 
 /// One full-run job (the `--full-check` reference): the whole file under
 /// the default window.
 fn full_job(path: &Path, spec: &PredictorSpec) -> io::Result<SimReport> {
-    let registry = CodecRegistry::standard();
-    let mut src = registry.open(path)?;
-    let cfg = PipelineConfig::default();
-    // INVARIANT: see `slice_job`.
-    let mut engine = spec.build_engine(MATRIX_SCENARIO, &cfg).expect("spec validated before fan-out");
-    let report = simulate_engine(&mut *engine, &mut src);
-    traces::finish(src.as_ref())?;
-    Ok(report)
+    let mut src = CodecRegistry::standard().open(path)?;
+    run_spec_cell(spec, MATRIX_SCENARIO, &mut src, &PipelineConfig::default())
 }
 
 /// Runs the sampled matrix: every (spec × file × slice) — plus, under

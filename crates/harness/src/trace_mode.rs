@@ -15,7 +15,7 @@
 use crate::spec::PredictorSpec;
 use crate::table::{f1, Table};
 use crate::runner::default_threads;
-use pipeline::{simulate_engine, PipelineConfig, SuiteReport};
+use pipeline::{simulate_engine, BlockSim, PipelineConfig, SuiteReport};
 use simkit::predictor::UpdateScenario;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -64,8 +64,26 @@ impl TraceDecoder for SpecSource {
     }
 }
 
+/// The post-run integrity check of every simulation a decoder feeds. A
+/// recorded decode error always fails the run. A shortfall against the
+/// container's declared event count fails it only when the run reached
+/// the end of the stream: once the engine's measurement window is spent
+/// ([`BlockSim::done`]), the driver stops pulling events on purpose.
+///
+/// # Errors
+///
+/// Returns the decoder's recorded error, or `InvalidData` for a stream
+/// that ended short of its declared count.
+pub fn check_run(src: &dyn TraceDecoder, engine: &dyn BlockSim) -> io::Result<()> {
+    if engine.done() {
+        traces::check_decode(src)
+    } else {
+        traces::finish(src)
+    }
+}
+
 /// One simulation cell: a fresh spec-built engine streamed over one
-/// source under `scenario`, with a post-run decode-integrity check.
+/// source under `scenario`, with the post-run [`check_run`].
 /// This is THE per-(spec × trace) recipe — the matrix runner and `tage_exp
 /// system --trace` funnel through it, and a `tage_serve` session runs the
 /// same engine and driver, which is what makes a served result
@@ -87,7 +105,7 @@ pub fn run_spec_cell(
         .build_engine(scenario, cfg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let r = simulate_engine(&mut *engine, src);
-    traces::finish(src.as_ref())?;
+    check_run(src.as_ref(), &*engine)?;
     Ok(r)
 }
 

@@ -78,17 +78,3 @@ fn e15_chooser_base_matrix_matches_its_golden() {
     // The standalone golden is literally a slice of the full one.
     assert!(GOLDEN.ends_with(&format!("{GOLDEN_E15}\n")));
 }
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full 15-experiment sweep; run with --release (CI does)"
-)]
-fn stream_mode_renders_the_same_golden_tables() {
-    let ctx = ExpContext::with_options(
-        Scale::Tiny,
-        ExpOptions { stream: true, ..Default::default() },
-    );
-    prefetch(&ctx, &ALL_EXPERIMENTS);
-    assert_matches_golden(&render_all(&ctx));
-}

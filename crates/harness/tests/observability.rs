@@ -1,8 +1,7 @@
 //! Observability invariants: the opt-in per-branch profiler must sum
 //! exactly to the aggregate counters under every update scenario, run
 //! artifacts must round-trip through JSON bit-for-bit, and artifact
-//! bytes must be invariant across worker-thread counts and across
-//! materialized and streamed suites.
+//! bytes must be invariant across worker-thread counts.
 
 use harness::artifact::{collect_paths, RunArtifact, SchedulerBlock};
 use harness::{ExpContext, ExpOptions, PredictorSpec};
@@ -84,11 +83,7 @@ fn artifacts_are_byte_deterministic_across_thread_counts() {
     let spec = PredictorSpec::parse("tage+ium").expect("spec");
     let scenario = UpdateScenario::RereadAtRetire;
     let render = |threads: usize| {
-        let opts = ExpOptions {
-            threads: Some(threads),
-            branch_stats: true,
-            ..Default::default()
-        };
+        let opts = ExpOptions { threads: Some(threads), branch_stats: true };
         let ctx = ExpContext::with_options(Scale::Tiny, opts);
         let suite = ctx.run_spec(&spec, scenario);
         let block = SchedulerBlock::from_stats(&ctx.scheduler_stats());
@@ -98,21 +93,6 @@ fn artifacts_are_byte_deterministic_across_thread_counts() {
     let single = render(1);
     let parallel = render(4);
     assert_eq!(single, parallel);
-}
-
-/// A materialized suite and a streamed one (each job regenerating its
-/// trace) must serialize to the same artifact bytes, profiles included.
-#[test]
-fn artifacts_are_byte_deterministic_across_suite_modes() {
-    let spec = PredictorSpec::parse("gshare:12").expect("spec");
-    let scenario = UpdateScenario::FetchOnly;
-    let emit = |stream: bool| {
-        let opts = ExpOptions { threads: Some(2), stream, branch_stats: true, ..Default::default() };
-        let ctx = ExpContext::with_options(Scale::Tiny, opts);
-        let suite = ctx.run_spec(&spec, scenario);
-        RunArtifact::from_suite(&spec.sim_key(), scenario, "tiny", &suite, None, 10).to_json()
-    };
-    assert_eq!(emit(true), emit(false));
 }
 
 /// `collect_paths` + `load` over a real emitted directory: files come

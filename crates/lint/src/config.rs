@@ -16,8 +16,9 @@ pub struct LintConfig {
     pub unsafe_allowed_crates: Vec<String>,
     /// Workspace-relative files under the exhaustiveness guard: `_ =>`
     /// match arms are denied there unless justified with `// WILDCARD:`.
-    /// These are the fingerprint/codec/spec modules where a silently
-    /// swallowed new enum variant reopens a stale-data hazard.
+    /// These are the generator/codec/spec modules where a silently
+    /// swallowed new enum variant changes behaviour without a compile
+    /// error.
     pub wildcard_guarded_files: Vec<String>,
     /// The file holding `enum SpecError` and the `PRESETS` table.
     pub spec_file: String,
@@ -52,8 +53,8 @@ impl LintConfig {
             // prefetch.
             unsafe_allowed_crates: vec!["core".to_string()],
             wildcard_guarded_files: [
-                // Trace-cache fingerprint coverage (the PR-3 stale-cache fix).
-                "crates/workloads/src/io.rs",
+                // The generator's matches over `Behavior`: a new behaviour
+                // must state how it emits outcomes, not fall through.
                 "crates/workloads/src/behavior.rs",
                 // Codec kind/type mappings: a new BranchKind must map, not fall through.
                 "crates/traces/src/codec.rs",

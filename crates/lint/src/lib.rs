@@ -1,7 +1,7 @@
 //! # tage-lint — repo-native static analysis
 //!
 //! The workspace's correctness story rests on conventions: one audited
-//! `unsafe` prefetch, wildcard-free fingerprint/codec matches, justified
+//! `unsafe` prefetch, wildcard-free generator/codec matches, justified
 //! relaxed atomics, fail-loudly error handling, and documentation that
 //! tracks the spec grammar. This crate turns those conventions into
 //! machine-checked invariants that gate CI the same way the golden tables

@@ -1,13 +1,11 @@
-//! **exhaustiveness-guard** — designated fingerprint/codec/spec modules
+//! **exhaustiveness-guard** — designated generator/codec/spec modules
 //! stay wildcard-free, so adding an enum variant breaks the build at the
 //! match instead of silently falling through.
 //!
-//! This generalizes the PR-3 stale-trace-cache fix: the
-//! `generator_fingerprint` coverage guards only work because every match
-//! over `Behavior`/`Node` names its variants. In guarded files a `_ =>`
-//! arm is denied unless justified with `// WILDCARD: <why>` (sanctioned
-//! uses are catch-alls over *open* domains — unknown input tokens mapped
-//! to typed errors — never over our own enums).
+//! In guarded files a `_ =>` arm is denied unless justified with
+//! `// WILDCARD: <why>` (sanctioned uses are catch-alls over *open*
+//! domains — unknown input tokens mapped to typed errors — never over our
+//! own enums).
 
 use super::{diag, justified, LintContext, Pass};
 use crate::diag::Diagnostic;
@@ -23,7 +21,7 @@ impl Pass for ExhaustivenessGuard {
     }
 
     fn description(&self) -> &'static str {
-        "no `_ =>` arms in designated fingerprint/codec/spec modules unless annotated // WILDCARD:"
+        "no `_ =>` arms in designated generator/codec/spec modules unless annotated // WILDCARD:"
     }
 
     fn run(&self, ctx: &LintContext) -> Vec<Diagnostic> {

@@ -293,7 +293,7 @@ pub(crate) fn session_body(stream: TcpStream, cfg: &SessionConfig) -> SessionEnd
             };
         }
     }
-    if let Err(e) = traces::finish(decoder.as_ref()) {
+    if let Err(e) = harness::trace_mode::check_run(decoder.as_ref(), &*engine) {
         return fail(&mut wr, pick_code(&protocol_code, &e), e.to_string());
     }
     let events = driver.events_fed();

@@ -11,10 +11,10 @@ use std::time::Duration;
 use harness::artifact::{scenario_from_label, RunArtifact};
 use harness::trace_mode::{record_trace, run_spec_over_files};
 use harness::PredictorSpec;
-use pipeline::PipelineConfig;
+use pipeline::{simulate_engine, PipelineConfig, SimWindow, SuiteReport};
 use serve::wire::{self, FrameType, Handshake, WireError};
 use serve::{run_one, BoundServer, ClientOptions, ServeOptions};
-use traces::{Ttr3Codec, TtrCodec};
+use traces::{CodecRegistry, Ttr3Codec, TtrCodec};
 use workloads::suite::{by_name, Scale};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -116,6 +116,49 @@ fn periodic_stats_frames_do_not_change_the_result() {
         // The chunked, stats-interleaved run must equal the one-shot
         // offline run byte for byte.
         assert_eq!(res.artifact_json.unwrap(), offline, "stats_every {stats_every}");
+    }
+    stop_server(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A session whose measure window ends before the trace stops pulling
+/// events; the undrained tail of a container that declares its event
+/// count is not a shortfall. The result must equal the offline windowed
+/// run over the same file.
+#[test]
+fn windowed_sessions_match_the_offline_windowed_run() {
+    let dir = test_dir("window");
+    let trace = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
+    let v2 = record_trace(&trace, &TtrCodec, &dir.join("v2")).unwrap();
+    let v3 = record_trace(&trace, &Ttr3Codec::default(), &dir.join("v3")).unwrap();
+    let window = SimWindow { skip: 300, warmup: 500, measure: 1000 };
+    let spec = PredictorSpec::parse("gshare:12").unwrap();
+    let scenario = scenario_from_label("A").unwrap();
+    let cfg = PipelineConfig { window, ..PipelineConfig::default() };
+
+    let (addr, handle) = start_server(8, false);
+    for (label, file) in [("ttr v2", &v2), ("ttr3 lz", &v3)] {
+        let mut opts = client_opts(addr);
+        opts.handshake.spec = spec.to_string();
+        opts.handshake.skip = window.skip;
+        opts.handshake.warmup = window.warmup;
+        opts.handshake.measure = window.measure;
+        let res = run_one(file, &opts).unwrap();
+        assert!(res.error.is_none(), "{label}: server error {:?}", res.error);
+        assert!(
+            res.events < trace.events.len() as u64,
+            "{label}: the session must stop before the end of the trace ({} events fed)",
+            res.events
+        );
+
+        let mut engine = spec.build_engine(scenario, &cfg).unwrap();
+        let mut src = CodecRegistry::standard().open(file).unwrap();
+        let report = simulate_engine(&mut *engine, &mut src);
+        let suite = SuiteReport::new(vec![report]);
+        let offline =
+            RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suite, None, 20)
+                .to_json();
+        assert_eq!(res.artifact_json.expect("result artifact"), offline, "{label}");
     }
     stop_server(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);

@@ -95,9 +95,7 @@ pub fn drain_checked<D: TraceDecoder + ?Sized>(decoder: &mut D) -> io::Result<u6
 ///
 /// See [`drain_checked`].
 pub fn finish<D: TraceDecoder + ?Sized>(decoder: &D) -> io::Result<()> {
-    if let Some(e) = decoder.decode_error() {
-        return Err(io::Error::new(e.kind(), format!("{}: {e}", decoder.format())));
-    }
+    check_decode(decoder)?;
     if let Some(left) = decoder.remaining_events() {
         if left > 0 {
             return Err(io::Error::new(
@@ -107,4 +105,19 @@ pub fn finish<D: TraceDecoder + ?Sized>(decoder: &D) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// The decode-error half of [`finish`], for a caller that stopped pulling
+/// events before the end of the stream on purpose: the declared event
+/// count says nothing about such a run, but a recorded decode error still
+/// means its events were corrupt.
+///
+/// # Errors
+///
+/// Returns the decoder's recorded error.
+pub fn check_decode<D: TraceDecoder + ?Sized>(decoder: &D) -> io::Result<()> {
+    match decoder.decode_error() {
+        Some(e) => Err(io::Error::new(e.kind(), format!("{}: {e}", decoder.format()))),
+        None => Ok(()),
+    }
 }

@@ -65,7 +65,7 @@ pub mod varint;
 pub use cbp::{CbpCodec, CbpReader};
 pub use codec::{file_meta, CodecRegistry, TraceCodec, SNIFF_LEN};
 pub use csv::{CsvCodec, CsvReader};
-pub use decoder::{drain_checked, finish, ContainerInfo, TraceDecoder};
+pub use decoder::{check_decode, drain_checked, finish, ContainerInfo, TraceDecoder};
 pub use feed::FeedOpen;
 pub use scheme::{BlockScheme, LzScheme, RawScheme, SCHEMES};
 pub use ttr::{TtrCodec, TtrReader};

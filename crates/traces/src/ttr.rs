@@ -636,16 +636,10 @@ mod tests {
     #[test]
     fn packed_stream_is_compact() {
         let t = by_name("MM01", Scale::Tiny).unwrap().generate();
-        let packed = encode_vec(&t).len() as f64;
-        // The v1 fixed-width codec spends 21–29 bytes/event.
-        let v1 = {
-            let mut buf = Vec::new();
-            workloads::io::write_trace(&mut buf, &t).unwrap();
-            buf.len() as f64
-        };
-        assert!(
-            packed < v1 / 3.0,
-            "packed {packed} bytes vs fixed-width {v1} bytes"
-        );
+        let per_event = encode_vec(&t).len() as f64 / t.events.len() as f64;
+        // A fixed-width record (pc, target, kind, taken, uops, load
+        // address) takes at least 21 bytes/event; the packed stream must
+        // stay under a third of that.
+        assert!(per_event < 7.0, "packed {per_event:.2} bytes/event");
     }
 }

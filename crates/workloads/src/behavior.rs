@@ -153,45 +153,6 @@ pub enum Behavior {
 }
 
 impl Behavior {
-    /// Mixes this behaviour's structure (variant + parameters, not its
-    /// runtime position state) into a fingerprint via `mix`. The match is
-    /// exhaustive on purpose: a new variant fails this compile until it
-    /// states what it contributes to trace-cache keys.
-    pub fn mix_structure(&self, mix: &mut impl FnMut(u64)) {
-        match self {
-            Behavior::Bias { p } => {
-                mix(1);
-                mix(p.to_bits());
-            }
-            Behavior::Pattern { pattern, pos: _ } => {
-                mix(2);
-                mix(pattern.len() as u64);
-                for &b in pattern {
-                    mix(u64::from(b));
-                }
-            }
-            Behavior::SparseCorr { lag, invert, noise } => {
-                mix(3);
-                mix(*lag as u64);
-                mix(u64::from(*invert));
-                mix(noise.to_bits());
-            }
-            Behavior::HugePeriodic { pattern, pos: _ } => {
-                mix(4);
-                mix(pattern.len() as u64);
-                for &b in pattern {
-                    mix(u64::from(b));
-                }
-            }
-            Behavior::Random => mix(5),
-            Behavior::PhasedBias { p, phase, count: _, flipped: _ } => {
-                mix(6);
-                mix(p.to_bits());
-                mix(*phase as u64);
-            }
-        }
-    }
-
     /// A huge periodic behaviour with `period` outcomes generated from
     /// `seed`.
     pub fn huge_periodic(period: usize, seed: u64) -> Self {

@@ -251,86 +251,7 @@ fn exec(node: &mut Node, ctx: &mut GenCtx, em: &mut Emitter) {
     }
 }
 
-fn mix_site(site: &Site, mix: &mut impl FnMut(u64)) {
-    let Site { pc, behavior, uops, p_load } = site;
-    mix(*pc);
-    behavior.mix_structure(mix);
-    mix(u64::from(*uops));
-    mix(p_load.to_bits());
-}
-
-fn mix_node(node: &Node, mix: &mut impl FnMut(u64)) {
-    // Exhaustive on purpose: a new node kind fails this compile until it
-    // states what it contributes to trace-cache keys.
-    match node {
-        Node::Seq(children) => {
-            mix(1);
-            mix(children.len() as u64);
-            for c in children {
-                mix_node(c, mix);
-            }
-        }
-        Node::Site(site) => {
-            mix(2);
-            mix_site(site, mix);
-        }
-        Node::Loop { site, trip, body } => {
-            mix(3);
-            mix_site(site, mix);
-            match trip {
-                Trip::Fixed(n) => {
-                    mix(1);
-                    mix(u64::from(*n));
-                }
-                Trip::Uniform(lo, hi) => {
-                    mix(2);
-                    mix(u64::from(*lo));
-                    mix(u64::from(*hi));
-                }
-            }
-            mix_node(body, mix);
-        }
-        Node::Select { sites, per_visit } => {
-            mix(4);
-            mix(sites.len() as u64);
-            for s in sites {
-                mix_site(s, mix);
-            }
-            mix(*per_visit as u64);
-        }
-        Node::Uncond { pc, kind, target } => {
-            mix(5);
-            mix(*pc);
-            mix(*kind as u64);
-            mix(*target);
-        }
-    }
-}
-
 impl Program {
-    /// Fingerprint of this program's *structure*: the control-flow tree,
-    /// every site's behaviour parameters, the load model and the seed —
-    /// everything that determines generated output besides the budget.
-    /// Mixed into trace-cache keys so editing a suite recipe (or any
-    /// programmatic trace definition) invalidates its cached traces
-    /// automatically.
-    pub fn fingerprint(&self) -> u64 {
-        let Self { name: _, category: _, seed, root, loads } = self;
-        let LoadModel { hot_lines, cold_lines, p_cold, base } = loads;
-        let mut h = 0xCBF29CE484222325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100000001B3);
-        };
-        mix(*seed);
-        mix(*hot_lines);
-        mix(*cold_lines);
-        mix(p_cold.to_bits());
-        mix(*base);
-        mix_node(root, &mut mix);
-        h
-    }
-
     /// Executes the program until `budget` conditional branches have been
     /// emitted, returning the materialized trace.
     ///

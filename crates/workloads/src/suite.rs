@@ -96,8 +96,7 @@ impl Scale {
         }
     }
 
-    /// Lower-case name, the inverse of [`Scale::parse`] (also the scale
-    /// component of trace-cache file names).
+    /// Lower-case name, the inverse of [`Scale::parse`].
     pub fn as_str(self) -> &'static str {
         match self {
             Scale::Tiny => "tiny",
@@ -144,14 +143,6 @@ impl TraceSpec {
         self.budget
     }
 
-    /// Structural fingerprint of this recipe — the program tree plus the
-    /// budget. Editing anything that changes this spec's generated trace
-    /// (a behaviour parameter, a seed, `Scale::branches`, a budget
-    /// factor) changes the fingerprint, which keys the on-disk trace
-    /// cache.
-    pub fn fingerprint(&self) -> u64 {
-        self.program.fingerprint() ^ (self.budget as u64).wrapping_mul(0x9E3779B97F4A7C15)
-    }
 }
 
 /// The names of the 7 high-misprediction-rate traces (§2.2).
@@ -173,40 +164,19 @@ pub fn suite(scale: Scale) -> Vec<TraceSpec> {
 /// across up to `threads` worker threads (clamped to the trace count;
 /// `None` uses the available parallelism). Order and content are identical
 /// to generating each [`TraceSpec`] serially.
-///
-/// With a `cache`, traces found on disk are loaded instead of generated,
-/// and freshly generated traces are persisted for the next run; cache I/O
-/// errors fall back to generation silently (the cache is an accelerator,
-/// never a correctness dependency).
-pub fn generate_parallel(
-    scale: Scale,
-    threads: Option<usize>,
-    cache: Option<&crate::io::TraceCache>,
-) -> Vec<Trace> {
+pub fn generate_parallel(scale: Scale, threads: Option<usize>) -> Vec<Trace> {
     let specs = suite(scale);
     let threads = threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
         .clamp(1, specs.len());
-    let realize = |spec: &TraceSpec| -> Trace {
-        if let Some(c) = cache {
-            let fp = spec.fingerprint();
-            if let Some(t) = c.load(&spec.name, scale, fp) {
-                return t;
-            }
-            let t = spec.generate();
-            let _ = c.store(&t, scale, fp);
-            return t;
-        }
-        spec.generate()
-    };
     if threads == 1 {
-        return specs.iter().map(realize).collect();
+        return specs.iter().map(TraceSpec::generate).collect();
     }
     std::thread::scope(|s| {
         let chunks: Vec<&[TraceSpec]> = specs.chunks(specs.len().div_ceil(threads)).collect();
         let handles: Vec<_> = chunks
             .into_iter()
-            .map(|chunk| s.spawn(|| chunk.iter().map(&realize).collect::<Vec<_>>()))
+            .map(|chunk| s.spawn(|| chunk.iter().map(TraceSpec::generate).collect::<Vec<_>>()))
             .collect();
         // INVARIANT: re-raises a generator-thread panic on the caller;
         // never an expected error path.
@@ -830,7 +800,7 @@ mod tests {
     #[test]
     fn parallel_generation_matches_serial() {
         let serial: Vec<Trace> = suite(Scale::Tiny).iter().map(|s| s.generate()).collect();
-        let parallel = generate_parallel(Scale::Tiny, Some(7), None);
+        let parallel = generate_parallel(Scale::Tiny, Some(7));
         assert_eq!(parallel.len(), 40);
         assert_eq!(parallel, serial);
     }

@@ -17,7 +17,7 @@ use workloads::Trace;
 /// The Tiny 40-trace suite, generated once per test binary and shared.
 fn tiny_suite() -> Arc<Vec<Trace>> {
     static SUITE: OnceLock<Arc<Vec<Trace>>> = OnceLock::new();
-    SUITE.get_or_init(|| Arc::new(generate_parallel(Scale::Tiny, None, None))).clone()
+    SUITE.get_or_init(|| Arc::new(generate_parallel(Scale::Tiny, None))).clone()
 }
 
 /// One cold predictor over one trace, through the simulation engine.

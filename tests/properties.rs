@@ -310,35 +310,6 @@ proptest! {
     }
 
     #[test]
-    fn trace_codec_round_trips(seed in any::<u64>(), n in 1usize..200) {
-        let spec = workloads::suite::by_name("INT05", workloads::suite::Scale::Tiny).unwrap();
-        let mut trace = spec.generate();
-        trace.events.truncate(n);
-        let _ = seed;
-        let mut buf = Vec::new();
-        workloads::io::write_trace(&mut buf, &trace).unwrap();
-        let back = workloads::io::read_trace(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(trace, back);
-    }
-
-    #[test]
-    fn trace_cache_round_trips_on_disk(n in 1usize..400) {
-        // write_trace/read_trace through the on-disk cache layer: store
-        // then load must reproduce the trace bit-for-bit, keyed by name.
-        use workloads::suite::Scale;
-        let dir = std::env::temp_dir()
-            .join(format!("tage-props-cache-{}", std::process::id()));
-        let cache = workloads::TraceCache::new(&dir).unwrap();
-        let spec = workloads::suite::by_name("MM02", Scale::Tiny).unwrap();
-        let mut trace = spec.generate();
-        trace.events.truncate(n);
-        cache.store(&trace, Scale::Tiny, spec.fingerprint()).unwrap();
-        let back = cache.load("MM02", Scale::Tiny, spec.fingerprint()).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        prop_assert_eq!(trace, back);
-    }
-
-    #[test]
     fn program_stream_prefix_matches_generate(budget in 1usize..900) {
         // Streaming any budget yields exactly the materialized events.
         let spec = workloads::suite::by_name("WS07", workloads::suite::Scale::Tiny).unwrap();
