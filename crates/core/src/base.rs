@@ -24,8 +24,9 @@ pub struct BaseBimodal {
 /// Values read from the base predictor at fetch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BaseRead {
-    /// Prediction-array index.
-    pub index: usize,
+    /// Prediction-array index (`u32`: [`BaseBimodal::new`] bounds the
+    /// table below 2^32 entries).
+    pub index: u32,
     /// Prediction bit.
     pub pred: bool,
     /// Shared hysteresis bit.
@@ -38,9 +39,10 @@ impl BaseBimodal {
     ///
     /// # Panics
     ///
-    /// Panics if `shift > pred_bits`.
+    /// Panics if `shift > pred_bits` or `pred_bits >= 32`.
     pub fn new(pred_bits: u32, shift: u32) -> Self {
         assert!(shift <= pred_bits, "hysteresis shift exceeds table bits");
+        assert!(pred_bits < 32, "base table of 2^{pred_bits} entries exceeds the carried index");
         Self {
             pred: vec![false; 1 << pred_bits],
             hyst: vec![true; 1 << (pred_bits - shift)], // weak state
@@ -69,7 +71,7 @@ impl BaseBimodal {
     /// the pipeline carries the index, not the PC hash).
     #[inline]
     pub fn read_index(&self, index: usize) -> BaseRead {
-        BaseRead { index, pred: self.pred[index], hyst: self.hyst[index >> self.shift] }
+        BaseRead { index: index as u32, pred: self.pred[index], hyst: self.hyst[index >> self.shift] }
     }
 
     /// Updates from a (possibly stale) read value toward `outcome`,
@@ -83,12 +85,13 @@ impl BaseBimodal {
         let new_c = if outcome { (c + 1).min(3) } else { c.saturating_sub(1) };
         let new_pred = new_c >= 2;
         let new_hyst = (new_c & 1) == 1;
-        let hindex = read.index >> self.shift;
+        let index = read.index as usize;
+        let hindex = index >> self.shift;
         // The prediction and hysteresis bits are written together: count
         // one (entry) write when either bit changes.
-        let changed = self.pred[read.index] != new_pred || self.hyst[hindex] != new_hyst;
+        let changed = self.pred[index] != new_pred || self.hyst[hindex] != new_hyst;
         if stats.record_write(changed) {
-            self.pred[read.index] = new_pred;
+            self.pred[index] = new_pred;
             self.hyst[hindex] = new_hyst;
         }
     }

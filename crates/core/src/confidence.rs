@@ -33,8 +33,8 @@ pub enum Confidence {
 ///   states are still better than a weak freshly allocated tagged entry).
 pub fn classify(flight: &TageFlight) -> Confidence {
     match flight.provider {
-        Some(t) => {
-            let c = flight.ctrs[t as usize];
+        Some(_) => {
+            let c = flight.provider_ctr;
             let centered = (2 * i32::from(c) + 1).abs();
             if centered <= 1 {
                 Confidence::Low

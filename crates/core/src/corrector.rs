@@ -25,12 +25,13 @@ use simkit::threshold::AdaptiveThreshold;
 pub const MAX_SC_TABLES: usize = 8;
 
 /// In-flight snapshot of one corrector read.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CorrectorFlight {
     /// Per-table entry indices.
     pub indices: [u16; MAX_SC_TABLES],
-    /// Per-table counter values read at fetch.
-    pub ctrs: [i16; MAX_SC_TABLES],
+    /// Per-table counter values read at fetch (the counters are at most
+    /// 8 bits wide, see [`CorrectorTables::new`]).
+    pub ctrs: [i8; MAX_SC_TABLES],
     /// Adder-tree sum (incl. the 8× centered TAGE counter term).
     pub sum: i32,
     /// The corrector's own prediction (sign of `sum`).
@@ -46,6 +47,7 @@ pub struct CorrectorFlight {
 pub struct CorrectorTables {
     tables: Vec<Vec<SignedCounter>>,
     index_bits: u32,
+    index_mask: u64,
     ctr_bits: u8,
     revert_th: AdaptiveThreshold,
     update_th: AdaptiveThreshold,
@@ -57,12 +59,15 @@ impl CorrectorTables {
     ///
     /// # Panics
     ///
-    /// Panics if `num_tables` is 0 or exceeds [`MAX_SC_TABLES`].
+    /// Panics if `num_tables` is 0 or exceeds [`MAX_SC_TABLES`], or if
+    /// `ctr_bits` exceeds the 8-bit flight snapshot.
     pub fn new(num_tables: usize, index_bits: u32, ctr_bits: u8) -> Self {
         assert!((1..=MAX_SC_TABLES).contains(&num_tables));
+        assert!(ctr_bits <= 8, "corrector counter width {ctr_bits} exceeds the flight snapshot");
         Self {
             tables: vec![vec![SignedCounter::new(ctr_bits); 1 << index_bits]; num_tables],
             index_bits,
+            index_mask: mask(index_bits),
             ctr_bits,
             // Reverting needs clear margin; training fires more freely.
             revert_th: AdaptiveThreshold::new(12, 4, 255),
@@ -79,7 +84,7 @@ impl CorrectorTables {
     /// Index mask.
     #[inline]
     pub fn index_mask(&self) -> u64 {
-        mask(self.index_bits)
+        self.index_mask
     }
 
     /// Reads the tables at the given indices and makes the revert
@@ -100,7 +105,7 @@ impl CorrectorTables {
         };
         for (t, table) in self.tables.iter().enumerate() {
             let c = table[indices[t] as usize];
-            f.ctrs[t] = c.get();
+            f.ctrs[t] = c.get() as i8;
             f.sum += c.centered();
         }
         f.sc_pred = f.sum >= 0;
@@ -138,7 +143,7 @@ impl CorrectorTables {
             let mut c = if reread {
                 self.tables[t][idx]
             } else {
-                SignedCounter::with_value(self.ctr_bits, flight.ctrs[t])
+                SignedCounter::with_value(self.ctr_bits, i16::from(flight.ctrs[t]))
             };
             c.update(outcome);
             let changed = self.tables[t][idx] != c;
@@ -247,6 +252,8 @@ impl Gsc {
 pub struct Lsc {
     core: CorrectorTables,
     lengths: Vec<u32>,
+    /// `mask(length)` per table (0 for the history-free table).
+    length_masks: Vec<u64>,
     lhist: LocalHistories,
     interleave: Option<memarray::BankSelector>,
     index_bits: u32,
@@ -260,6 +267,7 @@ impl Lsc {
         Self {
             core: CorrectorTables::new(lengths.len(), index_bits, 6),
             lengths: lengths.to_vec(),
+            length_masks: lengths.iter().map(|&l| mask(l)).collect(),
             lhist: LocalHistories::new(lht_entries, max_len),
             interleave: None,
             index_bits,
@@ -314,8 +322,8 @@ impl Lsc {
         let m = self.core.index_mask();
         let lh = self.lhist.history(pc);
         let bank = self.interleave.as_mut().map(|sel| sel.bank(pc));
-        for (t, &l) in self.lengths.iter().enumerate() {
-            let h = if l == 0 { 0 } else { lh & mask(l) };
+        for (t, &m_len) in self.length_masks.iter().enumerate() {
+            let h = lh & m_len;
             let mixed = h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
             let base = (pc >> 2) ^ (pc >> 8) ^ mixed;
             let mut idx = (((base << 1) | tage_pred as u64) & m) as usize;

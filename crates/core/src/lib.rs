@@ -49,11 +49,7 @@
 //! assert!(p.storage_bits() <= 512 * 1024);
 //! ```
 
-// This crate hosts the workspace's single audited `unsafe` (the prefetch
-// hint in `tagged.rs`), so it denies rather than forbids: the use site
-// carries a scoped `#[allow(unsafe_code)]` with its SAFETY audit, and
-// `tage_lint`'s unsafe-policy pass holds the crate to exactly that shape.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod base;
 pub mod chooser;
@@ -74,7 +70,7 @@ pub use chooser::{ChooserChoice, ChooserSlot};
 pub use confidence::{classify, Confidence, ConfidenceStats};
 pub use config::{TageConfig, MAX_TAGGED};
 pub use corrector::{Gsc, Lsc};
-pub use ium::Ium;
+pub use ium::{Ium, Outcomes};
 pub use loop_pred::LoopPredictor;
 pub use provider::ProviderStack;
 pub use spec::{ProviderSpec, SpecError, StageSpec, SystemSpec, TageBase, PRESETS};

@@ -41,7 +41,7 @@
 use crate::config::TageConfig;
 use crate::corrector::{CorrectorFlight, Gsc, Lsc};
 use crate::ium::Ium;
-use crate::loop_pred::{LoopLookup, LoopPredictor};
+use crate::loop_pred::LoopPredictor;
 use crate::tage::{Tage, TageFlight};
 use simkit::predictor::{BranchInfo, Predictor, UpdateScenario};
 use simkit::stats::AccessStats;
@@ -112,42 +112,30 @@ impl SideStage {
     }
 }
 
-/// Per-stage in-flight snapshot, recorded in chain order.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum StageFlight {
-    /// Slot beyond the stack's stage count.
-    #[default]
-    None,
-    /// IUM: the in-flight sequence handle and the override, if any.
-    Ium {
-        /// Sequence handle from [`Ium::push`] (filled at fetch-commit).
-        seq: u64,
-        /// The mimicked direction, when it overrode the chained prediction.
-        overrode: Option<bool>,
-    },
-    /// Global corrector read.
-    Gsc(CorrectorFlight),
-    /// Local corrector read.
-    Lsc(CorrectorFlight),
-    /// Loop predictor lookup.
-    Loop {
-        /// Lookup result (a hit, confident or not), if any.
-        hit: Option<LoopLookup>,
-        /// Whether the loop prediction was used (confident hit).
-        used: bool,
-        /// The chained prediction entering the loop stage.
-        pre_pred: bool,
-    },
-}
-
-/// In-flight snapshot for [`PredictorStack`]: the provider read plus one
-/// slot per side stage.
+/// In-flight snapshot for [`PredictorStack`]: the provider read plus what
+/// each side stage read. A stack holds at most one stage of each
+/// [`StageKind`], so each kind has its own field; fields of kinds the
+/// stack lacks stay at their defaults.
+///
+/// The pipeline window moves this record on every fetch and retire, so
+/// it is kept small enough (with the window's own bookkeeping) for those
+/// moves to compile to inline copies rather than `memcpy` calls.
 #[derive(Clone, Copy, Debug)]
 pub struct StackFlight {
     /// The TAGE provider snapshot.
     pub tage: TageFlight,
-    /// Per-stage snapshots, indexed like the stack's stage chain.
-    stages: [StageFlight; MAX_STAGES],
+    /// Global corrector read.
+    gsc: CorrectorFlight,
+    /// Local corrector read.
+    lsc: CorrectorFlight,
+    /// IUM sequence handle from [`Ium::push`] (filled at fetch-commit).
+    ium_seq: u64,
+    /// The IUM's mimicked direction, when it overrode the chain.
+    ium_override: Option<bool>,
+    /// Whether the loop prediction was used (confident hit).
+    loop_used: bool,
+    /// The chained prediction entering the loop stage.
+    loop_pre_pred: bool,
     /// The "main" prediction: after the provider and the IUM stage — the
     /// loop predictor's allocation baseline.
     pub main_pred: bool,
@@ -158,17 +146,12 @@ pub struct StackFlight {
 impl StackFlight {
     /// The IUM's corrected prediction, when it overrode the chain.
     pub fn ium_override(&self) -> Option<bool> {
-        self.stages.iter().find_map(|s| match s {
-            StageFlight::Ium { overrode, .. } => *overrode,
-            _ => None,
-        })
+        self.ium_override
     }
 
     /// Whether the loop predictor's prediction was used.
     pub fn loop_used(&self) -> bool {
-        self.stages
-            .iter()
-            .any(|s| matches!(s, StageFlight::Loop { used: true, .. }))
+        self.loop_used
     }
 }
 
@@ -202,11 +185,16 @@ impl PredictorStack {
         }
     }
 
-    /// Assembles a stack from an already-validated chain. The stages run
+    /// Assembles a stack from an already-validated chain (at most one
+    /// stage per kind: the flight has one slot per kind). The stages run
     /// in the given order; callers wanting the paper's semantics list
     /// them in canonical order (IUM, SC, LSC, loop).
     pub(crate) fn from_parts(tage: Tage, stages: Vec<SideStage>) -> Self {
         debug_assert!(stages.len() <= MAX_STAGES);
+        debug_assert!(
+            stages.iter().enumerate().all(|(i, s)| stages[..i].iter().all(|t| t.kind() != s.kind())),
+            "one stage per kind"
+        );
         let mut stack = Self {
             tage,
             stages,
@@ -368,12 +356,21 @@ impl Predictor for PredictorStack {
         let (tage_pred, tf) = self.tage.predict(b);
         let ctr_bits = self.tage.config().ctr_bits;
         let centered = tf.provider_centered();
+        let mut f = StackFlight {
+            tage: tf,
+            gsc: CorrectorFlight::default(),
+            lsc: CorrectorFlight::default(),
+            ium_seq: 0,
+            ium_override: None,
+            loop_used: false,
+            loop_pre_pred: false,
+            main_pred: tage_pred,
+            final_pred: tage_pred,
+        };
         let mut pred = tage_pred;
-        let mut main_pred = tage_pred;
-        let mut flights = [StageFlight::None; MAX_STAGES];
 
-        for (i, stage) in self.stages.iter_mut().enumerate() {
-            flights[i] = match stage {
+        for stage in &mut self.stages {
+            match stage {
                 // IUM: mimic the immediate update. Replay the outcomes of
                 // every executed-but-not-retired occurrence of the provider
                 // entry onto the stale counter value; if the mimicked
@@ -381,16 +378,15 @@ impl Predictor for PredictorStack {
                 // (§5.1).
                 SideStage::Ium(ium) => {
                     let (comp, idx) = tf.provider_entry();
-                    let (outcomes, n) = ium.executed_outcomes(comp, idx);
-                    let mut overrode = None;
-                    if n > 0 {
+                    let outcomes = ium.executed_outcomes(comp, idx);
+                    if !outcomes.is_empty() {
                         let mimicked = match tf.provider {
-                            Some(p) => {
+                            Some(_) => {
                                 let mut c = simkit::SignedCounter::with_value(
                                     ctr_bits,
-                                    tf.ctrs[p as usize],
+                                    i16::from(tf.provider_ctr),
                                 );
-                                for &o in &outcomes[..n] {
+                                for o in outcomes.iter() {
                                     c.update(o);
                                 }
                                 c.is_taken()
@@ -398,7 +394,7 @@ impl Predictor for PredictorStack {
                             None => {
                                 // Bimodal provider: replay onto the 2-bit state.
                                 let mut c = (tf.base.pred as i16) * 2 + tf.base.hyst as i16;
-                                for &o in &outcomes[..n] {
+                                for o in outcomes.iter() {
                                     c = if o { (c + 1).min(3) } else { (c - 1).max(0) };
                                 }
                                 c >= 2
@@ -406,55 +402,47 @@ impl Predictor for PredictorStack {
                         };
                         if mimicked != pred {
                             ium.note_override();
-                            overrode = Some(mimicked);
+                            f.ium_override = Some(mimicked);
                             pred = mimicked;
                         }
                     }
-                    main_pred = pred;
-                    StageFlight::Ium { seq: 0, overrode }
+                    f.main_pred = pred;
                 }
                 SideStage::Gsc(g) => {
-                    let f = g.predict(b.pc, pred, centered);
-                    if f.revert {
-                        pred = f.sc_pred;
+                    f.gsc = g.predict(b.pc, pred, centered);
+                    if f.gsc.revert {
+                        pred = f.gsc.sc_pred;
                     }
-                    StageFlight::Gsc(f)
                 }
                 SideStage::Lsc(l) => {
-                    let f = l.predict(b.pc, pred, centered);
-                    if f.revert {
-                        pred = f.sc_pred;
+                    f.lsc = l.predict(b.pc, pred, centered);
+                    if f.lsc.revert {
+                        pred = f.lsc.sc_pred;
                     }
-                    StageFlight::Lsc(f)
                 }
                 SideStage::Loop(lp) => {
-                    let hit = lp.lookup(b.pc);
-                    let pre_pred = pred;
-                    let mut used = false;
-                    if let Some(lh) = hit {
+                    f.loop_pre_pred = pred;
+                    if let Some(lh) = lp.lookup(b.pc) {
                         if lh.confident {
                             pred = lh.pred;
-                            used = true;
+                            f.loop_used = true;
                         }
                     }
-                    StageFlight::Loop { hit, used, pre_pred }
                 }
-            };
+            }
         }
 
-        let flight = StackFlight { tage: tf, stages: flights, main_pred, final_pred: pred };
-        (pred, flight)
+        f.final_pred = pred;
+        (pred, f)
     }
 
     fn fetch_commit(&mut self, b: &BranchInfo, outcome: bool, flight: &mut StackFlight) {
         self.tage.fetch_commit(b, outcome, &mut flight.tage);
-        for (i, stage) in self.stages.iter_mut().enumerate() {
+        for stage in &mut self.stages {
             match stage {
                 SideStage::Ium(ium) => {
                     let (comp, idx) = flight.tage.provider_entry();
-                    if let StageFlight::Ium { seq, .. } = &mut flight.stages[i] {
-                        *seq = ium.push(comp, idx);
-                    }
+                    flight.ium_seq = ium.push(comp, idx);
                 }
                 SideStage::Gsc(g) => g.on_branch(outcome),
                 SideStage::Lsc(l) => l.spec_update(b.pc, outcome),
@@ -464,11 +452,9 @@ impl Predictor for PredictorStack {
     }
 
     fn execute(&mut self, _b: &BranchInfo, outcome: bool, flight: &mut StackFlight) {
-        for (i, stage) in self.stages.iter_mut().enumerate() {
+        for stage in &mut self.stages {
             if let SideStage::Ium(ium) = stage {
-                if let StageFlight::Ium { seq, .. } = flight.stages[i] {
-                    ium.mark_executed(seq, outcome);
-                }
+                ium.mark_executed(flight.ium_seq, outcome);
             }
         }
     }
@@ -484,27 +470,26 @@ impl Predictor for PredictorStack {
         let mispredicted = predicted != outcome;
         let reread = scenario.reread_at_retire(mispredicted);
 
-        for (i, stage) in self.stages.iter_mut().enumerate() {
-            match (stage, &flight.stages[i]) {
-                (SideStage::Ium(ium), StageFlight::Ium { .. }) => ium.retire_oldest(),
-                (SideStage::Gsc(g), StageFlight::Gsc(gf)) => {
-                    g.update(gf, outcome, reread, &mut self.side_stats);
-                }
-                (SideStage::Lsc(l), StageFlight::Lsc(lf)) => {
-                    l.update(lf, outcome, reread || self.lsc_always_reread, &mut self.side_stats);
-                }
-                (SideStage::Loop(lp), StageFlight::Loop { used, pre_pred, .. }) => {
+        for stage in &mut self.stages {
+            match stage {
+                SideStage::Ium(ium) => ium.retire(flight.ium_seq),
+                SideStage::Gsc(g) => g.update(&flight.gsc, outcome, reread, &mut self.side_stats),
+                SideStage::Lsc(l) => l.update(
+                    &flight.lsc,
+                    outcome,
+                    reread || self.lsc_always_reread,
+                    &mut self.side_stats,
+                ),
+                SideStage::Loop(lp) => {
                     // Allocate for branches the main (TAGE+IUM) prediction
                     // missed; age credit when the loop prediction fixed a
                     // miss (§5.2).
                     let allocate = flight.main_pred != outcome;
-                    let useful =
-                        *used && flight.final_pred == outcome && *pre_pred != outcome;
+                    let useful = flight.loop_used
+                        && flight.final_pred == outcome
+                        && flight.loop_pre_pred != outcome;
                     lp.retire_update(b.pc, outcome, allocate, useful);
                 }
-                // INVARIANT: predict built one flight entry per stage in
-                // declaration order; retire walks the same chain.
-                _ => unreachable!("stage/flight chain mismatch"),
             }
         }
         self.tage.retire(b, outcome, predicted, flight.tage, scenario);
@@ -523,5 +508,50 @@ impl Predictor for PredictorStack {
     fn reset_stats(&mut self) {
         self.tage.reset_stats();
         self.side_stats = AccessStats::default();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    #[test]
+    fn flight_fits_an_inline_window_copy() {
+        // The pipeline window moves one of these per branch at fetch and
+        // again at retire, next to 40 B of its own bookkeeping. Up to
+        // 256 B those moves compile to inline vector copies; past it, to a
+        // libc `memcpy` call per move.
+        let size = std::mem::size_of::<StackFlight>();
+        assert!(size + 40 <= 256, "StackFlight grew to {size} B");
+    }
+
+    #[test]
+    fn ium_smaller_than_the_window_keeps_its_newest_records() {
+        // An 8-entry IUM behind a 20-deep window, every branch executed at
+        // fetch. The ring drops its oldest record when a push finds it
+        // full; that branch's later retire must not drop a younger record.
+        let mut stack = PredictorStack::new(TageConfig::reference_64kb()).with_ium(8);
+        let mut window = VecDeque::new();
+        for i in 0..100u64 {
+            let b = BranchInfo::conditional(0x1000 + 4 * i);
+            let (pred, mut f) = stack.predict(&b);
+            stack.fetch_commit(&b, true, &mut f);
+            stack.execute(&b, true, &mut f);
+            window.push_back((b, pred, f));
+            if window.len() > 20 {
+                let (b, pred, f) = window.pop_front().unwrap();
+                stack.retire(&b, true, pred, f, UpdateScenario::RereadAtRetire);
+            }
+        }
+        let ium = stack
+            .stages()
+            .iter()
+            .find_map(|s| match s {
+                SideStage::Ium(ium) => Some(ium),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(ium.len(), 8);
     }
 }

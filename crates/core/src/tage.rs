@@ -50,6 +50,11 @@ pub struct Tage {
 /// Everything TAGE reads at prediction time; carried with the in-flight
 /// branch (§4's scenarios \[B\]/\[C\] compute the retire-time update from
 /// these values instead of re-reading the tables).
+///
+/// Only what retire reads is carried: the per-table keys (re-read,
+/// training and allocation address the same entries), the useful-bit
+/// mask (the allocation guard) and the provider and alternate counters.
+/// Keeping the flight small keeps every copy of it an inline move.
 #[derive(Clone, Copy, Debug)]
 pub struct TageFlight {
     /// Base predictor read.
@@ -58,16 +63,16 @@ pub struct TageFlight {
     pub indices: [u32; MAX_TAGGED],
     /// Per-table tag computed.
     pub tags: [u16; MAX_TAGGED],
-    /// Per-table counter value read.
-    pub ctrs: [i16; MAX_TAGGED],
-    /// Per-table useful bit read.
-    pub us: [bool; MAX_TAGGED],
-    /// Bitmask of tag hits.
-    pub hits: u16,
+    /// Useful bits read, one per tagged table (bit `t` = table `t`).
+    pub us: u16,
     /// Provider component (tagged table number, 0-based), if any.
     pub provider: Option<u8>,
     /// Alternate provider (tagged table), `None` = the base predictor.
     pub alt: Option<u8>,
+    /// The provider's counter value (0 when the base provides).
+    pub provider_ctr: i8,
+    /// The alternate's counter value (0 when the base is the alternate).
+    pub alt_ctr: i8,
     /// Provider component's prediction.
     pub provider_pred: bool,
     /// Alternate prediction.
@@ -85,7 +90,7 @@ impl TageFlight {
     pub fn provider_entry(&self) -> (u8, u32) {
         match self.provider {
             Some(t) => (t + 1, self.indices[t as usize]),
-            None => (0, self.base.index as u32),
+            None => (0, self.base.index),
         }
     }
 
@@ -94,7 +99,7 @@ impl TageFlight {
     /// (centered) output of the hitting bank").
     pub fn provider_centered(&self) -> i32 {
         match self.provider {
-            Some(t) => tagged_centered(self.ctrs[t as usize]),
+            Some(_) => tagged_centered(self.provider_ctr),
             None => base_centered(self.base),
         }
     }
@@ -102,7 +107,7 @@ impl TageFlight {
 
 /// A tagged counter value on the centered scale (§5.3): `2c + 1`.
 #[inline]
-fn tagged_centered(ctr: i16) -> i32 {
+fn tagged_centered(ctr: i8) -> i32 {
     2 * i32::from(ctr) + 1
 }
 
@@ -113,27 +118,57 @@ fn base_centered(base: BaseRead) -> i32 {
     [-7, -1, 1, 7][c as usize]
 }
 
+/// The provider (longest hitting table) and the alternate (next longest)
+/// of a tag-hit mask, found by bit scan. `None` = no hit.
+#[inline]
+pub(crate) fn provider_alt(hits: u16) -> (Option<u8>, Option<u8>) {
+    if hits == 0 {
+        return (None, None);
+    }
+    let provider = 15 - hits.leading_zeros() as u8;
+    let rest = hits ^ (1 << provider);
+    let alt = (rest != 0).then(|| 15 - rest.leading_zeros() as u8);
+    (Some(provider), alt)
+}
+
 /// Values the retire-time update works from: either the flight snapshot
 /// (scenario \[B\], correct-prediction \[C\]) or a fresh re-read.
 struct UpdateView {
     base: BaseRead,
-    ctrs: [i16; MAX_TAGGED],
-    us: [bool; MAX_TAGGED],
+    us: u16,
     provider: Option<u8>,
     alt: Option<u8>,
+    provider_ctr: i8,
+    alt_ctr: i8,
     provider_pred: bool,
     alt_pred: bool,
     weak: bool,
 }
 
 impl UpdateView {
+    /// The view a flight captured at prediction time.
+    fn snapshot(f: &TageFlight) -> Self {
+        Self {
+            base: f.base,
+            us: f.us,
+            provider: f.provider,
+            alt: f.alt,
+            provider_ctr: f.provider_ctr,
+            alt_ctr: f.alt_ctr,
+            provider_pred: f.provider_pred,
+            alt_pred: f.alt_pred,
+            weak: f.weak,
+        }
+    }
+
     /// The chooser's digest of this view: provider/alternate candidates
     /// with their centered-counter strengths. `pc` is the branch address
     /// (per-PC policies index by it).
     fn chooser_view(&self, pc: u64) -> ChooserView {
-        let strength = |t: Option<u8>| match t {
-            Some(t) => tagged_centered(self.ctrs[t as usize]).abs(),
-            None => base_centered(self.base).abs(),
+        let base = base_centered(self.base).abs();
+        let strength = |t: Option<u8>, ctr: i8| match t {
+            Some(_) => tagged_centered(ctr).abs(),
+            None => base,
         };
         ChooserView {
             pc,
@@ -141,8 +176,8 @@ impl UpdateView {
             provider_pred: self.provider_pred,
             alt_pred: self.alt_pred,
             provider_weak: self.weak,
-            provider_strength: strength(self.provider),
-            alt_strength: strength(self.alt),
+            provider_strength: strength(self.provider, self.provider_ctr),
+            alt_strength: strength(self.alt, self.alt_ctr),
         }
     }
 }
@@ -245,73 +280,36 @@ impl Tage {
         self.provider.chooser().alt_on_weak_bias().unwrap_or(0)
     }
 
-    /// Derives provider/alternate fields from per-table hit data.
-    fn resolve(
+    /// Reads the tagged bank at `indices`/`tags` and derives the
+    /// provider/alternate fields: bit scans of the hit mask, then the two
+    /// counters they name.
+    #[inline]
+    fn read_view(
+        &self,
         base: BaseRead,
-        ctrs: &[i16; MAX_TAGGED],
-        us: &[bool; MAX_TAGGED],
-        hits: u16,
-        num_tagged: usize,
+        indices: &[u32; MAX_TAGGED],
+        tags: &[u16; MAX_TAGGED],
     ) -> UpdateView {
-        let mut provider = None;
-        let mut alt = None;
-        for t in (0..num_tagged).rev() {
-            if hits & (1 << t) != 0 {
-                if provider.is_none() {
-                    provider = Some(t as u8);
-                } else {
-                    alt = Some(t as u8);
-                    break;
-                }
-            }
-        }
-        let alt_pred = match alt {
-            Some(t) => ctrs[t as usize] >= 0,
-            None => base.pred,
+        let bank = self.provider.bank();
+        let (hits, us) = bank.read(indices, tags);
+        let (provider, alt) = provider_alt(hits);
+        let ctr = |t: Option<u8>| t.map_or(0, |t| bank.ctr(t as usize, indices[t as usize]));
+        let (provider_ctr, alt_ctr) = (ctr(provider), ctr(alt));
+        let alt_pred = if alt.is_some() { alt_ctr >= 0 } else { base.pred };
+        let (provider_pred, weak) = if provider.is_some() {
+            (provider_ctr >= 0, provider_ctr == 0 || provider_ctr == -1)
+        } else {
+            (base.pred, false)
         };
-        let (provider_pred, weak) = match provider {
-            Some(t) => {
-                let c = ctrs[t as usize];
-                (c >= 0, c == 0 || c == -1)
-            }
-            None => (base.pred, false),
-        };
-        UpdateView {
-            base,
-            ctrs: *ctrs,
-            us: *us,
-            provider,
-            alt,
-            provider_pred,
-            alt_pred,
-            weak,
-        }
+        UpdateView { base, us, provider, alt, provider_ctr, alt_ctr, provider_pred, alt_pred, weak }
     }
 
     /// Builds an [`UpdateView`] by re-reading the tables at the flight's
     /// indices (retire-time re-read, scenarios \[I\]/\[A\] and
     /// mispredicted \[C\]).
     fn reread_view(&self, flight: &TageFlight) -> UpdateView {
-        let base = self.provider.base().read_index(flight.base.index);
-        let mut ctrs = [0i16; MAX_TAGGED];
-        let mut us = [false; MAX_TAGGED];
-        self.provider.bank().prefetch_all(&flight.indices);
-        let hits =
-            self.provider.bank().read_flight(&flight.indices, &flight.tags, &mut ctrs, &mut us);
-        Self::resolve(base, &ctrs, &us, hits, self.cfg.num_tagged)
-    }
-
-    fn snapshot_view(&self, flight: &TageFlight) -> UpdateView {
-        UpdateView {
-            base: flight.base,
-            ctrs: flight.ctrs,
-            us: flight.us,
-            provider: flight.provider,
-            alt: flight.alt,
-            provider_pred: flight.provider_pred,
-            alt_pred: flight.alt_pred,
-            weak: flight.weak,
-        }
+        let base = self.provider.base().read_index(flight.base.index as usize);
+        self.read_view(base, &flight.indices, &flight.tags)
     }
 }
 
@@ -349,45 +347,26 @@ impl Predictor for Tage {
             }
             None => self.provider.base().read(b.pc),
         };
-        let mut flight = TageFlight {
+        let mut indices = [0; MAX_TAGGED];
+        let mut tags = [0; MAX_TAGGED];
+        self.provider.bank().compute_keys(b.pc, &self.path, bank, &mut indices, &mut tags);
+        let view = self.read_view(base, &indices, &tags);
+        let tage_pred = self.provider.chooser().choose(&view.chooser_view(b.pc));
+        let flight = TageFlight {
             base,
-            indices: [0; MAX_TAGGED],
-            tags: [0; MAX_TAGGED],
-            ctrs: [0; MAX_TAGGED],
-            us: [false; MAX_TAGGED],
-            hits: 0,
-            provider: None,
-            alt: None,
-            provider_pred: base.pred,
-            alt_pred: base.pred,
-            tage_pred: base.pred,
-            weak: false,
+            indices,
+            tags,
+            us: view.us,
+            provider: view.provider,
+            alt: view.alt,
+            provider_ctr: view.provider_ctr,
+            alt_ctr: view.alt_ctr,
+            provider_pred: view.provider_pred,
+            alt_pred: view.alt_pred,
+            tage_pred,
+            weak: view.weak,
         };
-        // Compute every component's index and tag (pure hashing) while
-        // prefetching the entries, then read — so the per-component reads
-        // overlap their cache misses instead of serializing.
-        self.provider.bank().compute_keys(
-            b.pc,
-            &self.path,
-            bank,
-            &mut flight.indices,
-            &mut flight.tags,
-        );
-        flight.hits = self.provider.bank().read_flight(
-            &flight.indices,
-            &flight.tags,
-            &mut flight.ctrs,
-            &mut flight.us,
-        );
-        let view =
-            Self::resolve(base, &flight.ctrs, &flight.us, flight.hits, self.cfg.num_tagged);
-        flight.provider = view.provider;
-        flight.alt = view.alt;
-        flight.provider_pred = view.provider_pred;
-        flight.alt_pred = view.alt_pred;
-        flight.weak = view.weak;
-        flight.tage_pred = self.provider.chooser().choose(&view.chooser_view(b.pc));
-        (flight.tage_pred, flight)
+        (tage_pred, flight)
     }
 
     fn fetch_commit(&mut self, b: &BranchInfo, outcome: bool, _flight: &mut TageFlight) {
@@ -412,7 +391,7 @@ impl Predictor for Tage {
         let view = if scenario.reread_at_retire(mispredicted) {
             self.reread_view(&flight)
         } else {
-            self.snapshot_view(&flight)
+            UpdateView::snapshot(&flight)
         };
 
         match view.provider {
@@ -426,7 +405,7 @@ impl Predictor for Tage {
                 self.provider.bank_mut().train_provider(
                     p,
                     idx,
-                    view.ctrs[p],
+                    view.provider_ctr,
                     outcome,
                     set_u,
                     &mut self.stats,
@@ -456,7 +435,7 @@ impl Predictor for Tage {
             self.provider.bank_mut().allocate(
                 &flight.indices,
                 &flight.tags,
-                &view.us,
+                view.us,
                 first,
                 outcome,
                 &mut self.stats,
@@ -510,6 +489,38 @@ mod tests {
         p.fetch_commit(&b, outcome, &mut f);
         p.retire(&b, outcome, pred, f, UpdateScenario::Immediate);
         pred
+    }
+
+    /// The walk the bit scan replaced: tables from the longest history
+    /// down, first hit the provider, second the alternate.
+    fn provider_alt_by_walk(hits: u16, num_tagged: usize) -> (Option<u8>, Option<u8>) {
+        let mut provider = None;
+        let mut alt = None;
+        for t in (0..num_tagged).rev() {
+            if hits & (1 << t) != 0 {
+                if provider.is_none() {
+                    provider = Some(t as u8);
+                } else {
+                    alt = Some(t as u8);
+                    break;
+                }
+            }
+        }
+        (provider, alt)
+    }
+
+    #[test]
+    fn bit_scan_matches_the_table_walk_for_every_hit_mask() {
+        for num_tagged in 2..=MAX_TAGGED {
+            for hits in 0..(1u32 << num_tagged) {
+                let hits = hits as u16;
+                assert_eq!(
+                    provider_alt(hits),
+                    provider_alt_by_walk(hits, num_tagged),
+                    "hits {hits:#b} over {num_tagged} tables"
+                );
+            }
+        }
     }
 
     #[test]
@@ -606,13 +617,13 @@ mod tests {
         let b = BranchInfo::conditional(0x400);
         let (pred, f) = p.predict(&b);
         let prov = f.provider.expect("provider");
-        let before = f.ctrs[prov as usize];
+        let before = f.provider_ctr;
         // Two retires from the same snapshot (two in-flight occurrences).
         p.retire(&b, true, pred, f, UpdateScenario::FetchOnly);
         p.retire(&b, true, pred, f, UpdateScenario::FetchOnly);
         let (_, f2) = p.predict(&b);
         if f2.provider == Some(prov) && f2.indices[prov as usize] == f.indices[prov as usize] {
-            let after = f2.ctrs[prov as usize];
+            let after = f2.provider_ctr;
             assert!(
                 after - before <= 1,
                 "counter advanced {} under stale snapshots",

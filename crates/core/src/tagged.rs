@@ -42,6 +42,10 @@ struct PackedEntry {
 }
 
 /// A tagged component table.
+///
+/// Everything the per-branch hash needs beyond the folded histories is
+/// a per-table constant, derived once here: the path-history mask, the
+/// PC shift, the index and tag masks and the counter range.
 #[derive(Clone, Debug)]
 pub struct TaggedTable {
     entries: Vec<PackedEntry>,
@@ -49,7 +53,16 @@ pub struct TaggedTable {
     tag_width: u8,
     ctr_bits: u8,
     hist_len: usize,
-    table_num: usize,
+    /// `mask(min(16, hist_len))`: the path bits mixed into the index.
+    path_mask: u64,
+    /// `64 - size_bits`: scales the multiplicative path hash to an index.
+    path_shift: u32,
+    /// `size_bits - (table_num & 3)`: the per-table PC fold distance.
+    pc_shift: u32,
+    index_mask: usize,
+    tag_mask: u64,
+    ctr_min: i8,
+    ctr_max: i8,
     folded_idx: FoldedHistory,
     folded_tag0: FoldedHistory,
     folded_tag1: FoldedHistory,
@@ -62,14 +75,21 @@ impl TaggedTable {
         assert!(hist_len >= 1, "tagged table history length must be positive");
         // The packed counter is an i8; every configured width fits.
         assert!(ctr_bits <= 8, "tagged counter width {ctr_bits} exceeds the packed entry");
-        let empty = PackedEntry { ctr: SignedCounter::new(ctr_bits).get() as i8, tag: 0, u: false };
+        let ctr = SignedCounter::new(ctr_bits);
+        let empty = PackedEntry { ctr: ctr.get() as i8, tag: 0, u: false };
         Self {
             entries: vec![empty; 1 << size_bits],
             size_bits,
             tag_width,
             ctr_bits,
             hist_len,
-            table_num,
+            path_mask: mask(16.min(hist_len as u32)),
+            path_shift: 64 - size_bits,
+            pc_shift: size_bits - (table_num as u32 & 3),
+            index_mask: (1 << size_bits) - 1,
+            tag_mask: mask(u32::from(tag_width)),
+            ctr_min: ctr.min() as i8,
+            ctr_max: ctr.max() as i8,
             folded_idx: FoldedHistory::new(hist_len, size_bits),
             folded_tag0: FoldedHistory::new(hist_len, u32::from(tag_width)),
             folded_tag1: FoldedHistory::new(hist_len, u32::from(tag_width).saturating_sub(1).max(1)),
@@ -81,8 +101,13 @@ impl TaggedTable {
     /// history bits they consume are read once.
     #[inline]
     pub fn update_history(&mut self, gh: &GlobalHistory) {
-        let in_bit = gh.bit(0);
-        let out_bit = gh.bit(self.hist_len);
+        self.fold_in(gh.bit(0), gh.bit(self.hist_len));
+    }
+
+    /// [`TaggedTable::update_history`] with the newest history bit
+    /// supplied by the caller (it is the same for every table).
+    #[inline]
+    fn fold_in(&mut self, in_bit: u64, out_bit: u64) {
         self.folded_idx.update_split(in_bit, out_bit);
         self.folded_tag0.update_split(in_bit, out_bit);
         self.folded_tag1.update_split(in_bit, out_bit);
@@ -92,20 +117,16 @@ impl TaggedTable {
     #[inline]
     pub fn index(&self, pc: u64, path: &PathHistory) -> usize {
         let pc = pc >> 2;
-        let pmix = (path.value() & mask(16.min(self.hist_len as u32)))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            >> (64 - self.size_bits);
+        let pmix = (path.value() & self.path_mask).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.path_shift;
         let h = self.folded_idx.value();
-        ((pc ^ (pc >> (self.size_bits as u64 - (self.table_num as u64 & 3))) ^ h ^ pmix) as usize)
-            & ((1 << self.size_bits) - 1)
+        ((pc ^ (pc >> self.pc_shift) ^ h ^ pmix) as usize) & self.index_mask
     }
 
     /// Partial tag for this (PC, history).
     #[inline]
     pub fn tag(&self, pc: u64) -> u16 {
         let pc = pc >> 2;
-        ((pc ^ self.folded_tag0.value() ^ (self.folded_tag1.value() << 1)) & mask(u32::from(self.tag_width)))
-            as u16
+        ((pc ^ self.folded_tag0.value() ^ (self.folded_tag1.value() << 1)) & self.tag_mask) as u16
     }
 
     /// Reads an entry.
@@ -119,31 +140,18 @@ impl TaggedTable {
         }
     }
 
-    /// Hints the cache hierarchy that `index` is about to be read. The
-    /// tagged tables are large and indexed quasi-randomly, so a predict or
-    /// retire re-read issues one likely-missing load per component;
-    /// prefetching all components up front lets those misses overlap
-    /// instead of serializing. Purely a performance hint — never changes
-    /// results.
-    // SAFETY: the one sanctioned unsafe in the workspace — see the audit
-    // on the block below. Scoped allow under the crate-level
-    // `#![deny(unsafe_code)]`; any new unsafe elsewhere fails the build.
-    #[allow(unsafe_code)]
+    /// The counter value stored at `index` (the packed field, no
+    /// [`SignedCounter`] round trip).
     #[inline]
-    pub fn prefetch(&self, index: usize) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the pointer is in-bounds (`index` is masked to the table
-        // size by every caller and checked here) and prefetch has no
-        // memory effects.
-        if index < self.entries.len() {
-            unsafe {
-                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                    self.entries.as_ptr().add(index).cast::<i8>(),
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = index;
+    pub fn ctr(&self, index: usize) -> i8 {
+        self.entries[index].ctr
+    }
+
+    /// Whether the entry at `index` carries `tag`, and its useful bit.
+    #[inline]
+    pub fn probe(&self, index: usize, tag: u16) -> (bool, bool) {
+        let e = self.entries[index];
+        (e.tag == tag, e.u)
     }
 
     /// Writes an entry, returning whether the stored value changed.
@@ -152,10 +160,31 @@ impl TaggedTable {
     /// values is exactly the old whole-entry comparison.
     #[inline]
     pub fn write(&mut self, index: usize, entry: TaggedEntry) -> bool {
-        let packed = PackedEntry { ctr: entry.ctr.get() as i8, tag: entry.tag, u: entry.u };
-        let changed = self.entries[index] != packed;
-        self.entries[index] = packed;
+        self.store(index, PackedEntry { ctr: entry.ctr.get() as i8, tag: entry.tag, u: entry.u })
+    }
+
+    #[inline]
+    fn store(&mut self, index: usize, packed: PackedEntry) -> bool {
+        let slot = &mut self.entries[index];
+        let changed = *slot != packed;
+        *slot = packed;
         changed
+    }
+
+    /// Moves the counter at `index` one step toward `outcome` from the
+    /// carried (possibly stale) value `ctr_val`, setting the useful bit
+    /// when `set_u`; returns whether the stored entry changed.
+    #[inline]
+    fn train(&mut self, index: usize, ctr_val: i8, outcome: bool, set_u: bool) -> bool {
+        let ctr = if outcome {
+            if ctr_val < self.ctr_max { ctr_val + 1 } else { ctr_val }
+        } else if ctr_val > self.ctr_min {
+            ctr_val - 1
+        } else {
+            ctr_val
+        };
+        let e = self.entries[index];
+        self.store(index, PackedEntry { ctr, tag: e.tag, u: e.u || set_u })
     }
 
     /// Clears every useful bit (the §3.2.2 global reset).
@@ -269,8 +298,7 @@ impl TaggedBank {
     }
 
     /// Fetch-time key computation: per-table index (bank-interleaved when
-    /// `ibank` is set) and tag, prefetching each entry so the reads in
-    /// [`TaggedBank::read_flight`] overlap their cache misses.
+    /// `ibank` is set) and tag.
     #[inline]
     pub fn compute_keys(
         &self,
@@ -287,39 +315,29 @@ impl TaggedBank {
             }
             indices[t] = idx as u32;
             tags[t] = table.tag(pc);
-            table.prefetch(idx);
         }
     }
 
-    /// Prefetches every table's entry at the carried indices (the
-    /// retire-time re-read path).
+    /// Reads every table at the carried indices: returns the tag-hit mask
+    /// and the useful-bit mask (bit `t` = table `t`). Counters are read
+    /// separately, only for the provider and alternate
+    /// ([`TaggedBank::ctr`]).
     #[inline]
-    pub fn prefetch_all(&self, indices: &[u32; MAX_TAGGED]) {
-        for (t, table) in self.tables.iter().enumerate() {
-            table.prefetch(indices[t] as usize);
-        }
-    }
-
-    /// Reads every table at the carried indices, filling counter values
-    /// and useful bits; returns the tag-hit mask.
-    #[inline]
-    pub fn read_flight(
-        &self,
-        indices: &[u32; MAX_TAGGED],
-        tags: &[u16; MAX_TAGGED],
-        ctrs: &mut [i16; MAX_TAGGED],
-        us: &mut [bool; MAX_TAGGED],
-    ) -> u16 {
+    pub fn read(&self, indices: &[u32; MAX_TAGGED], tags: &[u16; MAX_TAGGED]) -> (u16, u16) {
         let mut hits = 0u16;
+        let mut us = 0u16;
         for (t, table) in self.tables.iter().enumerate() {
-            let e = table.entry(indices[t] as usize);
-            ctrs[t] = e.ctr.get();
-            us[t] = e.u;
-            if e.tag == tags[t] {
-                hits |= 1 << t;
-            }
+            let (hit, u) = table.probe(indices[t] as usize, tags[t]);
+            hits |= u16::from(hit) << t;
+            us |= u16::from(u) << t;
         }
-        hits
+        (hits, us)
+    }
+
+    /// The counter value of table `table` at `index`.
+    #[inline]
+    pub fn ctr(&self, table: usize, index: u32) -> i8 {
+        self.tables[table].ctr(index as usize)
     }
 
     /// Trains the provider entry at retire (§3.2): the counter moves
@@ -330,30 +348,24 @@ impl TaggedBank {
         &mut self,
         table: usize,
         index: usize,
-        ctr_val: i16,
+        ctr_val: i8,
         outcome: bool,
         set_u: bool,
         stats: &mut AccessStats,
     ) {
-        let mut e = self.tables[table].entry(index);
-        let mut c = SignedCounter::with_value(self.ctr_bits, ctr_val);
-        c.update(outcome);
-        e.ctr = c;
-        if set_u {
-            e.u = true;
-        }
-        let changed = self.tables[table].write(index, e);
+        let changed = self.tables[table].train(index, ctr_val, outcome, set_u);
         stats.record_write(changed);
     }
 
     /// Allocates new entries on mispredictions (§3.2.1) and maintains the
     /// u-bit reset monitor (§3.2.2). `first` is the first table eligible
-    /// for allocation (one past the provider).
+    /// for allocation (one past the provider); `us` holds the useful bits
+    /// read at the carried indices (bit `t` = table `t`).
     pub fn allocate(
         &mut self,
         indices: &[u32; MAX_TAGGED],
         tags: &[u16; MAX_TAGGED],
-        us: &[bool; MAX_TAGGED],
+        us: u16,
         first: usize,
         outcome: bool,
         stats: &mut AccessStats,
@@ -369,14 +381,11 @@ impl TaggedBank {
         }
         let mut allocated = 0;
         while k < m && allocated < self.max_alloc {
-            if !us[k] {
-                let entry = TaggedEntry {
-                    ctr: SignedCounter::with_value(self.ctr_bits, if outcome { 0 } else { -1 }),
-                    tag: tags[k],
-                    u: false,
-                };
-                let idx = indices[k] as usize;
-                let changed = self.tables[k].write(idx, entry);
+            if us & (1 << k) == 0 {
+                // Weakly toward the outcome (counter 0 or -1), fresh tag,
+                // not yet useful.
+                let entry = PackedEntry { ctr: if outcome { 0 } else { -1 }, tag: tags[k], u: false };
+                let changed = self.tables[k].store(indices[k] as usize, entry);
                 stats.record_write(changed);
                 // Success: decrement the failure monitor.
                 self.tick = self.tick.saturating_sub(1);
@@ -400,8 +409,10 @@ impl TaggedBank {
     /// [`GlobalHistory::push`].
     #[inline]
     pub fn update_history(&mut self, gh: &GlobalHistory) {
+        let in_bit = gh.bit(0);
         for t in &mut self.tables {
-            t.update_history(gh);
+            let out_bit = gh.bit(t.hist_len);
+            t.fold_in(in_bit, out_bit);
         }
     }
 
@@ -495,6 +506,77 @@ mod tests {
         assert!((t.useful_fraction() - 1.0).abs() < 1e-9);
         t.reset_useful();
         assert_eq!(t.useful_fraction(), 0.0);
+    }
+
+    /// Fills `t` with random entries (counters across the full range).
+    fn scramble(t: &mut TaggedTable, seed: u64) {
+        let mut rng = simkit::rng::Xoshiro256::seed_from(seed);
+        for i in 0..t.len() {
+            let e = TaggedEntry {
+                ctr: SignedCounter::with_value(3, rng.gen_range(8) as i16 - 4),
+                tag: (rng.next_u64() & 0x1FF) as u16,
+                u: rng.gen_bool(0.5),
+            };
+            t.write(i, e);
+        }
+    }
+
+    #[test]
+    fn packed_reads_match_entry() {
+        let mut t = table();
+        scramble(&mut t, 4);
+        for i in 0..t.len() {
+            let e = t.entry(i);
+            assert_eq!(i16::from(t.ctr(i)), e.ctr.get());
+            assert_eq!(t.probe(i, e.tag), (true, e.u));
+            assert_eq!(t.probe(i, e.tag ^ 1), (false, e.u));
+        }
+    }
+
+    #[test]
+    fn bank_read_masks_match_entries() {
+        let cfg = TageConfig { table_size_bits: vec![8; 12], ..TageConfig::reference_64kb() };
+        let mut bank = TaggedBank::new(&cfg);
+        for (t, table) in bank.tables.iter_mut().enumerate() {
+            scramble(table, 10 + t as u64);
+        }
+        let mut rng = simkit::rng::Xoshiro256::seed_from(5);
+        for _ in 0..2000 {
+            let mut indices = [0u32; MAX_TAGGED];
+            let mut tags = [0u16; MAX_TAGGED];
+            let (mut hits, mut us) = (0u16, 0u16);
+            for (t, table) in bank.tables().iter().enumerate() {
+                indices[t] = rng.gen_range(table.len() as u64) as u32;
+                let e = table.entry(indices[t] as usize);
+                // Half the probes carry the stored tag.
+                tags[t] = if rng.gen_bool(0.5) { e.tag } else { e.tag ^ 0x4 };
+                hits |= u16::from(tags[t] == e.tag) << t;
+                us |= u16::from(e.u) << t;
+            }
+            assert_eq!(bank.read(&indices, &tags), (hits, us));
+        }
+    }
+
+    #[test]
+    fn training_matches_the_counter_update() {
+        // Every counter value, outcome and useful-bit case against the
+        // SignedCounter path the packed update replaced.
+        let mut t = table();
+        for ctr in -4i8..=3 {
+            for outcome in [false, true] {
+                for (u, set_u) in [(false, false), (false, true), (true, false)] {
+                    t.write(0, TaggedEntry { ctr: SignedCounter::with_value(3, 0), tag: 9, u });
+                    let mut want = t.entry(0);
+                    let mut c = SignedCounter::with_value(3, i16::from(ctr));
+                    c.update(outcome);
+                    want.ctr = c;
+                    want.u |= set_u;
+                    let changed = t.train(0, ctr, outcome, set_u);
+                    assert_eq!(t.entry(0), want, "ctr {ctr} outcome {outcome} u {u} set_u {set_u}");
+                    assert_eq!(changed, want.ctr.get() != 0 || want.u != u);
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,9 +49,8 @@ impl LintConfig {
     pub fn for_workspace(root: PathBuf) -> Self {
         Self {
             root,
-            // The audited unsafe prefetch hint: tage-core's tagged-table
-            // prefetch.
-            unsafe_allowed_crates: vec!["core".to_string()],
+            // No crate needs unsafe: every crate forbids it.
+            unsafe_allowed_crates: Vec::new(),
             wildcard_guarded_files: [
                 // The generator's matches over `Behavior`: a new behaviour
                 // must state how it emits outcomes, not fall through.

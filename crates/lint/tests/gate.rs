@@ -14,6 +14,17 @@ fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/violations")
 }
 
+/// The fixture tree's policy: the workspace policy, plus an
+/// unsafe-allowlisted crate (`core`), so the allowlisted-crate rules
+/// (`deny` header, scoped and audited allows) stay covered now that no
+/// workspace crate is allowlisted.
+fn fixture_config() -> LintConfig {
+    LintConfig {
+        unsafe_allowed_crates: vec!["core".to_string()],
+        ..LintConfig::for_workspace(fixture_root())
+    }
+}
+
 fn workspace_root() -> PathBuf {
     // crates/lint/../.. — the directory holding Cargo.toml, crates/, src/.
     Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap().to_path_buf()
@@ -21,8 +32,7 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn fixtures_fire_every_pass_and_spare_justified_sites() {
-    let report = run_check(LintConfig::for_workspace(fixture_root()), false)
-        .expect("fixture tree is readable");
+    let report = run_check(fixture_config(), false).expect("fixture tree is readable");
     assert!(!report.is_clean(), "fixture violations must deny the build");
 
     // Exact per-pass counts: any justified decoy firing, or any planted
@@ -53,6 +63,7 @@ fn fixtures_fire_every_pass_and_spare_justified_sites() {
             .any(|d| d.pass == pass && d.file == file && d.message.contains(needle))
     };
     assert!(has("unsafe-policy", "crates/core/src/lib.rs", "SAFETY"));
+    assert!(has("unsafe-policy", "crates/core/src/lib.rs", "deny(unsafe_code)"));
     assert!(has("unsafe-policy", "crates/foo/src/lib.rs", "forbid(unsafe_code)"));
     assert!(has("panic-policy", "crates/foo/src/lib.rs", "unwrap"));
     assert!(has("exhaustiveness-guard", "crates/core/src/spec.rs", "WILDCARD"));
@@ -74,7 +85,7 @@ fn fixtures_fire_every_pass_and_spare_justified_sites() {
         .filter(|d| d.pass == "doc-sync")
         .all(|d| d.severity == Severity::Advice));
     // ...and is promoted under it.
-    let denied = run_check(LintConfig::for_workspace(fixture_root()), true).unwrap();
+    let denied = run_check(fixture_config(), true).unwrap();
     assert!(denied.diagnostics.iter().all(|d| d.severity == Severity::Deny));
 }
 

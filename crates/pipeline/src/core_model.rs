@@ -161,6 +161,14 @@ impl CoreModel {
         }
     }
 
+    /// The longest `exec_lag` [`CoreModel::resolve`] can return: a load
+    /// served by the slowest level of the hierarchy.
+    pub fn max_exec_lag(&self) -> usize {
+        let m = &self.memory;
+        let slowest = m.l1.latency.max(m.l2.latency).max(m.l3.latency).max(m.memory_latency);
+        self.min_exec_lag + (slowest / 8) as usize
+    }
+
     /// Penalty charged for a misprediction whose resolution latency was
     /// `resolution`: front-end refill plus the wasted resolution wait.
     pub fn mispredict_penalty(&self, resolution: u64) -> u64 {

@@ -142,7 +142,6 @@ struct Inflight<F> {
     outcome: bool,
     predicted: bool,
     flight: F,
-    exec_at: usize,
     retire_at: usize,
     executed: bool,
 }
@@ -152,11 +151,14 @@ struct Inflight<F> {
 /// [`WindowState::step`].
 struct WindowState<F> {
     // INVARIANT: `base` is the sequence number of `window.front()`, and
-    // `pending_exec` holds sequence numbers of not-yet-executed window
-    // entries in program order — `step` and `drain` maintain both in
-    // lockstep with every push/pop.
+    // bucket `i & wheel_mask` of `exec_wheel` holds, in program order, the
+    // sequence numbers of the not-yet-executed window entries due at
+    // fetch index `i` — `step` maintains both with every push/pop. The
+    // wheel is longer than the longest execute lag, so due times within
+    // reach never share a bucket.
     window: VecDeque<Inflight<F>>,
-    pending_exec: VecDeque<usize>,
+    exec_wheel: Vec<Vec<usize>>,
+    wheel_mask: usize,
     base: usize,
     fetch_index: usize,
     core: CoreModel,
@@ -184,9 +186,11 @@ struct WindowState<F> {
 
 impl<F> WindowState<F> {
     fn new(scenario: UpdateScenario, cfg: &PipelineConfig) -> Self {
+        let wheel = (cfg.core.max_exec_lag() + 1).next_power_of_two();
         Self {
             window: VecDeque::with_capacity(cfg.retire_lag + 64),
-            pending_exec: VecDeque::new(),
+            exec_wheel: vec![Vec::new(); wheel],
+            wheel_mask: wheel - 1,
             base: 0,
             fetch_index: 0,
             core: cfg.core.clone(),
@@ -265,40 +269,35 @@ impl<F> WindowState<F> {
             predictor.execute(&b, ev.taken, &mut flight);
             predictor.retire(&b, ev.taken, pred, flight, self.scenario);
         } else {
-            self.pending_exec.push_back(self.base + self.window.len());
+            debug_assert!(exec_lag <= self.wheel_mask, "execute lag beyond the wheel");
+            let due_at = (self.fetch_index + exec_lag) & self.wheel_mask;
+            self.exec_wheel[due_at].push(self.base + self.window.len());
             self.window.push_back(Inflight {
                 branch: b,
                 outcome: ev.taken,
                 predicted: pred,
                 flight,
-                exec_at: self.fetch_index + exec_lag,
                 retire_at: self.fetch_index + self.retire_lag.max(exec_lag + 1),
                 executed: false,
             });
             // Execute every branch whose resolution completed, in program
-            // order.
-            let mut k = 0;
-            while k < self.pending_exec.len() {
-                let seq = self.pending_exec[k];
+            // order. Every fetch index is visited, so exactly the branches
+            // due at this one complete now, and its bucket holds them in
+            // the order they were fetched.
+            let due = &mut self.exec_wheel[self.fetch_index & self.wheel_mask];
+            for &seq in due.iter() {
                 let inflight = &mut self.window[seq - self.base];
-                if inflight.exec_at <= self.fetch_index {
-                    let ib = inflight.branch;
-                    let io = inflight.outcome;
-                    predictor.execute(&ib, io, &mut inflight.flight);
-                    inflight.executed = true;
-                    self.pending_exec.remove(k);
-                } else {
-                    k += 1;
-                }
+                predictor.execute(&inflight.branch, inflight.outcome, &mut inflight.flight);
+                inflight.executed = true;
             }
+            due.clear();
             // Retire in order.
             while self.window.front().is_some_and(|f| f.retire_at <= self.fetch_index) {
                 // INVARIANT: the loop condition just witnessed a front.
-                let mut f = self.window.pop_front().unwrap();
-                if !f.executed {
-                    self.pending_exec.pop_front();
-                    predictor.execute(&f.branch, f.outcome, &mut f.flight);
-                }
+                let f = self.window.pop_front().unwrap();
+                // `retire_at` lies past the due index, so the branch has
+                // executed.
+                debug_assert!(f.executed, "branch retired before it executed");
                 self.base += 1;
                 predictor.retire(&f.branch, f.outcome, f.predicted, f.flight, self.scenario);
             }
@@ -306,12 +305,12 @@ impl<F> WindowState<F> {
         self.fetch_index += 1;
     }
 
-    /// Drains the window at trace end (`base` no longer needs maintaining:
-    /// nothing indexes the window after this).
+    /// Drains the window at trace end, executing what has not executed
+    /// yet (`base` and `exec_wheel` no longer need maintaining: nothing
+    /// indexes the window after this).
     fn drain<P: Predictor<Flight = F>>(&mut self, predictor: &mut P) {
         while let Some(mut f) = self.window.pop_front() {
             if !f.executed {
-                self.pending_exec.pop_front();
                 predictor.execute(&f.branch, f.outcome, &mut f.flight);
             }
             predictor.retire(&f.branch, f.outcome, f.predicted, f.flight, self.scenario);
@@ -707,6 +706,96 @@ mod tests {
         assert!(driver.events_fed() < spec.generate().events.len() as u64);
         let r = driver.finish(&mut engine, &src);
         assert_eq!(r, whole);
+    }
+
+    /// Logs the order of the engine's execute and retire calls; the
+    /// flight is the branch's position among the conditionals.
+    #[derive(Default)]
+    struct CallLog {
+        fetched: u64,
+        log: Vec<(char, u64)>,
+    }
+
+    impl Predictor for CallLog {
+        type Flight = u64;
+
+        fn name(&self) -> String {
+            "log".into()
+        }
+
+        fn storage_bits(&self) -> u64 {
+            0
+        }
+
+        fn predict(&mut self, _: &simkit::BranchInfo) -> (bool, u64) {
+            self.fetched += 1;
+            (true, self.fetched - 1)
+        }
+
+        fn fetch_commit(&mut self, _: &simkit::BranchInfo, _: bool, _: &mut u64) {}
+
+        fn execute(&mut self, _: &simkit::BranchInfo, _: bool, id: &mut u64) {
+            self.log.push(('E', *id));
+        }
+
+        fn retire(&mut self, _: &simkit::BranchInfo, _: bool, _: bool, id: u64, _: UpdateScenario) {
+            self.log.push(('R', id));
+        }
+
+        fn stats(&self) -> AccessStats {
+            AccessStats::default()
+        }
+
+        fn reset_stats(&mut self) {}
+    }
+
+    /// The call order of the window as a scan over every unexecuted
+    /// branch at each fetch (the algorithm the execute wheel replaced).
+    fn scanned_call_order(t: &Trace, cfg: &PipelineConfig) -> Vec<(char, u64)> {
+        let mut core = cfg.core.clone();
+        let mut log = Vec::new();
+        // (id, exec_at, retire_at, executed), oldest first.
+        let mut window: VecDeque<(u64, usize, usize, bool)> = VecDeque::new();
+        let conditionals = t.events.iter().filter(|e| e.kind.is_conditional());
+        for (fetch, ev) in conditionals.enumerate() {
+            let (_, lag) = core.resolve(ev.load_addr);
+            window.push_back((fetch as u64, fetch + lag, fetch + cfg.retire_lag.max(lag + 1), false));
+            for b in window.iter_mut().filter(|b| !b.3 && b.1 <= fetch) {
+                log.push(('E', b.0));
+                b.3 = true;
+            }
+            while window.front().is_some_and(|b| b.2 <= fetch) {
+                let b = window.pop_front().unwrap();
+                log.push(('R', b.0));
+            }
+        }
+        for b in window {
+            if !b.3 {
+                log.push(('E', b.0));
+            }
+            log.push(('R', b.0));
+        }
+        log
+    }
+
+    #[test]
+    fn execute_wheel_matches_a_scan_of_the_window() {
+        // Load-heavy cold-data trace, so execute lags vary; retire lags
+        // shorter and longer than them, and a zero minimum lag (a branch
+        // executing in its own fetch step).
+        let t = tiny("INT02");
+        for (retire_lag, min_exec_lag, memory_latency) in [(32, 4, 180), (2, 0, 400), (8, 1, 60)] {
+            let mut cfg = PipelineConfig { retire_lag, ..PipelineConfig::default() };
+            cfg.core.min_exec_lag = min_exec_lag;
+            cfg.core.memory.memory_latency = memory_latency;
+            let mut engine = WindowEngine::new(CallLog::default(), UpdateScenario::FetchOnly, &cfg);
+            simulate_engine(&mut engine, &mut TraceStream::new(&t));
+            assert_eq!(
+                engine.predictor().log,
+                scanned_call_order(&t, &cfg),
+                "retire lag {retire_lag}, min exec lag {min_exec_lag}, memory {memory_latency}"
+            );
+        }
     }
 
     #[test]

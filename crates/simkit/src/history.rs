@@ -130,6 +130,9 @@ impl std::fmt::Debug for GlobalHistory {
 #[derive(Clone, Debug)]
 pub struct FoldedHistory {
     comp: u64,
+    /// `mask(width)`, computed once: the fold runs once per table per
+    /// branch, so it never re-derives (or re-checks) its width.
+    mask: u64,
     length: usize,
     width: u32,
     outpoint: u32,
@@ -144,7 +147,7 @@ impl FoldedHistory {
     pub fn new(length: usize, width: u32) -> Self {
         assert!(length > 0, "folded history length must be positive");
         assert!((1..=32).contains(&width), "folded history width {width} out of range");
-        Self { comp: 0, length, width, outpoint: (length as u32) % width }
+        Self { comp: 0, mask: mask(width), length, width, outpoint: (length as u32) % width }
     }
 
     /// Incorporates the newest history bit (bit 0 of `gh`) and retires the
@@ -164,7 +167,7 @@ impl FoldedHistory {
         self.comp = (self.comp << 1) | in_bit;
         self.comp ^= out_bit << self.outpoint;
         self.comp ^= self.comp >> self.width;
-        self.comp &= mask(self.width);
+        self.comp &= self.mask;
     }
 
     /// The current folded value (always `< 2^width`).
@@ -217,6 +220,7 @@ impl FoldedHistory {
 #[derive(Clone, Debug)]
 pub struct PathHistory {
     value: u64,
+    mask: u64,
     width: u32,
 }
 
@@ -228,13 +232,13 @@ impl PathHistory {
     /// Panics if `width` is 0 or greater than 64.
     pub fn new(width: u32) -> Self {
         assert!((1..=64).contains(&width), "path history width {width} out of range");
-        Self { value: 0, width }
+        Self { value: 0, mask: mask(width), width }
     }
 
     /// Pushes one bit of the branch address.
     #[inline]
     pub fn push(&mut self, pc: u64) {
-        self.value = ((self.value << 1) | ((pc >> 2) & 1)) & mask(self.width);
+        self.value = ((self.value << 1) | ((pc >> 2) & 1)) & self.mask;
     }
 
     /// Current path register value.
@@ -271,6 +275,7 @@ impl PathHistory {
 pub struct LocalHistories {
     table: Vec<u64>,
     entries: usize,
+    mask: u64,
     width: u32,
 }
 
@@ -283,7 +288,7 @@ impl LocalHistories {
     pub fn new(entries: usize, width: u32) -> Self {
         assert!(entries.is_power_of_two(), "local history entries must be a power of two");
         assert!((1..=64).contains(&width), "local history width {width} out of range");
-        Self { table: vec![0; entries], entries, width }
+        Self { table: vec![0; entries], entries, mask: mask(width), width }
     }
 
     /// Table index for `pc`.
@@ -302,7 +307,7 @@ impl LocalHistories {
     #[inline]
     pub fn update(&mut self, pc: u64, taken: bool) {
         let i = self.index(pc);
-        self.table[i] = ((self.table[i] << 1) | taken as u64) & mask(self.width);
+        self.table[i] = ((self.table[i] << 1) | taken as u64) & self.mask;
     }
 
     /// Number of entries.
