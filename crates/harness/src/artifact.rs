@@ -50,9 +50,9 @@ pub struct RunArtifact {
     /// Schema identifier; always [`ARTIFACT_SCHEMA`] for documents this
     /// build writes.
     pub schema: String,
-    /// Canonical spec string (the suite-scheduler memo key,
-    /// [`crate::spec::PredictorSpec::sim_key`]) or, for trace mode, the
-    /// matrix spec string.
+    /// Canonical spec string without its display label — the
+    /// suite-scheduler memo key, [`crate::spec::PredictorSpec::sim_key`]
+    /// — in every mode, so label-only variants share one file.
     pub spec: String,
     /// Display name of the built predictor.
     pub predictor: String,
@@ -64,7 +64,7 @@ pub struct RunArtifact {
     pub scale: String,
     /// Scheduler counters at emission time (deterministic: jobs and memo
     /// hits, never wall time). `None` for runs that bypass the suite
-    /// scheduler (trace mode).
+    /// scheduler (external-trace and sampled runs).
     pub scheduler: Option<SchedulerBlock>,
     /// Sampling parameters when the counters come from a sampled run
     /// (`tage_exp sample`): the per-trace rows then hold summed per-slice

@@ -5,10 +5,12 @@
 //!          [--threads N] [--list]
 //!          [--artifacts DIR] [--branch-stats] [--top N]
 //! tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N]
-//!          [--trace FILE]... [--artifacts DIR] [--branch-stats] [--top N]
-//! tage_exp budgets
-//! tage_exp trace <file...> [--threads N]
 //!          [--artifacts DIR] [--branch-stats] [--top N]
+//! tage_exp system [spec...] --trace FILE... [--scenario I|A|B|C] [--threads N]
+//!          [--artifacts DIR] [--branch-stats] [--top N]
+//! tage_exp budgets
+//! tage_exp sample <file...> [--spec SPEC]... [sampling knobs] [--threads N]
+//!          [--artifacts DIR] [--top N]
 //! tage_exp report <artifact|dir...> [--top N] [--fail-over PCT]
 //! ```
 //!
@@ -26,13 +28,14 @@
 //! budget). `tage_exp budgets` prints the per-component storage budget of
 //! every named preset next to the paper's figures.
 //!
-//! `tage_exp trace` leaves the synthetic suite behind: it runs the full
-//! predictor matrix over external trace files (`.ttr`, CBP, CSV —
-//! autodetected), grouped into categories by trace metadata or filename
-//! prefix.
+//! `tage_exp system --trace` leaves the synthetic suite behind: it runs
+//! the specs — by default the full predictor matrix — over external
+//! trace files (`.ttr`, CBP, CSV — autodetected), one pool job per
+//! (spec × file), grouped into categories by trace metadata or filename
+//! prefix. It is the offline twin of a `tage_serve` session.
 //!
 //! Every simulating mode takes `--artifacts DIR` to drop one versioned
-//! JSON [`RunArtifact`] per unique (composition, scenario) suite next to
+//! JSON [`RunArtifact`] per unique (composition, scenario) run next to
 //! its text tables, `--branch-stats` to run the opt-in per-static-branch
 //! profiler (top `--top` branches land in the artifacts), and `tage_exp
 //! report` turns artifacts back into tables: suite summaries, hot-branch
@@ -42,96 +45,162 @@
 use harness::artifact::{
     collect_paths, scenario_from_label, RunArtifact, SamplingBlock, SchedulerBlock,
 };
+use harness::cli::{FlagError, Flags};
 use harness::experiments::{by_id, prefetch, ALL_EXPERIMENTS, EXPERIMENTS};
+use harness::runner::default_threads;
 use harness::sample_mode::{self, SampleOptions};
 use harness::spec::PAPER_BUDGET_BITS;
-use harness::{trace_mode, ExpContext, ExpOptions, PredictorSpec, Table};
-use pipeline::SuiteReport;
+use harness::{trace_mode, ExpContext, ExpOptions, PredictorSpec, Table, WorkerPool};
+use pipeline::{PipelineConfig, SuiteReport};
 use simkit::{Predictor, UpdateScenario};
 use std::path::{Path, PathBuf};
 use workloads::suite::{Scale, HARD_TRACES};
 
+/// How an invocation ended: `Err` carries the exit code of one that
+/// stopped early with its output already printed (0 after `--help`,
+/// 2 on a usage error, 1 on a run failure).
+type Run = Result<(), i32>;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("trace") => std::process::exit(trace_files_mode(&args[1..])),
-        Some("sample") => std::process::exit(sample_files_mode(&args[1..])),
-        Some("system") => std::process::exit(system_mode(&args[1..])),
-        Some("budgets") => std::process::exit(budgets_mode()),
-        Some("report") => std::process::exit(report_mode(&args[1..])),
-        _ => {}
+    let run = match args.first().map(String::as_str) {
+        Some("sample") => sample_mode(&args[1..]),
+        Some("system") => system_mode(&args[1..]),
+        Some("budgets") => budgets_mode(),
+        Some("report") => report_mode(&args[1..]),
+        _ => experiments_mode(&args),
+    };
+    std::process::exit(run.err().unwrap_or(0));
+}
+
+/// Default cap on per-trace branch rows stored in artifacts and on
+/// hot-branch table rows in `tage_exp report`.
+const DEFAULT_TOP: usize = 20;
+
+/// Prints a usage error; its exit code is 2.
+fn usage_error(msg: &str) -> i32 {
+    eprintln!("{msg}");
+    2
+}
+
+/// Parses one mode's command line with the shared [`Flags`] parser. A
+/// malformed line is a usage error (an unknown flag is reported with
+/// `context` appended); `--help`/`-h` prints the usage and stops with 0.
+fn parse(args: &[String], flags: &[&str], switches: &[&str], context: &str) -> Result<Flags, i32> {
+    let switches: Vec<&str> = switches.iter().copied().chain(["--help", "-h"]).collect();
+    let f = Flags::parse(args, flags, &switches).map_err(|e| match e {
+        FlagError::Unknown(_) => usage_error(&format!("{e}{context}")),
+        FlagError::MissingValue(_) => usage_error(&e.to_string()),
+    })?;
+    if f.switch("--help") || f.switch("-h") {
+        print_usage();
+        return Err(0);
     }
-    let mut scale = Scale::Default;
-    let mut threads: Option<usize> = None;
-    let mut artifacts: Option<PathBuf> = None;
-    let mut branch_stats = false;
-    let mut top = DEFAULT_TOP;
-    let mut targets: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                scale = Scale::parse(v).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{v}' (tiny|small|default|full)");
-                    std::process::exit(2);
-                });
-            }
-            "--threads" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => threads = Some(n),
-                    _ => {
-                        eprintln!("--threads expects a positive integer (got '{v}')");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--artifacts" => match it.next() {
-                Some(dir) => artifacts = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--artifacts expects a directory");
-                    std::process::exit(2);
-                }
-            },
-            "--branch-stats" => branch_stats = true,
-            "--top" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => top = n,
-                    _ => {
-                        eprintln!("--top expects a positive integer (got '{v}')");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--list" => {
-                // Spec counts and descriptions come straight from the
-                // experiment registry's run tables — nothing hand-kept.
-                let mut t = Table::new("experiments", &["id", "specs", "description"]);
-                for exp in EXPERIMENTS {
-                    t.row(vec![
-                        exp.id.to_string(),
-                        exp.runs().len().to_string(),
-                        exp.description.to_string(),
-                    ]);
-                }
-                t.print();
-                return;
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other => targets.push(other.to_string()),
+    Ok(f)
+}
+
+/// `name`'s value as a `T` that `ok` accepts, if given; anything else
+/// is a usage error naming `what` the flag expects.
+fn value<T: std::str::FromStr>(
+    f: &Flags,
+    name: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<Option<T>, i32> {
+    f.flag(name)
+        .map(|v| match v.parse::<T>() {
+            Ok(x) if ok(&x) => Ok(x),
+            _ => Err(usage_error(&format!("{name} expects {what} (got '{v}')"))),
+        })
+        .transpose()
+}
+
+/// `name`'s value as a positive integer, if given.
+fn positive(f: &Flags, name: &str) -> Result<Option<usize>, i32> {
+    value(f, name, "a positive integer", |n: &usize| *n >= 1)
+}
+
+/// `name`'s value as a non-negative percentage, if given.
+fn percent(f: &Flags, name: &str) -> Result<Option<f64>, i32> {
+    value(f, name, "a non-negative percentage", |p: &f64| *p >= 0.0)
+}
+
+/// `--scale`, `default` when absent.
+fn scale(f: &Flags, default: Scale) -> Result<Scale, i32> {
+    match f.flag("--scale") {
+        None => Ok(default),
+        Some(v) => Scale::parse(v)
+            .ok_or_else(|| usage_error(&format!("unknown scale '{v}' (tiny|small|default|full)"))),
+    }
+}
+
+/// Parses predictor specs, reporting the first bad one.
+fn parse_specs<'a>(texts: impl IntoIterator<Item = &'a str>) -> Result<Vec<PredictorSpec>, i32> {
+    texts
+        .into_iter()
+        .map(|s| PredictorSpec::parse(s).map_err(|e| usage_error(&format!("bad spec '{s}': {e}"))))
+        .collect()
+}
+
+/// The one artifact writer: writes each artifact into `dir` under its
+/// [`RunArtifact::file_name`], keeping the first artifact per name —
+/// duplicate and label-only specs share a `sim_key`, hence a file — and
+/// counting only the files it wrote. Artifacts are taken lazily, so a
+/// skipped duplicate is never serialized.
+fn write_artifacts(dir: &Path, arts: impl IntoIterator<Item = RunArtifact>) -> Run {
+    let mut written: Vec<String> = Vec::new();
+    for art in arts {
+        let name = art.file_name();
+        if written.contains(&name) {
+            continue;
         }
+        match art.write_to_dir(dir) {
+            Ok(path) => println!("# artifact: {}", path.display()),
+            Err(e) => {
+                eprintln!("artifact write failed for {name}: {e}");
+                return Err(1);
+            }
+        }
+        written.push(name);
     }
+    println!("# artifacts: {} file(s) in {}", written.len(), dir.display());
+    Ok(())
+}
+
+/// `tage_exp <experiment...|all>`: render experiment tables over the
+/// synthetic suite.
+fn experiments_mode(args: &[String]) -> Run {
+    let f = parse(
+        args,
+        &["--scale", "--threads", "--artifacts", "--top"],
+        &["--branch-stats", "--list"],
+        "",
+    )?;
+    if f.switch("--list") {
+        // Spec counts and descriptions come straight from the
+        // experiment registry's run tables — nothing hand-kept.
+        let mut t = Table::new("experiments", &["id", "specs", "description"]);
+        for exp in EXPERIMENTS {
+            t.row(vec![
+                exp.id.to_string(),
+                exp.runs().len().to_string(),
+                exp.description.to_string(),
+            ]);
+        }
+        t.print();
+        return Ok(());
+    }
+    let mut scale = scale(&f, Scale::Default)?;
+    let threads = positive(&f, "--threads")?;
+    let top = positive(&f, "--top")?.unwrap_or(DEFAULT_TOP);
+    let branch_stats = f.switch("--branch-stats");
+    let mut targets: Vec<&str> = f.positional.iter().map(String::as_str).collect();
     if targets.is_empty() {
         // Bare invocation: run the whole sweep, defaulting to the smoke-test
         // scale (unless --scale was given) so `cargo run --bin tage_exp`
         // demonstrates every experiment quickly.
-        targets.push("all".to_string());
-        if !args.iter().any(|a| a == "--scale") {
+        targets.push("all");
+        if f.flag("--scale").is_none() {
             scale = Scale::Tiny;
         }
         println!("# no experiment given: running `all` at scale {scale:?} (see --help)");
@@ -140,20 +209,16 @@ fn main() {
     // so `tage_exp all bogus` fails loudly instead of silently passing).
     let mut bad = false;
     for t in &targets {
-        if t != "all" && by_id(t).is_none() {
+        if *t != "all" && by_id(t).is_none() {
             eprintln!("unknown experiment '{t}'");
             bad = true;
         }
     }
     if bad {
         print_usage();
-        std::process::exit(2);
+        return Err(2);
     }
-    let ids: Vec<&str> = if targets.iter().any(|t| t == "all") {
-        ALL_EXPERIMENTS.to_vec()
-    } else {
-        targets.iter().map(String::as_str).collect()
-    };
+    let ids: Vec<&str> = if targets.contains(&"all") { ALL_EXPERIMENTS.to_vec() } else { targets };
     println!("# tage_exp: scale={scale:?} ({} branches/trace)", scale.branches());
     let start = std::time::Instant::now();
     let ctx = ExpContext::with_options(scale, ExpOptions { threads, branch_stats });
@@ -175,19 +240,6 @@ fn main() {
         harness::experiments::run(id, &ctx);
         println!("# [{id}] done in {:.1}s\n", t0.elapsed().as_secs_f32());
     }
-    if let Some(dir) = &artifacts {
-        // Re-walk the run tables: every suite is memo-cached by now, so
-        // each request below is a free cache hit, not a re-simulation.
-        let runs: Vec<(PredictorSpec, UpdateScenario)> = ids
-            .iter()
-            .filter_map(|id| by_id(id))
-            .flat_map(|exp| exp.runs())
-            .map(|r| (r.spec, r.scenario))
-            .collect();
-        if emit_artifacts(dir, &ctx, &runs, top) != 0 {
-            std::process::exit(1);
-        }
-    }
     let s = ctx.scheduler_stats();
     println!(
         "# scheduler: {} simulate jobs run of {} requested ({} suite runs served from cache) in {:.1}s",
@@ -201,56 +253,32 @@ fn main() {
         s.busy_seconds(),
         s.mean_job_millis()
     );
+    if let Some(dir) = f.flag("--artifacts") {
+        let runs = ids.iter().filter_map(|id| by_id(id)).flat_map(|exp| exp.runs());
+        suite_artifacts(Path::new(dir), &ctx, runs.map(|r| (r.spec, r.scenario)), top)?;
+    }
+    Ok(())
 }
 
-/// Default cap on per-trace branch rows stored in artifacts and on
-/// hot-branch table rows in `tage_exp report`.
-const DEFAULT_TOP: usize = 20;
-
-/// Writes one [`RunArtifact`] per unique (composition, scenario) into
-/// `dir`. The suites are expected to be memo-cached already (the caller
-/// just rendered them), so this only serializes. Returns a process exit
-/// code.
-fn emit_artifacts(
+/// Writes the artifacts of suite runs that already ran: every request
+/// below is a memo hit, not a re-simulation, and every artifact embeds
+/// one scheduler snapshot taken before them, so its counters describe
+/// the simulation work, not the serialization pass.
+fn suite_artifacts(
     dir: &Path,
     ctx: &ExpContext,
-    runs: &[(PredictorSpec, UpdateScenario)],
+    runs: impl IntoIterator<Item = (PredictorSpec, UpdateScenario)>,
     top: usize,
-) -> i32 {
-    // One deterministic scheduler snapshot for every artifact of this
-    // invocation: taken before the memo re-requests below, so the embedded
-    // counters describe the simulation work, not the serialization pass.
+) -> Run {
     let block = SchedulerBlock::from_stats(&ctx.scheduler_stats());
-    let mut seen: Vec<(String, &'static str)> = Vec::new();
-    let mut wrote = 0usize;
-    for (spec, scenario) in runs {
-        let key = (spec.sim_key(), scenario.label());
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
-        let suite = ctx.run_spec(spec, *scenario);
-        let art = RunArtifact::from_suite(
-            &spec.sim_key(),
-            *scenario,
-            ctx.scale.as_str(),
-            &suite,
-            Some(block),
-            top,
-        );
-        match art.write_to_dir(dir) {
-            Ok(path) => {
-                wrote += 1;
-                println!("# artifact: {}", path.display());
-            }
-            Err(e) => {
-                eprintln!("artifact write failed for {}: {e}", art.file_name());
-                return 1;
-            }
-        }
-    }
-    println!("# artifacts: {wrote} file(s) in {}", dir.display());
-    0
+    write_artifacts(
+        dir,
+        runs.into_iter().map(|(spec, scenario)| {
+            let suite = ctx.run_spec(&spec, scenario);
+            let key = spec.sim_key();
+            RunArtifact::from_suite(&key, scenario, ctx.scale.as_str(), &suite, Some(block), top)
+        }),
+    )
 }
 
 fn print_usage() {
@@ -258,19 +286,18 @@ fn print_usage() {
     println!("                [--threads N] [--list]");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp system <spec...> [--scenario I|A|B|C] [--scale ...] [--threads N]");
-    println!("                [--trace FILE]...");
+    println!("                [--artifacts DIR] [--branch-stats] [--top N]");
+    println!("       tage_exp system [spec...] --trace FILE... [--scenario I|A|B|C] [--threads N]");
     println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp budgets");
-    println!("       tage_exp trace <file...> [--threads N]");
-    println!("                [--artifacts DIR] [--branch-stats] [--top N]");
     println!("       tage_exp sample <file...> [--phases N] [--warmup W] [--measure M]");
     println!("                [--seed S] [--spec SPEC]... [--full-check PCT]");
     println!("                [--threads N] [--artifacts DIR] [--top N]");
     println!("       tage_exp report <artifact|dir...> [--top N] [--fail-over PCT]");
-    println!("  --threads N   scheduler worker threads (default: CPUs, max 16)");
+    println!("  --threads N   worker threads (default: CPUs, max 16)");
     println!("  --list        print the experiment ids, spec counts and descriptions");
     println!("  --artifacts DIR   write one versioned JSON run artifact per unique");
-    println!("                    (composition, scenario) suite into DIR");
+    println!("                    (composition, scenario) run into DIR");
     println!("  --branch-stats    collect opt-in per-static-branch counters (profiles");
     println!("                    ride into artifacts; tables stay byte-identical)");
     println!("  --top N           branch rows kept per trace in artifacts and shown");
@@ -283,16 +310,17 @@ fn print_usage() {
     println!("                    e.g. 'tage:x-1+ium+loop' or the provider-internal ablations");
     println!("                    'tage(base=gshare,chooser=always)' (see DESIGN.md §2)");
     println!("  --trace FILE      system mode: run the specs over external trace files");
-    println!("                    instead of the suite (repeatable; the offline twin of");
-    println!("                    a tage_serve session — served results match it exactly)");
+    println!("                    (.ttr / .ttr3 / cbp / csv, format autodetected) instead");
+    println!("                    of the suite, one pool job per (spec x file); repeatable.");
+    println!("                    With no spec: the predictor matrix (gshare, GEHL, TAGE,");
+    println!("                    TAGE+IUM, ISL-TAGE, TAGE-LSC). The offline twin of a");
+    println!("                    tage_serve session: served results match it exactly");
     println!("  budgets          per-component storage budgets of the named presets");
     println!("                   (base/tagged/chooser provider sub-stage rows + side stages)");
-    println!("  trace <file...>  run the predictor matrix over external trace files");
-    println!("                   (.ttr / .ttr3 / cbp / csv, format autodetected)");
     println!("  sample <file...> sampled simulation: fixed-interval warmup/measure");
     println!("                   slices, one pool job per (spec x slice), weighted");
     println!("                   whole-trace MPPKI estimate (defaults: 8 phases,");
-    println!("                   10k warmup + 40k measure, the trace-mode matrix)");
+    println!("                   10k warmup + 40k measure, the predictor matrix)");
     println!("  --full-check PCT sample mode: also run every (spec, file) in full and");
     println!("                   exit 1 when any sampled MPPKI is off by > PCT percent");
     println!("experiments:");
@@ -301,106 +329,40 @@ fn print_usage() {
     }
 }
 
-/// `tage_exp system <spec...>`: simulate arbitrary compositions over the
-/// synthetic suite. Returns the process exit code.
-fn system_mode(args: &[String]) -> i32 {
-    let mut scale = Scale::Default;
-    let mut threads: Option<usize> = None;
-    let mut scenario = UpdateScenario::RereadAtRetire;
-    let mut artifacts: Option<PathBuf> = None;
-    let mut branch_stats = false;
-    let mut top = DEFAULT_TOP;
-    let mut trace_files: Vec<PathBuf> = Vec::new();
-    let mut specs: Vec<PredictorSpec> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--artifacts" => match it.next() {
-                Some(dir) => artifacts = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--artifacts expects a directory");
-                    return 2;
-                }
-            },
-            "--trace" => match it.next() {
-                Some(f) => trace_files.push(PathBuf::from(f)),
-                None => {
-                    eprintln!("--trace expects a trace file");
-                    return 2;
-                }
-            },
-            "--branch-stats" => branch_stats = true,
-            "--top" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => top = n,
-                    _ => {
-                        eprintln!("--top expects a positive integer (got '{v}')");
-                        return 2;
-                    }
-                }
-            }
-            "--scale" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match Scale::parse(v) {
-                    Some(s) => scale = s,
-                    None => {
-                        eprintln!("unknown scale '{v}' (tiny|small|default|full)");
-                        return 2;
-                    }
-                }
-            }
-            "--threads" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => threads = Some(n),
-                    _ => {
-                        eprintln!("--threads expects a positive integer (got '{v}')");
-                        return 2;
-                    }
-                }
-            }
-            "--scenario" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                scenario = match scenario_from_label(v) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        eprintln!("--scenario expects I, A, B or C (got '{v}')");
-                        return 2;
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return 0;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag '{other}' for system mode");
-                return 2;
-            }
-            other => match PredictorSpec::parse(other) {
-                Ok(spec) => specs.push(spec),
-                Err(e) => {
-                    eprintln!("bad spec '{other}': {e}");
-                    return 2;
-                }
-            },
+/// `tage_exp system [spec...]`: simulate arbitrary compositions over the
+/// synthetic suite, or with `--trace` over external trace files.
+fn system_mode(args: &[String]) -> Run {
+    let f = parse(
+        args,
+        &["--scale", "--threads", "--scenario", "--artifacts", "--top", "--trace"],
+        &["--branch-stats"],
+        " for system mode",
+    )?;
+    let threads = positive(&f, "--threads")?;
+    let top = positive(&f, "--top")?.unwrap_or(DEFAULT_TOP);
+    let scenario = match f.flag("--scenario") {
+        None => UpdateScenario::RereadAtRetire,
+        Some(v) => scenario_from_label(v)
+            .map_err(|_| usage_error(&format!("--scenario expects I, A, B or C (got '{v}')")))?,
+    };
+    let specs = parse_specs(f.positional.iter().map(String::as_str))?;
+    let artifacts = f.flag("--artifacts").map(Path::new);
+    let branch_stats = f.switch("--branch-stats");
+    let files: Vec<PathBuf> = f.values("--trace").into_iter().map(PathBuf::from).collect();
+    if !files.is_empty() {
+        if f.flag("--scale").is_some() {
+            return Err(usage_error(
+                "--scale does not apply with --trace: the trace files are the workload",
+            ));
         }
+        let cfg = PipelineConfig { branch_stats, ..PipelineConfig::default() };
+        return system_trace(specs, scenario, files, &cfg, threads, artifacts, top);
     }
+    let scale = scale(&f, Scale::Default)?;
     if specs.is_empty() {
         eprintln!("system mode: no predictor specs given");
         print_usage();
-        return 2;
-    }
-    if !trace_files.is_empty() {
-        return system_trace_files(
-            &specs,
-            scenario,
-            &trace_files,
-            branch_stats,
-            artifacts.as_deref(),
-            top,
-        );
+        return Err(2);
     }
     let start = std::time::Instant::now();
     println!("# tage_exp system: scale={scale:?}, scenario {scenario}, {} spec(s)", specs.len());
@@ -425,89 +387,62 @@ fn system_mode(args: &[String]) -> i32 {
         ]);
     }
     t.print();
-    if let Some(dir) = &artifacts {
-        let runs: Vec<(PredictorSpec, UpdateScenario)> =
-            specs.iter().map(|s| (s.clone(), scenario)).collect();
-        if emit_artifacts(dir, &ctx, &runs, top) != 0 {
-            return 1;
-        }
+    if let Some(dir) = artifacts {
+        suite_artifacts(dir, &ctx, specs.into_iter().map(|s| (s, scenario)), top)?;
     }
     println!("# system mode done in {:.1}s", start.elapsed().as_secs_f32());
-    0
+    Ok(())
 }
 
-/// `tage_exp system --trace`: user-composed specs over external trace
-/// files instead of the synthetic suite — the offline twin of a
-/// `tage_serve` session (both funnel through
+/// `tage_exp system --trace`: specs (none given: the predictor
+/// [`trace_mode::MATRIX`]) over external trace files instead of the
+/// synthetic suite, one pool job per (spec × file). The offline twin of
+/// a `tage_serve` session (both funnel through
 /// [`trace_mode::run_spec_cell`]), and the bit-identity anchor for
 /// served artifacts: `--artifacts` emits exactly the bytes a session's
-/// result frame carries. Returns the process exit code.
-fn system_trace_files(
-    specs: &[PredictorSpec],
+/// result frame carries.
+fn system_trace(
+    specs: Vec<PredictorSpec>,
     scenario: UpdateScenario,
-    files: &[PathBuf],
-    branch_stats: bool,
+    files: Vec<PathBuf>,
+    cfg: &PipelineConfig,
+    threads: Option<usize>,
     artifacts: Option<&Path>,
     top: usize,
-) -> i32 {
+) -> Run {
+    let specs = if specs.is_empty() { trace_mode::matrix_specs() } else { specs };
     let start = std::time::Instant::now();
+    let pool = WorkerPool::new(threads.unwrap_or_else(default_threads));
     println!(
-        "# tage_exp system: {} spec(s) over {} external trace file(s), scenario {scenario}",
+        "# tage_exp system: {} spec(s) over {} external trace file(s), scenario {scenario}, {} worker thread(s)",
         specs.len(),
         files.len(),
+        pool.threads(),
     );
-    let cfg = pipeline::PipelineConfig { branch_stats, ..pipeline::PipelineConfig::default() };
-    let mut t = Table::new(
-        &format!("SYSTEM MODE — external traces, scenario {scenario}"),
-        &["spec", "trace", "category", "MPPKI"],
-    );
-    let mut results: Vec<(String, SuiteReport)> = Vec::new();
-    for spec in specs {
-        match trace_mode::run_spec_over_files(spec, scenario, files, &cfg) {
-            Ok(suite) => {
-                for r in &suite.reports {
-                    t.row(vec![
-                        spec.sim_key(),
-                        r.trace.clone(),
-                        r.category.clone(),
-                        format!("{:.1}", r.mppki()),
-                    ]);
-                }
-                results.push((spec.sim_key(), suite));
-            }
-            Err(e) => {
-                eprintln!("system --trace failed for '{}': {e}", spec.sim_key());
-                return 1;
-            }
-        }
-    }
-    t.print();
+    let suites = trace_mode::run(&specs, scenario, files, cfg, &pool).map_err(|e| {
+        eprintln!("system --trace failed: {e}");
+        1
+    })?;
+    let names: Vec<String> = specs.iter().map(trace_mode::display_name).collect();
+    let named: Vec<(&str, SuiteReport)> = names.iter().map(String::as_str).zip(suites).collect();
+    print!("{}", trace_mode::render(&named));
     if let Some(dir) = artifacts {
-        // Like trace mode: no suite scheduler ran, so no scheduler
-        // block; the scale is `external`.
-        let mut wrote = 0usize;
-        for (key, suite) in &results {
-            let art = RunArtifact::from_suite(key, scenario, "external", suite, None, top);
-            match art.write_to_dir(dir) {
-                Ok(path) => {
-                    wrote += 1;
-                    println!("# artifact: {}", path.display());
-                }
-                Err(e) => {
-                    eprintln!("artifact write failed for {}: {e}", art.file_name());
-                    return 1;
-                }
-            }
-        }
-        println!("# artifacts: {wrote} file(s) in {}", dir.display());
+        // No suite scheduler ran, so no scheduler block; the scale is
+        // `external`.
+        write_artifacts(
+            dir,
+            specs.iter().zip(&named).map(|(spec, (_, suite))| {
+                RunArtifact::from_suite(&spec.sim_key(), scenario, "external", suite, None, top)
+            }),
+        )?;
     }
     println!("# system mode done in {:.1}s", start.elapsed().as_secs_f32());
-    0
+    Ok(())
 }
 
 /// `tage_exp budgets`: per-component storage of every named preset,
-/// audited against the paper's figures. Returns the process exit code.
-fn budgets_mode() -> i32 {
+/// audited against the paper's figures.
+fn budgets_mode() -> Run {
     let mut t = Table::new(
         "PRESET BUDGETS — per-component storage (tage::PRESETS)",
         &["preset", "spec", "component", "bits", "Kbit"],
@@ -553,238 +488,64 @@ fn budgets_mode() -> i32 {
     audit.print();
     println!("(every audited preset must land within 1% of the paper figure;");
     println!(" asserted by the harness `budget_audit` test)");
-    0
-}
-
-/// `tage_exp trace <files...>`: the predictor matrix over external trace
-/// files. Returns the process exit code.
-fn trace_files_mode(args: &[String]) -> i32 {
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    let mut threads: Option<usize> = None;
-    let mut artifacts: Option<PathBuf> = None;
-    let mut branch_stats = false;
-    let mut top = DEFAULT_TOP;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--artifacts" => match it.next() {
-                Some(dir) => artifacts = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--artifacts expects a directory");
-                    return 2;
-                }
-            },
-            "--branch-stats" => branch_stats = true,
-            "--top" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => top = n,
-                    _ => {
-                        eprintln!("--top expects a positive integer (got '{v}')");
-                        return 2;
-                    }
-                }
-            }
-            "--threads" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>() {
-                    Ok(t) if t >= 1 => threads = Some(t),
-                    _ => {
-                        eprintln!("--threads expects a positive integer (got '{v}')");
-                        return 2;
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return 0;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag '{other}' for trace mode");
-                return 2;
-            }
-            other => files.push(other.into()),
-        }
-    }
-    if files.is_empty() {
-        eprintln!("trace mode: no trace files given");
-        print_usage();
-        return 2;
-    }
-    let start = std::time::Instant::now();
-    println!(
-        "# tage_exp trace: {} file(s), predictors: {}",
-        files.len(),
-        trace_mode::MATRIX.map(|(name, _)| name).join(", ")
-    );
-    let cfg = pipeline::PipelineConfig { branch_stats, ..pipeline::PipelineConfig::default() };
-    match trace_mode::run_files(&files, &cfg, threads) {
-        Ok(results) => {
-            print!("{}", trace_mode::render(&results));
-            if let Some(dir) = &artifacts {
-                // Trace mode bypasses the suite scheduler, so artifacts
-                // carry no scheduler block; the matrix spec string is the
-                // artifact's spec and the scale is `external`.
-                let mut wrote = 0usize;
-                for (name, suite) in &results {
-                    let spec = trace_mode::MATRIX
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, s)| *s)
-                        .unwrap_or(name);
-                    let art = RunArtifact::from_suite(
-                        spec,
-                        trace_mode::MATRIX_SCENARIO,
-                        "external",
-                        suite,
-                        None,
-                        top,
-                    );
-                    match art.write_to_dir(dir) {
-                        Ok(path) => {
-                            wrote += 1;
-                            println!("# artifact: {}", path.display());
-                        }
-                        Err(e) => {
-                            eprintln!("artifact write failed for {}: {e}", art.file_name());
-                            return 1;
-                        }
-                    }
-                }
-                println!("# artifacts: {wrote} file(s) in {}", dir.display());
-            }
-            println!("# trace mode done in {:.1}s", start.elapsed().as_secs_f32());
-            0
-        }
-        Err(e) => {
-            eprintln!("trace mode failed: {e}");
-            1
-        }
-    }
+    Ok(())
 }
 
 /// `tage_exp sample <file...>`: sampled simulation — fixed-interval
 /// warmup/measure slices per file, one pool job per (spec × slice), exact
-/// weighted combine into a whole-trace MPPKI estimate. Returns the
-/// process exit code: 0 clean, 1 on simulation/artifact errors or a
-/// `--full-check` accuracy miss, 2 on usage errors.
-fn sample_files_mode(args: &[String]) -> i32 {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut spec_args: Vec<String> = Vec::new();
-    let mut artifacts: Option<PathBuf> = None;
-    let mut top = DEFAULT_TOP;
-    let mut opts = SampleOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--spec" => match it.next() {
-                Some(s) => spec_args.push(s.clone()),
-                None => {
-                    eprintln!("--spec expects a predictor spec");
-                    return 2;
-                }
-            },
-            "--phases" | "--warmup" | "--measure" | "--seed" => {
-                let flag = a.as_str();
-                let v = it.next().map(String::as_str).unwrap_or("");
-                let Ok(n) = v.parse::<u64>() else {
-                    eprintln!("{flag} expects an unsigned integer (got '{v}')");
-                    return 2;
-                };
-                match flag {
-                    "--phases" if n == 0 => {
-                        eprintln!("--phases expects a positive integer");
-                        return 2;
-                    }
-                    "--phases" => opts.phases = n,
-                    "--warmup" => opts.warmup = n,
-                    "--measure" => opts.measure = n,
-                    _ => opts.seed = n,
-                }
-            }
-            "--threads" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>() {
-                    Ok(t) if t >= 1 => opts.threads = Some(t),
-                    _ => {
-                        eprintln!("--threads expects a positive integer (got '{v}')");
-                        return 2;
-                    }
-                }
-            }
-            "--full-check" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<f64>() {
-                    Ok(p) if p >= 0.0 => opts.full_check = Some(p),
-                    _ => {
-                        eprintln!("--full-check expects a non-negative percentage (got '{v}')");
-                        return 2;
-                    }
-                }
-            }
-            "--artifacts" => match it.next() {
-                Some(dir) => artifacts = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--artifacts expects a directory");
-                    return 2;
-                }
-            },
-            "--top" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => top = n,
-                    _ => {
-                        eprintln!("--top expects a positive integer (got '{v}')");
-                        return 2;
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return 0;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag '{other}' for sample mode");
-                return 2;
-            }
-            other => files.push(other.into()),
-        }
+/// weighted combine into a whole-trace MPPKI estimate. Fails with 1 on
+/// simulation/artifact errors or a `--full-check` accuracy miss, 2 on
+/// usage errors.
+fn sample_mode(args: &[String]) -> Run {
+    let f = parse(
+        args,
+        &[
+            "--spec",
+            "--phases",
+            "--warmup",
+            "--measure",
+            "--seed",
+            "--threads",
+            "--full-check",
+            "--artifacts",
+            "--top",
+        ],
+        &[],
+        " for sample mode",
+    )?;
+    let defaults = SampleOptions::default();
+    let unsigned = |name: &str, default: u64| {
+        value(&f, name, "an unsigned integer", |_: &u64| true).map(|v| v.unwrap_or(default))
+    };
+    let opts = SampleOptions {
+        phases: unsigned("--phases", defaults.phases)?,
+        warmup: unsigned("--warmup", defaults.warmup)?,
+        measure: unsigned("--measure", defaults.measure)?,
+        seed: unsigned("--seed", defaults.seed)?,
+        full_check: percent(&f, "--full-check")?,
+    };
+    let threads = positive(&f, "--threads")?;
+    if opts.phases == 0 {
+        return Err(usage_error("--phases expects a positive integer"));
     }
+    let top = positive(&f, "--top")?.unwrap_or(DEFAULT_TOP);
+    let files: Vec<PathBuf> = f.positional.iter().map(PathBuf::from).collect();
     if files.is_empty() {
         eprintln!("sample mode: no trace files given");
         print_usage();
-        return 2;
+        return Err(2);
     }
     if opts.measure == 0 {
-        eprintln!("sample mode: --measure must be positive (nothing would be scored)");
-        return 2;
+        let msg = "sample mode: --measure must be positive (nothing would be scored)";
+        return Err(usage_error(msg));
     }
-    // Default spec set: the full trace-mode matrix, so sampled and full
-    // tables line up column for column.
-    let spec_strings: Vec<String> = if spec_args.is_empty() {
-        trace_mode::MATRIX.iter().map(|(_, s)| s.to_string()).collect()
-    } else {
-        spec_args
+    // Default spec set: the predictor matrix, so sampled and full tables
+    // line up column for column.
+    let specs = match f.values("--spec") {
+        given if given.is_empty() => trace_mode::matrix_specs(),
+        given => parse_specs(given)?,
     };
-    let mut specs = Vec::with_capacity(spec_strings.len());
-    let mut names = Vec::with_capacity(spec_strings.len());
-    for s in &spec_strings {
-        match PredictorSpec::parse(s) {
-            Ok(spec) => {
-                names.push(
-                    trace_mode::MATRIX
-                        .iter()
-                        .find(|(_, m)| m == s)
-                        .map_or_else(|| s.clone(), |(n, _)| n.to_string()),
-                );
-                specs.push(spec);
-            }
-            Err(e) => {
-                eprintln!("bad spec '{s}': {e}");
-                return 2;
-            }
-        }
-    }
+    let names: Vec<String> = specs.iter().map(trace_mode::display_name).collect();
     let start = std::time::Instant::now();
     println!(
         "# tage_exp sample: {} file(s), {} phase(s) x (warmup {} + measure {}), seed {}, specs: {}",
@@ -795,51 +556,38 @@ fn sample_files_mode(args: &[String]) -> i32 {
         opts.seed,
         names.join(", ")
     );
-    let runs = match sample_mode::run_sampled(&files, &specs, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sample mode failed: {e}");
-            return 1;
-        }
-    };
+    let pool = WorkerPool::new(threads.unwrap_or_else(default_threads));
+    let runs = sample_mode::run_sampled(&files, &specs, &opts, &pool).map_err(|e| {
+        eprintln!("sample mode failed: {e}");
+        1
+    })?;
     print!("{}", sample_mode::render(&runs, &names, &opts));
-    if let Some(dir) = &artifacts {
-        let total: u64 = runs.iter().map(|r| r.total_events).sum();
-        let simulated: u64 = runs.iter().map(|r| r.simulated_events(&opts)).sum();
+    if let Some(dir) = f.flag("--artifacts") {
         let block = SamplingBlock {
             phases: opts.phases,
             warmup: opts.warmup,
             measure: opts.measure,
             seed: opts.seed,
-            total_events: total,
-            simulated_events: simulated,
+            total_events: runs.iter().map(|r| r.total_events).sum(),
+            simulated_events: runs.iter().map(|r| r.simulated_events(&opts)).sum(),
         };
-        let mut wrote = 0usize;
-        for (si, spec) in specs.iter().enumerate() {
-            let suite = pipeline::SuiteReport::new(
-                runs.iter().filter_map(|r| r.sampled[si].combined_report()).collect(),
-            );
-            let art = RunArtifact::from_suite(
-                &spec.sim_key(),
-                trace_mode::MATRIX_SCENARIO,
-                "sampled",
-                &suite,
-                None,
-                top,
-            )
-            .with_sampling(block);
-            match art.write_to_dir(dir) {
-                Ok(path) => {
-                    wrote += 1;
-                    println!("# artifact: {}", path.display());
-                }
-                Err(e) => {
-                    eprintln!("artifact write failed for {}: {e}", art.file_name());
-                    return 1;
-                }
-            }
-        }
-        println!("# artifacts: {wrote} file(s) in {}", dir.display());
+        write_artifacts(
+            Path::new(dir),
+            specs.iter().enumerate().map(|(si, spec)| {
+                let suite = SuiteReport::new(
+                    runs.iter().filter_map(|r| r.sampled[si].combined_report()).collect(),
+                );
+                RunArtifact::from_suite(
+                    &spec.sim_key(),
+                    trace_mode::MATRIX_SCENARIO,
+                    "sampled",
+                    &suite,
+                    None,
+                    top,
+                )
+                .with_sampling(block)
+            }),
+        )?;
     }
     println!("# sample mode done in {:.1}s", start.elapsed().as_secs_f32());
     if let Some(thr) = opts.full_check {
@@ -848,7 +596,7 @@ fn sample_files_mode(args: &[String]) -> i32 {
                 let verdict = if worst > thr { "FAIL" } else { "ok" };
                 println!("# full-check: worst |delta| {worst:.2}% vs threshold {thr}% — {verdict}");
                 if worst > thr {
-                    return 1;
+                    return Err(1);
                 }
             }
             None => {
@@ -857,86 +605,35 @@ fn sample_files_mode(args: &[String]) -> i32 {
             }
         }
     }
-    0
+    Ok(())
 }
 
 /// `tage_exp report <paths...>`: render run artifacts back into tables
 /// and diff them. The first artifact (after directory expansion, sorted
 /// by file name) is the baseline every other artifact diffs against.
-/// Returns the process exit code: 0 clean, 1 when `--fail-over` is set
-/// and a diff row regresses past it, 2 on usage or load errors.
-fn report_mode(args: &[String]) -> i32 {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut top = DEFAULT_TOP;
-    let mut fail_over: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--top" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => top = n,
-                    _ => {
-                        eprintln!("--top expects a positive integer (got '{v}')");
-                        return 2;
-                    }
-                }
-            }
-            "--fail-over" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                match v.parse::<f64>() {
-                    Ok(p) if p >= 0.0 => fail_over = Some(p),
-                    _ => {
-                        eprintln!("--fail-over expects a non-negative percentage (got '{v}')");
-                        return 2;
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return 0;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag '{other}' for report mode");
-                return 2;
-            }
-            other => paths.push(PathBuf::from(other)),
-        }
-    }
+/// Fails with 1 when `--fail-over` is set and a diff row regresses past
+/// it, 2 on usage or load errors.
+fn report_mode(args: &[String]) -> Run {
+    let flags = parse(args, &["--top", "--fail-over"], &[], " for report mode")?;
+    let top = positive(&flags, "--top")?.unwrap_or(DEFAULT_TOP);
+    let fail_over = percent(&flags, "--fail-over")?;
+    let paths: Vec<PathBuf> = flags.positional.iter().map(PathBuf::from).collect();
     if paths.is_empty() {
         eprintln!("report mode: no artifact files or directories given");
         print_usage();
-        return 2;
+        return Err(2);
     }
-    let files = match collect_paths(&paths) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let files = collect_paths(&paths).map_err(|e| usage_error(&e.to_string()))?;
     if files.is_empty() {
-        eprintln!("report mode: no .json artifacts under the given paths");
-        return 2;
+        return Err(usage_error("report mode: no .json artifacts under the given paths"));
     }
     // Load and validate everything up front: a schema mismatch anywhere
     // fails the whole report rather than silently diffing fewer runs.
     let mut arts: Vec<(PathBuf, RunArtifact, SuiteReport)> = Vec::new();
     for f in files {
-        let art = match RunArtifact::load(&f) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        };
-        let suite = match art.suite_report() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{}: {e}", f.display());
-                return 2;
-            }
-        };
+        let art = RunArtifact::load(&f).map_err(|e| usage_error(&e.to_string()))?;
+        let suite =
+            art.suite_report().map_err(|e| usage_error(&format!("{}: {e}", f.display())))?;
         arts.push((f, art, suite));
     }
 
@@ -1087,8 +784,8 @@ fn report_mode(args: &[String]) -> i32 {
         ),
     }
     if regressions > 0 {
-        1
+        Err(1)
     } else {
-        0
+        Ok(())
     }
 }

@@ -19,6 +19,7 @@
 //! compressed `.ttr` v3 container (`--scheme` picks the block scheme;
 //! default `lz`).
 
+use harness::cli::Flags;
 use std::io;
 use std::path::{Path, PathBuf};
 use traces::CodecRegistry;
@@ -62,43 +63,6 @@ fn print_usage() {
     println!("  --json        inspect: emit a JSON array (same fields as the text columns)");
 }
 
-/// `--flag value` pairs (and bare switches, recorded with an empty value)
-/// in parse order.
-type FlagPairs = Vec<(String, String)>;
-
-/// Splits `args` into positionals, the recognized `--flag value` pairs,
-/// and the recognized boolean `--switch`es (stored with an empty value).
-fn parse_flags(
-    args: &[String],
-    flags: &[&str],
-    switches: &[&str],
-) -> Result<(Vec<String>, FlagPairs), String> {
-    let mut positional = Vec::new();
-    let mut pairs = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if flags.contains(&a.as_str()) {
-            let v = it.next().ok_or_else(|| format!("{a} expects a value"))?;
-            pairs.push((a.clone(), v.clone()));
-        } else if switches.contains(&a.as_str()) {
-            pairs.push((a.clone(), String::new()));
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag '{a}'"));
-        } else {
-            positional.push(a.clone());
-        }
-    }
-    Ok((positional, pairs))
-}
-
-fn flag<'a>(pairs: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    pairs.iter().rev().find(|(f, _)| f == name).map(|(_, v)| v.as_str())
-}
-
-fn switch(pairs: &[(String, String)], name: &str) -> bool {
-    pairs.iter().any(|(f, _)| f == name)
-}
-
 /// Resolves the output codec from `--format`/`--compress`/`--scheme`.
 /// `--compress` (or `--scheme`) selects the v3 container; an explicit
 /// conflicting `--format` is a usage error, not a silent override. The
@@ -106,18 +70,18 @@ fn switch(pairs: &[(String, String)], name: &str) -> bool {
 /// in the registry.
 fn output_codec<'a>(
     registry: &'a traces::CodecRegistry,
-    pairs: &FlagPairs,
+    flags: &Flags,
     default_format: Option<&str>,
 ) -> Result<(Option<&'a dyn traces::TraceCodec>, Option<traces::Ttr3Codec>), String> {
-    let compress = switch(pairs, "--compress") || flag(pairs, "--scheme").is_some();
-    let format = flag(pairs, "--format");
+    let compress = flags.switch("--compress") || flags.flag("--scheme").is_some();
+    let format = flags.flag("--format");
     if compress {
         if let Some(f) = format {
             if f != "ttr3" {
                 return Err(format!("--compress writes ttr3, which conflicts with --format {f}"));
             }
         }
-        let scheme = flag(pairs, "--scheme").unwrap_or("lz");
+        let scheme = flags.flag("--scheme").unwrap_or("lz");
         let Some((_, scheme_id, _)) = traces::SCHEMES.iter().find(|(n, _, _)| *n == scheme)
         else {
             let known: Vec<&str> = traces::SCHEMES.iter().map(|(n, _, _)| *n).collect();
@@ -149,26 +113,27 @@ fn io_fail(what: &str, e: &io::Error) -> i32 {
 }
 
 fn cmd_record(args: &[String]) -> i32 {
-    let (names, pairs) =
-        match parse_flags(args, &["--scale", "--out", "--format", "--scheme"], &["--compress"]) {
+    let flags =
+        match Flags::parse(args, &["--scale", "--out", "--format", "--scheme"], &["--compress"]) {
             Ok(v) => v,
-            Err(e) => return usage_error(&e),
+            Err(e) => return usage_error(&e.to_string()),
         };
+    let names = &flags.positional;
     if names.is_empty() {
         return usage_error("record: no trace names given");
     }
-    let scale = match flag(&pairs, "--scale") {
+    let scale = match flags.flag("--scale") {
         None => Scale::Tiny,
         Some(v) => match Scale::parse(v) {
             Some(s) => s,
             None => return usage_error(&format!("unknown scale '{v}'")),
         },
     };
-    let out = PathBuf::from(flag(&pairs, "--out").unwrap_or("."));
+    let out = PathBuf::from(flags.flag("--out").unwrap_or("."));
     let registry = CodecRegistry::standard();
-    let (reg_codec, owned) = match output_codec(&registry, &pairs, Some("ttr")) {
+    let (reg_codec, owned) = match output_codec(&registry, &flags, Some("ttr")) {
         Ok(v) => v,
-        Err(e) => return usage_error(&e),
+        Err(e) => return usage_error(&e.to_string()),
     };
     let codec: &dyn traces::TraceCodec = match (&owned, reg_codec) {
         (Some(c), _) => c,
@@ -180,7 +145,7 @@ fn cmd_record(args: &[String]) -> i32 {
         suite(scale)
     } else {
         let mut specs = Vec::new();
-        for n in &names {
+        for n in names {
             match by_name(n, scale) {
                 Some(s) => specs.push(s),
                 None => return usage_error(&format!("unknown trace '{n}'")),
@@ -205,18 +170,18 @@ fn cmd_record(args: &[String]) -> i32 {
 }
 
 fn cmd_convert(args: &[String]) -> i32 {
-    let (files, pairs) = match parse_flags(args, &["--format", "--scheme"], &["--compress"]) {
+    let flags = match Flags::parse(args, &["--format", "--scheme"], &["--compress"]) {
         Ok(v) => v,
-        Err(e) => return usage_error(&e),
+        Err(e) => return usage_error(&e.to_string()),
     };
-    let [input, output] = files.as_slice() else {
+    let [input, output] = flags.positional.as_slice() else {
         return usage_error("convert: expected <input> <output>");
     };
     let (input, output) = (Path::new(input), Path::new(output));
     let registry = CodecRegistry::standard();
-    let (reg_codec, owned) = match output_codec(&registry, &pairs, None) {
+    let (reg_codec, owned) = match output_codec(&registry, &flags, None) {
         Ok(v) => v,
-        Err(e) => return usage_error(&e),
+        Err(e) => return usage_error(&e.to_string()),
     };
     let to: &dyn traces::TraceCodec = match (&owned, reg_codec) {
         (Some(c), _) => c,
@@ -282,14 +247,15 @@ fn cmd_convert(args: &[String]) -> i32 {
 }
 
 fn cmd_inspect(args: &[String]) -> i32 {
-    let (files, pairs) = match parse_flags(args, &[], &["--json"]) {
+    let flags = match Flags::parse(args, &[], &["--json"]) {
         Ok(v) => v,
-        Err(e) => return usage_error(&e),
+        Err(e) => return usage_error(&e.to_string()),
     };
+    let files = &flags.positional;
     if files.is_empty() {
         return usage_error("inspect: no files given");
     }
-    let json = switch(&pairs, "--json");
+    let json = flags.switch("--json");
     let registry = CodecRegistry::standard();
     let mut t = harness::Table::new(
         "tage_trace inspect",
@@ -313,7 +279,7 @@ fn cmd_inspect(args: &[String]) -> i32 {
     // container trio is null for flat formats) — machine-readable for CI
     // and scripting, emitted as an array on stdout instead of the table.
     let mut objects: Vec<String> = Vec::new();
-    for f in &files {
+    for f in files {
         let path = Path::new(f);
         let mut src = match registry.open(path) {
             Ok(s) => s,

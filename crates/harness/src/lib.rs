@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 
 pub mod artifact;
+pub mod cli;
 pub mod ctx;
 pub mod experiments;
 pub mod runner;

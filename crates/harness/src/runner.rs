@@ -25,6 +25,12 @@
 //!   cross-experiment pipelining" item). A prefetched suite parks its
 //!   in-flight [`Batch`] in a pending map; the first consumer waits on it
 //!   and promotes the result into the memo cache.
+//!
+//! The suite jobs go through the pool's ordered fan-out, the same
+//! [`WorkerPool::run_ordered`] that runs every (spec × file) cell of
+//! `tage_exp system --trace` and every slice of `tage_exp sample`: one
+//! pool job per closure, results in submission order, a job panic
+//! re-raised on the waiting thread.
 
 use crate::spec::PredictorSpec;
 use pipeline::{simulate_engine, PipelineConfig, SimReport, SuiteReport};
@@ -91,8 +97,9 @@ impl PoolShared {
 }
 
 /// A fixed pool of worker threads executing boxed jobs, with per-worker
-/// deques and work stealing. Lives as long as its owner (the
-/// [`SuiteRunner`]), so consecutive suite runs reuse the same threads.
+/// deques and work stealing. Lives as long as its owner (a
+/// [`SuiteRunner`], an external-trace run, a server), so consecutive
+/// fan-outs reuse the same threads.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     next: AtomicU64,
@@ -167,6 +174,33 @@ impl WorkerPool {
         locked(&self.shared.queues[i]).push_back(job);
         let _guard = locked(&self.shared.idle);
         self.shared.wake.notify_all();
+    }
+
+    /// The ordered fan-out: submits one pool job per closure and returns
+    /// the in-flight [`Batch`] without waiting; its `wait` yields the
+    /// results in submission order.
+    fn fan_out<T, F>(&self, jobs: Vec<F>) -> Arc<Batch<T>>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let batch = Batch::new(jobs.len());
+        for (i, job) in jobs.into_iter().enumerate() {
+            let batch = Arc::clone(&batch);
+            self.submit(Box::new(move || batch.run(i, job)));
+        }
+        batch
+    }
+
+    /// Runs every job on the pool, one pool job each, and returns their
+    /// results in submission order, whatever order they finish in. A job
+    /// that panics re-raises its panic here.
+    pub fn run_ordered<T, F>(&self, jobs: Vec<F>) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        self.fan_out(jobs).wait()
     }
 }
 
@@ -345,14 +379,12 @@ impl SuiteRunner {
         self.sim_jobs_requested.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
         self.sim_jobs_run.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
         let job = Arc::new((spec.clone(), cfg.clone()));
-        let batch = Batch::new(n);
-        for i in 0..n {
-            let job = Arc::clone(&job);
-            let traces = Arc::clone(&self.traces);
-            let batch = Arc::clone(&batch);
-            let busy = Arc::clone(&self.sim_busy_nanos);
-            self.pool.submit(Box::new(move || {
-                batch.run(i, || {
+        let jobs = (0..n)
+            .map(|i| {
+                let job = Arc::clone(&job);
+                let traces = Arc::clone(&self.traces);
+                let busy = Arc::clone(&self.sim_busy_nanos);
+                move || {
                     timed(&busy, || {
                         let (spec, cfg) = &*job;
                         // INVARIANT: specs reach the scheduler validated
@@ -360,10 +392,10 @@ impl SuiteRunner {
                         let mut engine = spec.build_engine(scenario, cfg).expect("spec validated");
                         simulate_engine(&mut *engine, &mut TraceStream::new(&traces[i]))
                     })
-                });
-            }));
-        }
-        batch
+                }
+            })
+            .collect();
+        self.pool.fan_out(jobs)
     }
 
     /// Simulates `spec` (one cold predictor per trace, one pool job per
@@ -428,22 +460,20 @@ mod tests {
     fn pool_runs_all_jobs_with_stealing() {
         let pool = WorkerPool::new(4);
         let counter = Arc::new(AtomicU64::new(0));
-        let batch = Batch::new(64);
-        for i in 0..64u64 {
-            let counter = Arc::clone(&counter);
-            let batch = Arc::clone(&batch);
-            pool.submit(Box::new(move || {
-                batch.run(i as usize, || {
+        let jobs: Vec<_> = (0..64u64)
+            .map(|i| {
+                let counter = Arc::clone(&counter);
+                move || {
                     // Uneven job sizes force stealing off the loaded deques.
                     if i % 7 == 0 {
                         std::thread::sleep(std::time::Duration::from_millis(2));
                     }
                     counter.fetch_add(i, Ordering::Relaxed);
                     i
-                });
-            }));
-        }
-        let results = batch.wait();
+                }
+            })
+            .collect();
+        let results = pool.run_ordered(jobs);
         assert_eq!(counter.load(Ordering::Relaxed), 64 * 63 / 2);
         assert_eq!(results, (0..64).collect::<Vec<_>>());
     }
@@ -451,20 +481,18 @@ mod tests {
     #[test]
     fn panicking_job_propagates_instead_of_hanging() {
         let pool = WorkerPool::new(2);
-        let batch: Arc<Batch<u64>> = Batch::new(3);
-        for i in 0..3usize {
-            let batch = Arc::clone(&batch);
-            pool.submit(Box::new(move || {
-                batch.run(i, || {
+        let jobs: Vec<_> = (0..3u64)
+            .map(|i| {
+                move || {
                     if i == 1 {
                         panic!("boom in job {i}");
                     }
-                    i as u64
-                });
-            }));
-        }
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| batch.wait()))
-            .expect_err("wait must re-raise the job panic");
+                    i
+                }
+            })
+            .collect();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run_ordered(jobs)))
+            .expect_err("run_ordered must re-raise the job panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("boom in job 1"), "unexpected payload: {msg}");
     }

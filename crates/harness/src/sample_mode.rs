@@ -6,17 +6,17 @@
 //! fraction of the simulated events. This module is the driver half of
 //! [`pipeline::sampling`]: it picks phases with
 //! [`pipeline::fixed_interval`], fans **one pool job per (spec × slice)**
-//! through the shared [`WorkerPool`], positions each job's decoder with
-//! `EventSource::skip` (O(1) on block-indexed `.ttr` v3 files, decode-
-//! discard otherwise), and combines the per-slice reports with the exact
-//! integer arithmetic of [`SampledResult`].
+//! through [`WorkerPool::run_ordered`], positions each job's decoder
+//! with `EventSource::skip` (O(1) on block-indexed `.ttr` v3 files,
+//! decode-discard otherwise), and combines the per-slice reports with
+//! the exact integer arithmetic of [`SampledResult`].
 //!
 //! `--full-check PCT` additionally runs every (spec × file) pair in full
 //! — also as pool jobs — and fails when any sampled MPPKI strays more
 //! than PCT percent from its full-run twin: the accuracy gate CI runs at
 //! tiny scale.
 
-use crate::runner::{default_threads, WorkerPool};
+use crate::runner::WorkerPool;
 use crate::spec::PredictorSpec;
 use crate::table::{f1, Table};
 use crate::trace_mode::{check_run, run_spec_cell, MATRIX_SCENARIO};
@@ -25,7 +25,6 @@ use pipeline::{
 };
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 use traces::CodecRegistry;
 
 /// Knobs of one sampled run.
@@ -39,8 +38,6 @@ pub struct SampleOptions {
     pub measure: u64,
     /// Jitter seed for the fixed-interval selector.
     pub seed: u64,
-    /// Pool worker threads (`None`: available parallelism, capped at 16).
-    pub threads: Option<usize>,
     /// When set, also simulate every (spec × file) pair in full and gate
     /// the sampled MPPKI to within this percentage of the full run.
     pub full_check: Option<f64>,
@@ -53,7 +50,6 @@ impl Default for SampleOptions {
             warmup: 10_000,
             measure: 40_000,
             seed: 0,
-            threads: None,
             full_check: None,
         }
     }
@@ -137,8 +133,8 @@ fn full_job(path: &Path, spec: &PredictorSpec) -> io::Result<SimReport> {
 }
 
 /// Runs the sampled matrix: every (spec × file × slice) — plus, under
-/// `full_check`, every (spec × file) in full — as one job on the shared
-/// pool. Results assemble in deterministic (file, spec, slice) order
+/// `full_check`, every (spec × file) in full — as one job on `pool`.
+/// Results assemble in deterministic (file, spec, slice) order
 /// regardless of completion order.
 ///
 /// # Errors
@@ -149,6 +145,7 @@ pub fn run_sampled(
     files: &[PathBuf],
     specs: &[PredictorSpec],
     opts: &SampleOptions,
+    pool: &WorkerPool,
 ) -> io::Result<Vec<SampleRun>> {
     let registry = CodecRegistry::standard();
     // Phase selection is cheap and sequential: one metadata open per file.
@@ -162,66 +159,25 @@ pub fn run_sampled(
 
     // Fan out: job k is (file, spec, slice) in lexicographic order, with
     // the full-run jobs (if any) appended after all slice jobs.
-    struct JobDef {
-        file: usize,
-        spec: usize,
-        slice: Option<usize>,
-    }
-    let mut defs: Vec<JobDef> = Vec::new();
+    let job = |fi: usize, si: usize, slice: Option<Phase>| {
+        let (path, spec, opts) = (files[fi].clone(), specs[si].clone(), *opts);
+        move || match slice {
+            Some(phase) => slice_job(&path, &spec, phase, &opts),
+            None => full_job(&path, &spec),
+        }
+    };
+    let mut jobs = Vec::new();
     for (fi, (_, _, _, phases)) in metas.iter().enumerate() {
         for si in 0..specs.len() {
-            for pi in 0..phases.len() {
-                defs.push(JobDef { file: fi, spec: si, slice: Some(pi) });
-            }
+            jobs.extend(phases.iter().map(|&phase| job(fi, si, Some(phase))));
         }
     }
     if opts.full_check.is_some() {
         for fi in 0..files.len() {
-            for si in 0..specs.len() {
-                defs.push(JobDef { file: fi, spec: si, slice: None });
-            }
+            jobs.extend((0..specs.len()).map(|si| job(fi, si, None)));
         }
     }
-
-    let threads = opts.threads.unwrap_or_else(default_threads).clamp(1, defs.len().max(1));
-    let pool = WorkerPool::new(threads);
-    let (tx, rx) = mpsc::channel::<(usize, io::Result<SimReport>)>();
-    for (k, def) in defs.iter().enumerate() {
-        let tx = tx.clone();
-        let path = files[def.file].clone();
-        let spec = specs[def.spec].clone();
-        let slice = def.slice.map(|pi| metas[def.file].3[pi]);
-        let opts = *opts;
-        pool.submit(Box::new(move || {
-            // The pool has no per-job panic fence (the suite scheduler's
-            // Batch provides one); catch here so a panicking job surfaces
-            // as an error instead of hanging the collector.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match slice {
-                Some(phase) => slice_job(&path, &spec, phase, &opts),
-                None => full_job(&path, &spec),
-            }))
-            .unwrap_or_else(|p| {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "job panicked".to_string());
-                Err(io::Error::other(msg))
-            });
-            let _ = tx.send((k, result));
-        }));
-    }
-    drop(tx);
-    let mut slots: Vec<Option<io::Result<SimReport>>> = (0..defs.len()).map(|_| None).collect();
-    for _ in 0..defs.len() {
-        // INVARIANT: every submitted job sends exactly once (the panic
-        // fence above guarantees it), so recv cannot starve.
-        let (k, r) = rx.recv().expect("sample job vanished without a result");
-        slots[k] = Some(r);
-    }
-    // INVARIANT: the loop above received exactly one result per job
-    // index, so every slot is filled.
-    let mut results = slots.into_iter().map(|s| s.expect("sample slot unfilled"));
+    let mut results = pool.run_ordered(jobs).into_iter();
 
     // Reassemble in definition order: slice jobs first, then full jobs.
     let mut runs: Vec<SampleRun> = metas
@@ -239,7 +195,7 @@ pub fn run_sampled(
         .collect();
     for run in &mut runs {
         for _ in 0..specs.len() {
-            // INVARIANT: `defs` was built by these same loops in the same
+            // INVARIANT: `jobs` was built by these same loops in the same
             // order, so the iterator yields one result per (file, spec, slice).
             let reports: io::Result<Vec<SimReport>> =
                 (0..run.phases.len()).map(|_| results.next().unwrap()).collect();
@@ -355,10 +311,9 @@ mod tests {
             warmup: 0,
             measure: u64::MAX,
             full_check: Some(0.0),
-            threads: Some(2),
             ..SampleOptions::default()
         };
-        let runs = run_sampled(&files, &specs, &opts).unwrap();
+        let runs = run_sampled(&files, &specs, &opts, &WorkerPool::new(2)).unwrap();
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
         assert_eq!(run.phases, vec![Phase { start: 0, weight: run.total_events }]);
@@ -382,10 +337,10 @@ mod tests {
             warmup: 200,
             measure: 200,
             full_check: Some(100.0),
-            threads: Some(4),
             ..SampleOptions::default()
         };
-        let runs = run_sampled(&files, &specs, &opts).unwrap();
+        let pool = WorkerPool::new(4);
+        let runs = run_sampled(&files, &specs, &opts, &pool).unwrap();
         assert_eq!(runs.len(), 2);
         for run in &runs {
             let simulated = run.simulated_events(&opts);
@@ -398,7 +353,7 @@ mod tests {
             assert_eq!(run.sampled.len(), 2);
         }
         // Deterministic: a rerun reproduces the same slices and counters.
-        let again = run_sampled(&files, &specs, &opts).unwrap();
+        let again = run_sampled(&files, &specs, &opts, &pool).unwrap();
         for (a, b) in runs.iter().zip(&again) {
             assert_eq!(a.phases, b.phases);
             for (x, y) in a.sampled.iter().zip(&b.sampled) {
@@ -423,7 +378,7 @@ mod tests {
         let bytes = std::fs::read(&files[0]).unwrap();
         std::fs::write(&files[0], &bytes[..bytes.len() / 2]).unwrap();
         let specs = vec![PredictorSpec::parse("gshare:10").unwrap()];
-        let err = run_sampled(&files, &specs, &SampleOptions::default());
+        let err = run_sampled(&files, &specs, &SampleOptions::default(), &WorkerPool::new(2));
         assert!(err.is_err(), "corrupt file must fail the sampled run");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -23,8 +23,8 @@
 //! suite-scheduler memo label (see [`crate::ctx::ExpContext::run_spec`]):
 //! two experiment rows share a cached suite exactly when their specs
 //! canonicalize identically. [`PredictorSpec::build_engine`] is the one
-//! place a spec turns into a predictor: every caller — suite jobs, the
-//! trace-mode matrix, sampled slices, a served session, the budget
+//! place a spec turns into a predictor: every caller — suite jobs,
+//! external-trace cells, sampled slices, a served session, the budget
 //! columns — gets the same boxed [`BlockSim`].
 
 use baselines::{Bimodal, Ftl, Gehl, Gshare, Perceptron, Snap};

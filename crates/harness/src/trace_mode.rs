@@ -1,32 +1,35 @@
-//! `tage_exp trace` — the predictor matrix over *external* trace files.
+//! External trace files through predictor specs — `tage_exp system
+//! --trace`, the offline twin of a `tage_serve` session.
 //!
-//! Every other experiment consumes the synthetic 40-trace suite; this mode
-//! ingests recorded trace files through `tage-traces`' codec registry and
-//! runs the full predictor matrix over them, streaming. Results are
-//! grouped into categories exactly like the synthetic suite (the codec
-//! supplies the category — `.ttr` from its header, CBP/CSV from the
-//! filename prefix), so the report tables render unchanged.
+//! Every other experiment consumes the synthetic 40-trace suite; this
+//! module runs specs over recorded trace files through the `tage-traces`
+//! codec registry, streaming. With no spec given, `system --trace` runs
+//! the paper's predictor [`MATRIX`]. Results are grouped into categories
+//! exactly like the synthetic suite (the codec supplies the category —
+//! `.ttr` from its header, CBP/CSV from the filename prefix), so the
+//! report tables render unchanged.
 //!
-//! The same matrix can run over synthetic [`TraceSpec`]s directly; the
+//! [`run`] takes its [`Sources`] as an opener, so the same specs run over
+//! synthetic [`TraceSpec`]s directly; the
 //! `recorded_ttr_run_is_bit_identical_to_synthetic` integration test pins
-//! `tage_trace record` → `tage_exp trace` to the direct run, report for
-//! report.
+//! `tage_trace record` → `tage_exp system --trace` to the direct run,
+//! report for report.
 
+use crate::runner::WorkerPool;
 use crate::spec::PredictorSpec;
 use crate::table::{f1, Table};
-use crate::runner::default_threads;
 use pipeline::{simulate_engine, BlockSim, PipelineConfig, SuiteReport};
 use simkit::predictor::UpdateScenario;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 use traces::{CodecRegistry, TraceCodec, TraceDecoder};
 use workloads::event::{EventSource, Trace, TraceEvent};
 use workloads::TraceSpec;
 
 /// The predictor matrix as `(display name, spec)` pairs, in table-column
-/// order. Each cell builds its engine through
+/// order: the spec list of `tage_exp system --trace` and `tage_exp
+/// sample` when none is given. Each cell builds its engine through
 /// [`PredictorSpec::build_engine`], like every other simulation.
 pub const MATRIX: [(&str, &str); 6] = [
     ("gshare-512K", "gshare:512k"),
@@ -37,11 +40,69 @@ pub const MATRIX: [(&str, &str); 6] = [
     ("TAGE-LSC", "tage:lsc+ium+lsc/as=TAGE-LSC"),
 ];
 
-/// Update scenario the matrix runs under (the paper's default, [A]).
+/// Update scenario of every sampled run, and of external-trace runs
+/// unless `--scenario` says otherwise (the paper's default, [A]).
 pub const MATRIX_SCENARIO: UpdateScenario = UpdateScenario::RereadAtRetire;
 
+/// [`MATRIX`]'s specs, parsed, in column order.
+pub fn matrix_specs() -> Vec<PredictorSpec> {
+    MATRIX
+        .iter()
+        // INVARIANT: MATRIX is a static table; a bad entry is a bug the
+        // unit tests catch, not an input error.
+        .map(|(_, spec)| PredictorSpec::parse(spec).expect("matrix specs parse"))
+        .collect()
+}
+
+/// A spec's column name in rendered tables: its [`MATRIX`] display name
+/// when it is a matrix spec, else its canonical string.
+pub fn display_name(spec: &PredictorSpec) -> String {
+    let canonical = spec.to_string();
+    match MATRIX.iter().find(|(_, s)| *s == canonical) {
+        Some((name, _)) => name.to_string(),
+        None => canonical,
+    }
+}
+
+/// The sources a run reads. [`run`] opens source `i` afresh for every
+/// cell, so cells share nothing and run in any order.
+pub trait Sources: Send + Sync + 'static {
+    /// Number of sources.
+    fn count(&self) -> usize;
+
+    /// A fresh decoder positioned at the start of source `i`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates detection and open errors.
+    fn open(&self, i: usize) -> io::Result<Box<dyn TraceDecoder + Send>>;
+}
+
+/// Recorded trace files, format-autodetected per file.
+impl Sources for Vec<PathBuf> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn open(&self, i: usize) -> io::Result<Box<dyn TraceDecoder + Send>> {
+        CodecRegistry::standard().open(&self[i])
+    }
+}
+
+/// Synthetic trace recipes, streamed from the generator: the direct-run
+/// reference that recorded files are pinned against.
+impl Sources for Vec<TraceSpec> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn open(&self, i: usize) -> io::Result<Box<dyn TraceDecoder + Send>> {
+        Ok(Box::new(SpecSource(self[i].stream())))
+    }
+}
+
 /// A [`TraceDecoder`] wrapper for synthetic program streams, so the
-/// matrix runner treats generated and recorded sources uniformly.
+/// runner treats generated and recorded sources uniformly.
 struct SpecSource(workloads::ProgramStream);
 
 impl EventSource for SpecSource {
@@ -84,8 +145,8 @@ pub fn check_run(src: &dyn TraceDecoder, engine: &dyn BlockSim) -> io::Result<()
 
 /// One simulation cell: a fresh spec-built engine streamed over one
 /// source under `scenario`, with the post-run [`check_run`].
-/// This is THE per-(spec × trace) recipe — the matrix runner and `tage_exp
-/// system --trace` funnel through it, and a `tage_serve` session runs the
+/// This is THE per-(spec × trace) recipe — [`run`] and the sampler's
+/// full-run check funnel through it, and a `tage_serve` session runs the
 /// same engine and driver, which is what makes a served result
 /// bit-identical to the offline run.
 ///
@@ -109,141 +170,55 @@ pub fn run_spec_cell(
     Ok(r)
 }
 
-/// One spec over a set of trace files, sequentially, as a
-/// [`SuiteReport`] in file order — the offline twin of a `tage_serve`
-/// session (which runs exactly this recipe per connection). Formats are
-/// autodetected per file like [`run_files`].
+/// Runs every spec over every source under `scenario`. Each (spec ×
+/// source) cell — a cold engine over a freshly opened source,
+/// [`run_spec_cell`] — is one job on `pool`'s ordered fan-out
+/// ([`WorkerPool::run_ordered`]). Returns one [`SuiteReport`] per spec,
+/// in spec order, its reports in source order, whatever order the cells
+/// finish in.
 ///
 /// # Errors
 ///
-/// Propagates detection, open, spec-build, and decode-integrity errors
-/// (first failing file wins).
-pub fn run_spec_over_files(
-    spec: &PredictorSpec,
+/// Propagates open, spec-build and decode-integrity errors; the first
+/// failing cell in (spec, source) order wins.
+pub fn run(
+    specs: &[PredictorSpec],
     scenario: UpdateScenario,
-    files: &[PathBuf],
+    sources: impl Sources,
     cfg: &PipelineConfig,
-) -> io::Result<SuiteReport> {
-    let registry = CodecRegistry::standard();
-    let reports: io::Result<Vec<_>> = files
+    pool: &WorkerPool,
+) -> io::Result<Vec<SuiteReport>> {
+    let n = sources.count();
+    let sources = Arc::new(sources);
+    let cfg = Arc::new(cfg.clone());
+    let jobs = specs
         .iter()
-        .map(|f| {
-            let mut src = registry.open(f)?;
-            run_spec_cell(spec, scenario, &mut src, cfg)
+        .flat_map(|spec| (0..n).map(move |i| (spec.clone(), i)))
+        .map(|(spec, i)| {
+            let (sources, cfg) = (Arc::clone(&sources), Arc::clone(&cfg));
+            move || run_spec_cell(&spec, scenario, &mut sources.open(i)?, &cfg)
         })
         .collect();
-    Ok(SuiteReport::new(reports?))
-}
-
-/// Runs the full predictor matrix over `n` sources, one column per
-/// [`MATRIX`] entry. The `MATRIX.len() × n` cells are independent (every
-/// cell opens its own source and builds a cold predictor), so they fan
-/// out across up to `threads` workers (`None`: available parallelism,
-/// capped at 16, like the suite scheduler); results assemble in
-/// deterministic (predictor, source) order regardless of completion
-/// order.
-///
-/// # Errors
-///
-/// Propagates source-open and decode-integrity errors (the first error in
-/// cell order wins).
-pub fn run_matrix<F>(
-    n: usize,
-    open: F,
-    cfg: &PipelineConfig,
-    threads: Option<usize>,
-) -> io::Result<Vec<(&'static str, SuiteReport)>>
-where
-    F: Fn(usize) -> io::Result<Box<dyn TraceDecoder + Send>> + Sync,
-{
-    let cells = MATRIX.len() * n;
-    let threads = threads.unwrap_or_else(default_threads).clamp(1, cells.max(1));
-    let specs: Vec<PredictorSpec> = MATRIX
+    let mut cells = pool.run_ordered(jobs).into_iter();
+    specs
         .iter()
-        // INVARIANT: MATRIX is a static table; a bad entry is a bug the
-        // registry tests catch, not an input error.
-        .map(|(_, spec)| PredictorSpec::parse(spec).expect("matrix specs parse"))
-        .collect();
-    let slots: Vec<Mutex<Option<io::Result<pipeline::SimReport>>>> =
-        (0..cells).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                // ORDERING: work-claim ticket only — each worker takes a
-                // distinct cell index; result visibility rides the slot
-                // mutex and scope join, not this counter.
-                let cell = next.fetch_add(1, Ordering::Relaxed);
-                if cell >= cells {
-                    return;
-                }
-                let (predictor, source) = (cell / n, cell % n);
-                let result = open(source).and_then(|mut src| {
-                    run_spec_cell(&specs[predictor], MATRIX_SCENARIO, &mut src, cfg)
-                });
-                // INVARIANT: slot mutexes are uncontended by construction
-                // (each cell index is claimed once); poison would mean a
-                // sibling worker already panicked — propagate it.
-                *slots[cell].lock().unwrap() = Some(result);
-            });
-        }
-    });
-    let mut slots = slots.into_iter();
-    MATRIX
-        .iter()
-        .map(|(name, _)| {
-            let reports: io::Result<Vec<_>> = slots
-                .by_ref()
-                .take(n)
-                // INVARIANT: the thread scope joined every worker, so each
-                // claimed cell stored exactly one result.
-                .map(|slot| slot.into_inner().unwrap().expect("matrix cell unfilled"))
-                .collect();
-            Ok((*name, SuiteReport::new(reports?)))
-        })
+        .map(|_| cells.by_ref().take(n).collect::<io::Result<_>>().map(SuiteReport::new))
         .collect()
 }
 
-/// The matrix over external trace files (format-autodetected, streamed).
-///
-/// # Errors
-///
-/// Propagates detection, open, and decode errors for any file.
-pub fn run_files(
-    files: &[PathBuf],
-    cfg: &PipelineConfig,
-    threads: Option<usize>,
-) -> io::Result<Vec<(&'static str, SuiteReport)>> {
-    let registry = CodecRegistry::standard();
-    run_matrix(files.len(), |i| registry.open(&files[i]), cfg, threads)
-}
-
-/// The matrix over synthetic trace recipes (the direct-run baseline the
-/// recorded-file path is measured against).
-///
-/// # Errors
-///
-/// Never fails in practice (synthetic streams cannot be corrupt); the
-/// `io::Result` mirrors [`run_files`] for symmetry.
-pub fn run_specs(
-    specs: &[TraceSpec],
-    cfg: &PipelineConfig,
-    threads: Option<usize>,
-) -> io::Result<Vec<(&'static str, SuiteReport)>> {
-    let open = |i: usize| Ok(Box::new(SpecSource(specs[i].stream())) as _);
-    run_matrix(specs.len(), open, cfg, threads)
-}
-
-/// Renders the matrix: a per-trace MPPKI table plus category means,
+/// Renders named runs over the same sources: a per-trace MPPKI table
+/// (titled with the reports' update scenario) plus category means,
 /// mirroring the suite-report layout.
-pub fn render(results: &[(&'static str, SuiteReport)]) -> String {
+pub fn render(results: &[(&str, SuiteReport)]) -> String {
     let mut out = String::new();
     let Some((_, first)) = results.first() else {
         return out;
     };
+    let scenario = first.reports.first().map_or("-", |r| r.scenario.label());
     let mut columns = vec!["trace", "category"];
     columns.extend(results.iter().map(|(name, _)| *name));
-    let mut t = Table::new("TRACE MODE — per-trace MPPKI, scenario [A]", &columns);
+    let title = format!("TRACE MODE — per-trace MPPKI, scenario [{scenario}]");
+    let mut t = Table::new(&title, &columns);
     for i in 0..first.reports.len() {
         let mut row = vec![first.reports[i].trace.clone(), first.reports[i].category.clone()];
         row.extend(results.iter().map(|(_, s)| f1(s.reports[i].mppki())));
@@ -342,6 +317,7 @@ pub fn record_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::RunArtifact;
     use workloads::suite::{by_name, Scale};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -351,12 +327,34 @@ mod tests {
         dir
     }
 
+    fn tiny(names: &[&str]) -> Vec<TraceSpec> {
+        names.iter().map(|n| by_name(n, Scale::Tiny).unwrap()).collect()
+    }
+
+    /// The matrix over `sources` on a `threads`-worker pool, with its
+    /// display names.
+    fn matrix(
+        sources: impl Sources,
+        cfg: &PipelineConfig,
+        threads: usize,
+    ) -> io::Result<Vec<(&'static str, SuiteReport)>> {
+        let suites =
+            run(&matrix_specs(), MATRIX_SCENARIO, sources, cfg, &WorkerPool::new(threads))?;
+        Ok(MATRIX.iter().map(|(name, _)| *name).zip(suites).collect())
+    }
+
+    #[test]
+    fn matrix_specs_are_canonical_and_keep_their_display_names() {
+        for ((name, text), spec) in MATRIX.iter().zip(matrix_specs()) {
+            assert_eq!(spec.to_string(), *text, "MATRIX holds canonical spec strings");
+            assert_eq!(display_name(&spec), *name);
+        }
+        assert_eq!(display_name(&PredictorSpec::parse("gshare:12").unwrap()), "gshare:12");
+    }
+
     #[test]
     fn matrix_over_recorded_files_matches_direct_specs() {
-        let specs: Vec<TraceSpec> = ["CLIENT01", "MM01"]
-            .iter()
-            .map(|n| by_name(n, Scale::Tiny).unwrap())
-            .collect();
+        let specs = tiny(&["CLIENT01", "MM01"]);
         let dir = temp_dir("matrix");
         let codec = traces::TtrCodec;
         let files: Vec<PathBuf> = specs
@@ -364,8 +362,8 @@ mod tests {
             .map(|s| record_trace(&s.generate(), &codec, &dir).unwrap())
             .collect();
         let cfg = PipelineConfig::default();
-        let direct = run_specs(&specs, &cfg, Some(2)).unwrap();
-        let recorded = run_files(&files, &cfg, Some(2)).unwrap();
+        let direct = matrix(specs, &cfg, 2).unwrap();
+        let recorded = matrix(files, &cfg, 2).unwrap();
         assert_eq!(direct.len(), recorded.len());
         for ((n1, a), (n2, b)) in direct.iter().zip(&recorded) {
             assert_eq!(n1, n2);
@@ -380,12 +378,11 @@ mod tests {
         // Each column's spec string must simulate exactly the predictor
         // its display name promises: the preset constructors, run through
         // the engine directly, reproduce the matrix report for report.
-        use pipeline::{BlockSim, WindowEngine};
+        use pipeline::WindowEngine;
         use tage::TageSystem;
-        let specs: Vec<TraceSpec> =
-            ["INT02", "WS03"].iter().map(|n| by_name(n, Scale::Tiny).unwrap()).collect();
+        let specs = tiny(&["INT02", "WS03"]);
         let cfg = PipelineConfig::default();
-        let matrix = run_specs(&specs, &cfg, Some(2)).unwrap();
+        let matrix = matrix(specs.clone(), &cfg, 2).unwrap();
         let direct = |column: usize| -> Box<dyn BlockSim> {
             let sc = MATRIX_SCENARIO;
             match column {
@@ -433,30 +430,42 @@ mod tests {
 
     #[test]
     fn matrix_parallelism_is_deterministic() {
-        let specs: Vec<TraceSpec> =
-            ["INT03", "WS05"].iter().map(|n| by_name(n, Scale::Tiny).unwrap()).collect();
-        let cfg = PipelineConfig::default();
-        let serial = run_specs(&specs, &cfg, Some(1)).unwrap();
-        let parallel = run_specs(&specs, &cfg, Some(8)).unwrap();
-        for ((n1, a), (n2, b)) in serial.iter().zip(&parallel) {
+        // Reports, and the `tage.run/1` bytes `system --trace --artifacts`
+        // writes from them (per-branch rows included), are the same on one
+        // worker and on four.
+        let specs = tiny(&["INT03", "WS05"]);
+        let cfg = PipelineConfig { branch_stats: true, ..PipelineConfig::default() };
+        let serial = matrix(specs.clone(), &cfg, 1).unwrap();
+        let parallel = matrix(specs, &cfg, 4).unwrap();
+        let artifact = |spec: &PredictorSpec, suite: &SuiteReport| {
+            RunArtifact::from_suite(&spec.sim_key(), MATRIX_SCENARIO, "external", suite, None, 20)
+                .to_json()
+        };
+        for (spec, ((n1, a), (n2, b))) in matrix_specs().iter().zip(serial.iter().zip(&parallel)) {
             assert_eq!(n1, n2);
             assert_eq!(a.reports, b.reports, "{n1} diverged across thread counts");
+            assert_eq!(artifact(spec, a), artifact(spec, b), "{n1} artifact bytes diverged");
         }
     }
 
     #[test]
     fn render_groups_by_category() {
-        let specs: Vec<TraceSpec> =
-            ["WS01", "WS02"].iter().map(|n| by_name(n, Scale::Tiny).unwrap()).collect();
-        let results = run_specs(&specs, &PipelineConfig::default(), None).unwrap();
+        let results = matrix(tiny(&["WS01", "WS02"]), &PipelineConfig::default(), 2).unwrap();
         let s = render(&results);
-        assert!(s.contains("per-trace MPPKI"));
+        assert!(s.contains("per-trace MPPKI, scenario [A]"));
         assert!(s.contains("category mean MPPKI"));
         assert!(s.contains("WS01"));
         // One category row covering both traces.
         let mean_section = s.split("category mean").nth(1).unwrap();
         assert!(mean_section.contains("WS"));
         assert!(mean_section.contains('2'));
+        // The title follows the scenario the reports ran under.
+        let spec = [PredictorSpec::parse("gshare:12").unwrap()];
+        let cfg = PipelineConfig::default();
+        let sc = UpdateScenario::Immediate;
+        let under_i = run(&spec, sc, tiny(&["WS01"]), &cfg, &WorkerPool::new(1)).unwrap();
+        let named = [("gshare:12", under_i[0].clone())];
+        assert!(render(&named).contains("per-trace MPPKI, scenario [I]"));
     }
 
     #[test]
@@ -467,7 +476,7 @@ mod tests {
         // Truncate the recorded file mid-event-stream.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).unwrap();
-        let err = run_files(&[path], &PipelineConfig::default(), None);
+        let err = matrix(vec![path], &PipelineConfig::default(), 2);
         assert!(err.is_err(), "truncated input must fail loudly");
         let _ = std::fs::remove_dir_all(&dir);
     }

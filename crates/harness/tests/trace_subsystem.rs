@@ -1,10 +1,11 @@
 //! End-to-end tests of the external-trace subsystem: `tage_trace record`
-//! semantics → codec round-trips → `tage_exp trace` matrix, pinned to a
-//! checked-in golden table (the same table CI diffs the real binaries
-//! against).
+//! semantics → codec round-trips → the `tage_exp system --trace` matrix,
+//! pinned to a checked-in golden table (the same table CI diffs the real
+//! binaries against).
 
-use harness::trace_mode::{self, record_trace};
-use pipeline::PipelineConfig;
+use harness::trace_mode::{self, record_trace, Sources, MATRIX, MATRIX_SCENARIO};
+use harness::WorkerPool;
+use pipeline::{PipelineConfig, SuiteReport};
 use std::path::{Path, PathBuf};
 use traces::CodecRegistry;
 use workloads::event::EventSource;
@@ -28,6 +29,18 @@ fn record_ttr(dir: &Path) -> Vec<PathBuf> {
     specs().iter().map(|s| record_trace(&s.generate(), &traces::TtrCodec, dir).unwrap()).collect()
 }
 
+/// The predictor matrix over `sources` on a `threads`-worker pool, with
+/// its display names — what `tage_exp system --trace` runs and renders
+/// when no spec is given.
+fn matrix(sources: impl Sources, threads: usize) -> Vec<(&'static str, SuiteReport)> {
+    let pool = WorkerPool::new(threads);
+    let specs = trace_mode::matrix_specs();
+    let suites =
+        trace_mode::run(&specs, MATRIX_SCENARIO, sources, &PipelineConfig::default(), &pool)
+            .unwrap();
+    MATRIX.iter().map(|(name, _)| *name).zip(suites).collect()
+}
+
 fn golden_table_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/trace_mode_expected.txt")
 }
@@ -35,14 +48,13 @@ fn golden_table_path() -> PathBuf {
 #[test]
 fn recorded_ttr_run_is_bit_identical_to_synthetic() {
     // The acceptance contract: `tage_trace record` of a synthetic suite
-    // followed by `tage_exp trace` on the recorded files reproduces the
-    // direct synthetic run's reports exactly — every counter, every table
-    // cell.
+    // followed by `tage_exp system --trace` on the recorded files
+    // reproduces the direct synthetic run's reports exactly — every
+    // counter, every table cell.
     let dir = temp_dir("bitident");
     let files = record_ttr(&dir);
-    let cfg = PipelineConfig::default();
-    let direct = trace_mode::run_specs(&specs(), &cfg, Some(3)).unwrap();
-    let recorded = trace_mode::run_files(&files, &cfg, Some(2)).unwrap();
+    let direct = matrix(specs(), 3);
+    let recorded = matrix(files, 2);
     for ((n1, a), (n2, b)) in direct.iter().zip(&recorded) {
         assert_eq!(n1, n2);
         assert_eq!(a.reports, b.reports, "{n1} diverged between synthetic and recorded runs");
@@ -57,8 +69,7 @@ fn trace_mode_table_matches_the_checked_in_golden() {
     //   TAGE_WRITE_FIXTURES=1 cargo test -p harness --test trace_subsystem
     let dir = temp_dir("golden");
     let files = record_ttr(&dir);
-    let results = trace_mode::run_files(&files, &PipelineConfig::default(), Some(4)).unwrap();
-    let rendered = trace_mode::render(&results);
+    let rendered = trace_mode::render(&matrix(files, 4));
     let path = golden_table_path();
     if std::env::var_os("TAGE_WRITE_FIXTURES").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -123,7 +134,7 @@ fn cross_codec_conversion_chain_preserves_ttr_bytes() {
     );
 
     let as_cbp = reconvert(&original, "cbp");
-    let results = trace_mode::run_files(&[as_cbp], &PipelineConfig::default(), None).unwrap();
+    let results = matrix(vec![as_cbp], 2);
     assert_eq!(results[0].1.reports.len(), 1);
     assert!(results[0].1.reports[0].conditionals > 0);
     let _ = std::fs::remove_dir_all(&dir);

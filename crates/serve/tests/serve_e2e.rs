@@ -9,8 +9,8 @@ use std::thread;
 use std::time::Duration;
 
 use harness::artifact::{scenario_from_label, RunArtifact};
-use harness::trace_mode::{record_trace, run_spec_over_files};
-use harness::PredictorSpec;
+use harness::trace_mode::{self, record_trace};
+use harness::{PredictorSpec, WorkerPool};
 use pipeline::{simulate_engine, PipelineConfig, SimWindow, SuiteReport};
 use serve::wire::{self, FrameType, Handshake, WireError};
 use serve::{run_one, BoundServer, ClientOptions, ServeOptions};
@@ -55,14 +55,15 @@ fn client_opts(addr: SocketAddr) -> ClientOptions {
 fn offline_artifact_json(file: &Path) -> String {
     let spec = PredictorSpec::parse("tage").unwrap();
     let scenario = scenario_from_label("A").unwrap();
-    let suite = run_spec_over_files(
-        &spec,
+    let suites = trace_mode::run(
+        std::slice::from_ref(&spec),
         scenario,
-        &[file.to_path_buf()],
+        vec![file.to_path_buf()],
         &PipelineConfig::default(),
+        &WorkerPool::new(1),
     )
     .unwrap();
-    RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suite, None, 20).to_json()
+    RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suites[0], None, 20).to_json()
 }
 
 #[test]
