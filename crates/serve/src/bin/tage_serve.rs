@@ -4,10 +4,12 @@
 //! `client`, and the `manyclient` load bench. A fourth verb, `shutdown`,
 //! asks a running server to drain gracefully.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use harness::artifact::RunArtifact;
+use harness::cli::Flags;
 use harness::Table;
 use serve::wire::Handshake;
 use serve::{
@@ -51,22 +53,27 @@ SESSION OPTIONS (client and manyclient):
 "
 }
 
+/// How a verb ended: `Err` carries the exit code of one that stopped
+/// with its message already printed (2 on a usage error, 1 on a runtime
+/// error or a failed gate).
+type Run = Result<(), u8>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    let run = match args.first().map(String::as_str) {
         Some("client") => client_main(&args[1..]),
         Some("manyclient") => manyclient_main(&args[1..]),
         Some("shutdown") => shutdown_main(&args[1..]),
         Some("--help") | Some("-h") | Some("help") => {
             print!("{}", usage());
-            0
+            Ok(())
         }
         // `serve` may be spelled out (symmetric with the other verbs) or
         // left implicit (bare flags).
         Some("serve") => serve_main(&args[1..]),
         _ => serve_main(&args),
     };
-    ExitCode::from(code)
+    ExitCode::from(run.err().unwrap_or(0))
 }
 
 fn bad_usage(msg: &str) -> u8 {
@@ -75,143 +82,114 @@ fn bad_usage(msg: &str) -> u8 {
     2
 }
 
-fn serve_main(args: &[String]) -> u8 {
-    let mut opts = ServeOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--host" => match it.next() {
-                Some(v) => opts.host = v.clone(),
-                None => return bad_usage("--host needs a value"),
-            },
-            "--port" => match it.next().and_then(|v| v.parse::<u16>().ok()) {
-                Some(v) => opts.port = v,
-                None => return bad_usage("--port needs a number"),
-            },
-            "--max-sessions" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v > 0 => opts.max_sessions = v,
-                _ => return bad_usage("--max-sessions needs a positive number"),
-            },
-            "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v > 0 => opts.threads = Some(v),
-                _ => return bad_usage("--threads needs a positive number"),
-            },
-            "--allow-fault-injection" => opts.allow_fault_injection = true,
-            other => return bad_usage(&format!("unknown serve flag {other:?}")),
-        }
-    }
-    match serve::serve(&opts) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
+fn runtime_error(e: impl std::fmt::Display) -> u8 {
+    eprintln!("error: {e}");
+    1
+}
+
+/// Parses one verb's command line with the shared [`Flags`] parser; an
+/// unknown flag or a value flag that ends the line is a usage error.
+fn parse(args: &[String], flags: &[&str], switches: &[&str]) -> Result<Flags, u8> {
+    Flags::parse(args, flags, switches).map_err(|e| bad_usage(&e.to_string()))
+}
+
+/// A usage error for the first positional, for verbs that take none.
+fn no_positionals(f: &Flags) -> Run {
+    match f.positional.first() {
+        Some(arg) => Err(bad_usage(&format!("unexpected argument {arg:?}"))),
+        None => Ok(()),
     }
 }
 
-/// Verb-specific flag hook: consume `arg` (pulling values off the
-/// iterator) and return whether it was recognized.
-type ExtraFlag<'a> = dyn FnMut(&str, &mut std::slice::Iter<String>) -> Result<bool, String> + 'a;
-
-/// Parse the session options shared by `client` and `manyclient` into a
-/// handshake template. Returns unconsumed positional arguments.
-fn parse_session_flags(
-    args: &[String],
-    hs: &mut Handshake,
-    addr: &mut String,
-    extra: &mut ExtraFlag<'_>,
-) -> Result<Vec<String>, String> {
-    fn take(it: &mut std::slice::Iter<String>, name: &str) -> Result<String, String> {
-        it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-    }
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => *addr = take(&mut it, "--addr")?,
-            "--spec" => hs.spec = take(&mut it, "--spec")?,
-            "--scenario" => hs.scenario = take(&mut it, "--scenario")?,
-            "--skip" => {
-                hs.skip = take(&mut it, "--skip")?.parse().map_err(|_| "bad --skip".to_string())?
-            }
-            "--warmup" => {
-                hs.warmup =
-                    take(&mut it, "--warmup")?.parse().map_err(|_| "bad --warmup".to_string())?
-            }
-            "--measure" => {
-                hs.measure =
-                    take(&mut it, "--measure")?.parse().map_err(|_| "bad --measure".to_string())?
-            }
-            "--branch-stats" => hs.branch_stats = true,
-            "--top" => {
-                hs.top = take(&mut it, "--top")?.parse().map_err(|_| "bad --top".to_string())?
-            }
-            "--stats-every" => {
-                hs.stats_every = take(&mut it, "--stats-every")?
-                    .parse()
-                    .map_err(|_| "bad --stats-every".to_string())?
-            }
-            "--fault" => hs.fault = take(&mut it, "--fault")?,
-            other => {
-                if other.starts_with("--") {
-                    if !extra(other, &mut it)? {
-                        return Err(format!("unknown flag {other:?}"));
-                    }
-                } else {
-                    positional.push(other.to_string());
-                }
-            }
-        }
-    }
-    Ok(positional)
+/// `name`'s value as a `T` that `ok` accepts, if given; anything else is
+/// the usage error `msg`.
+fn value<T: FromStr>(
+    f: &Flags,
+    name: &str,
+    msg: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<Option<T>, u8> {
+    f.flag(name).map(|v| v.parse().ok().filter(|x| ok(x)).ok_or_else(|| bad_usage(msg))).transpose()
 }
 
-fn client_main(args: &[String]) -> u8 {
-    let mut hs = Handshake::default();
-    let mut addr = String::new();
-    let mut artifacts: Option<PathBuf> = None;
-    let mut quiet = false;
-    let parsed = parse_session_flags(args, &mut hs, &mut addr, &mut |flag, it| match flag {
-        "--artifacts" => {
-            artifacts =
-                Some(PathBuf::from(it.next().ok_or("--artifacts needs a value".to_string())?));
-            Ok(true)
-        }
-        "--quiet" => {
-            quiet = true;
-            Ok(true)
-        }
-        _ => Ok(false),
-    });
-    let positional = match parsed {
-        Ok(p) => p,
-        Err(msg) => return bad_usage(&msg),
-    };
-    if addr.is_empty() || hs.spec.is_empty() || positional.len() != 1 {
-        return bad_usage("client needs --addr, --spec, and exactly one TRACE file");
-    }
-    let trace = PathBuf::from(&positional[0]);
+/// `name`'s value as a `T`, if given; an unparsable one is `bad NAME`.
+fn number<T: FromStr>(f: &Flags, name: &str) -> Result<Option<T>, u8> {
+    value(f, name, &format!("bad {name}"), |_| true)
+}
 
-    let opts = ClientOptions { addr, handshake: hs, quiet };
-    let result = match run_one(&trace, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
+/// `name`'s value as a positive count, if given.
+fn positive(f: &Flags, name: &str) -> Result<Option<usize>, u8> {
+    value(f, name, &format!("{name} needs a positive number"), |n| *n > 0)
+}
+
+fn serve_main(args: &[String]) -> Run {
+    let f = parse(
+        args,
+        &["--host", "--port", "--max-sessions", "--threads"],
+        &["--allow-fault-injection"],
+    )?;
+    no_positionals(&f)?;
+    let defaults = ServeOptions::default();
+    let opts = ServeOptions {
+        host: f.flag("--host").map_or(defaults.host, String::from),
+        port: value(&f, "--port", "--port needs a number", |_| true)?.unwrap_or(defaults.port),
+        max_sessions: positive(&f, "--max-sessions")?.unwrap_or(defaults.max_sessions),
+        threads: positive(&f, "--threads")?,
+        allow_fault_injection: f.switch("--allow-fault-injection"),
     };
+    serve::serve(&opts).map_err(runtime_error)
+}
+
+/// Value flags of the session options `client` and `manyclient` share.
+const SESSION_FLAGS: [&str; 9] = [
+    "--addr",
+    "--spec",
+    "--scenario",
+    "--skip",
+    "--warmup",
+    "--measure",
+    "--top",
+    "--stats-every",
+    "--fault",
+];
+
+/// The handshake template the session options describe.
+fn handshake(f: &Flags) -> Result<Handshake, u8> {
+    let d = Handshake::default();
+    let text = |name: &str, default: String| f.flag(name).map_or(default, String::from);
+    Ok(Handshake {
+        spec: text("--spec", d.spec),
+        scenario: text("--scenario", d.scenario),
+        skip: number(f, "--skip")?.unwrap_or(d.skip),
+        warmup: number(f, "--warmup")?.unwrap_or(d.warmup),
+        measure: number(f, "--measure")?.unwrap_or(d.measure),
+        branch_stats: f.switch("--branch-stats"),
+        top: number(f, "--top")?.unwrap_or(d.top),
+        stats_every: number(f, "--stats-every")?.unwrap_or(d.stats_every),
+        fault: text("--fault", d.fault),
+        ..d
+    })
+}
+
+fn client_main(args: &[String]) -> Run {
+    let flags = [&SESSION_FLAGS[..], &["--artifacts"]].concat();
+    let f = parse(args, &flags, &["--branch-stats", "--quiet"])?;
+    let handshake = handshake(&f)?;
+    let addr = f.flag("--addr").unwrap_or_default().to_string();
+    if addr.is_empty() || handshake.spec.is_empty() || f.positional.len() != 1 {
+        return Err(bad_usage("client needs --addr, --spec, and exactly one TRACE file"));
+    }
+    let trace = PathBuf::from(&f.positional[0]);
+
+    let opts = ClientOptions { addr, handshake, quiet: f.switch("--quiet") };
+    let result = run_one(&trace, &opts).map_err(runtime_error)?;
     if let Some(err) = &result.error {
         eprintln!("server error [{}]: {}", err.code, err.message);
-        return 1;
+        return Err(1);
     }
     let json = result.artifact_json.expect("ok result carries an artifact");
-    let artifact = match RunArtifact::from_json(&json) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: result artifact did not parse: {e}");
-            return 1;
-        }
-    };
+    let artifact = RunArtifact::from_json(&json)
+        .map_err(|e| runtime_error(format!("result artifact did not parse: {e}")))?;
     println!(
         "# session: {} events, {} stats frame(s), {:.1} ms",
         result.events,
@@ -222,95 +200,44 @@ fn client_main(args: &[String]) -> u8 {
         &format!("SERVED RESULT — spec {}, scenario {}", artifact.spec, artifact.scenario),
         &["trace", "category", "MPPKI"],
     );
-    let suite = match artifact.suite_report() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: result artifact did not round-trip: {e}");
-            return 1;
-        }
-    };
+    let suite = artifact
+        .suite_report()
+        .map_err(|e| runtime_error(format!("result artifact did not round-trip: {e}")))?;
     for r in &suite.reports {
         table.row(vec![r.trace.clone(), r.category.clone(), format!("{:.4}", r.mppki())]);
     }
     table.print();
-    if let Some(dir) = artifacts {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("error: {e}");
-            return 1;
-        }
-        let path = dir.join(artifact.file_name());
+    if let Some(dir) = f.flag("--artifacts") {
+        std::fs::create_dir_all(dir).map_err(runtime_error)?;
+        let path = Path::new(dir).join(artifact.file_name());
         // The payload bytes, not a re-serialization: byte-identical to the
         // offline `tage_exp system --trace --artifacts` output.
-        if let Err(e) = std::fs::write(&path, json.as_bytes()) {
-            eprintln!("error: {e}");
-            return 1;
-        }
+        std::fs::write(&path, json.as_bytes()).map_err(runtime_error)?;
         println!("# artifact: {}", path.display());
     }
-    0
+    Ok(())
 }
 
-fn manyclient_main(args: &[String]) -> u8 {
-    let mut hs = Handshake::default();
-    let mut addr = String::new();
-    let mut traces_dir: Option<PathBuf> = None;
-    let mut sessions = 0usize;
-    let mut inject_panic = 0usize;
-    let mut json_out: Option<PathBuf> = None;
-    let mut min_throughput: Option<f64> = None;
-    let parsed = parse_session_flags(args, &mut hs, &mut addr, &mut |flag, it| {
-        let mut take = |name: &str| it.next().cloned().ok_or(format!("{name} needs a value"));
-        match flag {
-            "--traces" => {
-                traces_dir = Some(PathBuf::from(take("--traces")?));
-                Ok(true)
-            }
-            "--sessions" => {
-                sessions = take("--sessions")?.parse().map_err(|_| "bad --sessions".to_string())?;
-                Ok(true)
-            }
-            "--inject-panic" => {
-                inject_panic =
-                    take("--inject-panic")?.parse().map_err(|_| "bad --inject-panic".to_string())?;
-                Ok(true)
-            }
-            "--json" => {
-                json_out = Some(PathBuf::from(take("--json")?));
-                Ok(true)
-            }
-            "--min-throughput" => {
-                min_throughput = Some(
-                    take("--min-throughput")?
-                        .parse()
-                        .map_err(|_| "bad --min-throughput".to_string())?,
-                );
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    });
-    if let Err(msg) = parsed {
-        return bad_usage(&msg);
-    }
-    let traces_dir = match traces_dir {
-        Some(d) => d,
-        None => return bad_usage("manyclient needs --traces DIR"),
+fn manyclient_main(args: &[String]) -> Run {
+    let bench_flags = ["--traces", "--sessions", "--inject-panic", "--json", "--min-throughput"];
+    let f = parse(args, &[&SESSION_FLAGS[..], &bench_flags].concat(), &["--branch-stats"])?;
+    let handshake = handshake(&f)?;
+    let sessions = number(&f, "--sessions")?.unwrap_or(0);
+    let inject_panic = number(&f, "--inject-panic")?.unwrap_or(0);
+    let min_throughput: Option<f64> = number(&f, "--min-throughput")?;
+    let Some(traces_dir) = f.flag("--traces").map(PathBuf::from) else {
+        return Err(bad_usage("manyclient needs --traces DIR"));
     };
-    if addr.is_empty() || hs.spec.is_empty() || sessions == 0 {
-        return bad_usage("manyclient needs --addr, --spec, and --sessions N");
+    let addr = f.flag("--addr").unwrap_or_default().to_string();
+    if addr.is_empty() || handshake.spec.is_empty() || sessions == 0 {
+        return Err(bad_usage("manyclient needs --addr, --spec, and --sessions N"));
     }
     if inject_panic > sessions {
-        return bad_usage("--inject-panic cannot exceed --sessions");
+        return Err(bad_usage("--inject-panic cannot exceed --sessions"));
     }
 
-    let opts = ManyClientOptions { addr, traces_dir, sessions, handshake: hs, inject_panic };
-    let (summary, outcomes) = match run_bench(&opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let opts = ManyClientOptions { addr, traces_dir, sessions, handshake, inject_panic };
+    let (summary, outcomes) = run_bench(&opts).map_err(runtime_error)?;
 
     println!(
         "# manyclient: {} session(s), {} ok, {} error(s), {:.0} events/s, p50 {:.1} ms, p99 {:.1} ms",
@@ -324,12 +251,9 @@ fn manyclient_main(args: &[String]) -> u8 {
     for (code, n) in &summary.error_codes {
         println!("#   error [{code}]: {n} session(s)");
     }
-    if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, summary.to_json()) {
-            eprintln!("error: {e}");
-            return 1;
-        }
-        println!("# load-bench json: {}", path.display());
+    if let Some(path) = f.flag("--json") {
+        std::fs::write(path, summary.to_json()).map_err(runtime_error)?;
+        println!("# load-bench json: {path}");
     }
 
     // Gates: exactly the injected sessions fail, each with code `panic`.
@@ -362,35 +286,20 @@ fn manyclient_main(args: &[String]) -> u8 {
         }
     }
     if failed_gate {
-        1
+        Err(1)
     } else {
-        0
+        Ok(())
     }
 }
 
-fn shutdown_main(args: &[String]) -> u8 {
-    let mut addr = String::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => return bad_usage("--addr needs a value"),
-            },
-            other => return bad_usage(&format!("unknown shutdown flag {other:?}")),
-        }
-    }
+fn shutdown_main(args: &[String]) -> Run {
+    let f = parse(args, &["--addr"], &[])?;
+    no_positionals(&f)?;
+    let addr = f.flag("--addr").unwrap_or_default();
     if addr.is_empty() {
-        return bad_usage("shutdown needs --addr");
+        return Err(bad_usage("shutdown needs --addr"));
     }
-    match request_shutdown(&addr) {
-        Ok(()) => {
-            println!("# shutdown acknowledged");
-            0
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
-    }
+    request_shutdown(addr).map_err(runtime_error)?;
+    println!("# shutdown acknowledged");
+    Ok(())
 }

@@ -1,6 +1,11 @@
 //! Client side of a `tage.wire/2` session: stream one trace, collect the
 //! result artifact.
 //!
+//! Every client socket comes from `connect`, which turns Nagle's
+//! algorithm off (`TCP_NODELAY`). Each frame is flushed on its own and
+//! the two sides take turns, so with Nagle on a small frame can wait
+//! for the peer's delayed ACK of the one before it, about 40 ms on Linux.
+//!
 //! Frames from the server arrive on a dedicated reader thread and are
 //! forwarded over a channel; the sender thread just pumps file bytes. The
 //! split matters: with `stats_every` set the server emits progress frames
@@ -10,7 +15,7 @@
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::mpsc;
 use std::thread;
@@ -60,7 +65,7 @@ impl SessionResult {
 /// "the server refused" from "the network broke".
 pub fn run_one(path: &Path, opts: &ClientOptions) -> io::Result<SessionResult> {
     let started = Instant::now();
-    let stream = TcpStream::connect(&opts.addr)?;
+    let stream = connect(opts.addr.as_str())?;
     let mut wr = BufWriter::new(stream.try_clone()?);
 
     let mut hs = opts.handshake.clone();
@@ -184,6 +189,14 @@ pub fn run_one(path: &Path, opts: &ClientOptions) -> io::Result<SessionResult> {
     Ok(result)
 }
 
+/// Open a connection to `addr` with `TCP_NODELAY` set (see the module
+/// docs).
+pub(crate) fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 fn stream_file(path: &Path, wr: &mut BufWriter<TcpStream>) -> io::Result<()> {
     let mut f = File::open(path)?;
     let mut buf = vec![0u8; DATA_CHUNK];
@@ -200,7 +213,7 @@ fn stream_file(path: &Path, wr: &mut BufWriter<TcpStream>) -> io::Result<()> {
 /// Ask a server to drain and exit: open a connection whose first frame is
 /// `shutdown`, wait for the `ready` ack.
 pub fn request_shutdown(addr: &str) -> io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
+    let stream = connect(addr)?;
     let mut wr = BufWriter::new(stream.try_clone()?);
     wire::write_frame(&mut wr, FrameType::Shutdown, b"")?;
     let mut rd = BufReader::new(stream);
@@ -212,4 +225,17 @@ pub fn request_shutdown(addr: &str) -> io::Result<()> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn client_sockets_turn_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = connect(listener.local_addr().unwrap()).unwrap();
+        assert!(stream.nodelay().unwrap());
+    }
 }

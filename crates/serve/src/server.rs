@@ -8,6 +8,13 @@
 //! ever touching the pool), so a flood of clients cannot queue unbounded
 //! work behind the limit.
 //!
+//! Every accepted stream sets `TCP_NODELAY` before it carries a frame
+//! (a session, an admission refusal or a shutdown ack). `wire::write_frame`
+//! flushes each frame on its own, and a session's last two frames,
+//! `stats` then `result`, go out back to back: with Nagle's algorithm on,
+//! `result` would wait for the client's delayed ACK of `stats`, about
+//! 40 ms on Linux. A stream that refuses the option is still served.
+//!
 //! Graceful drain: a `shutdown` frame as the first frame of a fresh
 //! connection flips the shutdown flag; the handling worker then opens a
 //! loopback connection to wake the blocking `accept()`, the acceptor
@@ -17,7 +24,7 @@
 //! signal handler is installed.)
 
 use std::io::{self, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,6 +32,7 @@ use std::thread;
 
 use harness::WorkerPool;
 
+use crate::client;
 use crate::session::{self, SessionConfig, SessionEnd};
 use crate::wire::ERR_ADMISSION;
 
@@ -95,6 +103,23 @@ pub fn serve(opts: &ServeOptions) -> io::Result<()> {
     server.run()
 }
 
+/// An admitted session's place under `max_sessions`, freed on drop. The
+/// session body drops it before its final `stats` and `result` frames go
+/// out, so a client that opens its next connection as soon as it has a
+/// result never finds the last session still counted. On every other
+/// path it goes when the body returns or unwinds. Either way the release
+/// strictly precedes the graceful drain: a slow peer must not hold an
+/// admission slot (or block a shutdown connection) for the drain timeout.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        // ORDERING: Relaxed — advisory admission counter, see the
+        // admission read in the accept loop.
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 fn run_accept_loop(listener: TcpListener, opts: &ServeOptions) -> io::Result<()> {
     let addr = listener.local_addr()?;
     let threads = opts
@@ -138,6 +163,9 @@ fn run_accept_loop(listener: TcpListener, opts: &ServeOptions) -> io::Result<()>
                 continue;
             }
         };
+        if let Err(e) = stream.set_nodelay(true) {
+            eprintln!("# set_nodelay error: {e}");
+        }
         // ORDERING: Relaxed — the wake connection that follows the store
         // provides the needed happens-before through the socket itself.
         if shutdown.load(Ordering::Relaxed) {
@@ -166,11 +194,11 @@ fn run_accept_loop(listener: TcpListener, opts: &ServeOptions) -> io::Result<()>
         // ORDERING: Relaxed — see the admission read above; the counter
         // never orders any other memory.
         active.fetch_add(1, Ordering::Relaxed);
+        let slot = Slot(Arc::clone(&active));
         // ORDERING: Relaxed — the id only needs uniqueness for log lines.
         let id = session_seq.fetch_add(1, Ordering::Relaxed);
         let cfg = Arc::clone(&cfg);
         let shutdown = Arc::clone(&shutdown);
-        let active = Arc::clone(&active);
         pool.submit(Box::new(move || {
             // Panic fence: a panicking session (decoder bug, predictor
             // bug, injected fault) must degrade only itself. Unwinding is
@@ -178,7 +206,7 @@ fn run_accept_loop(listener: TcpListener, opts: &ServeOptions) -> io::Result<()>
             // (see Cargo.toml), which is why fault injection is gated.
             let fence_half = stream.try_clone().ok();
             let drain_half = stream.try_clone().ok();
-            let end = catch_unwind(AssertUnwindSafe(|| session::session_body(stream, &cfg)))
+            let end = catch_unwind(AssertUnwindSafe(|| session::session_body(stream, &cfg, slot)))
                 .unwrap_or_else(|payload| {
                     let detail = payload
                         .downcast_ref::<String>()
@@ -187,11 +215,6 @@ fn run_accept_loop(listener: TcpListener, opts: &ServeOptions) -> io::Result<()>
                         .unwrap_or("session panicked");
                     session::report_panic(fence_half, detail)
                 });
-            // Slot release strictly precedes the graceful drain: a slow
-            // peer must not hold an admission slot (or block a shutdown
-            // connection) for the drain timeout.
-            // ORDERING: Relaxed — advisory admission counter, see above.
-            active.fetch_sub(1, Ordering::Relaxed);
             match &end {
                 SessionEnd::Completed { events } => {
                     println!("# session {id}: ok ({events} events)");
@@ -206,7 +229,7 @@ fn run_accept_loop(listener: TcpListener, opts: &ServeOptions) -> io::Result<()>
                     shutdown.store(true, Ordering::Relaxed);
                     // Wake the blocking accept() so the acceptor sees the
                     // flag even if no further client ever connects.
-                    let _ = TcpStream::connect(addr);
+                    let _ = client::connect(addr);
                 }
             }
             if let Some(s) = drain_half {

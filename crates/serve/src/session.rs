@@ -171,7 +171,7 @@ pub fn drain_to_eof(stream: &TcpStream) {
 /// (The one deliberate panic is the gated `fault=panic` test hook.)
 pub fn run_session(stream: TcpStream, cfg: &SessionConfig) -> SessionEnd {
     let drain_half = stream.try_clone().ok();
-    let end = session_body(stream, cfg);
+    let end = session_body(stream, cfg, ());
     if let Some(s) = drain_half {
         drain_to_eof(&s);
     }
@@ -180,8 +180,10 @@ pub fn run_session(stream: TcpStream, cfg: &SessionConfig) -> SessionEnd {
 
 /// [`run_session`] minus the graceful drain — for callers (the server's
 /// worker job) that must release their admission slot *before* spending
-/// up to the drain timeout on a slow peer.
-pub(crate) fn session_body(stream: TcpStream, cfg: &SessionConfig) -> SessionEnd {
+/// up to the drain timeout on a slow peer. The server passes that slot as
+/// `slot`, which is dropped just before the final `stats` and `result`
+/// frames are written, or when the body returns on any other path.
+pub(crate) fn session_body<S>(stream: TcpStream, cfg: &SessionConfig, slot: S) -> SessionEnd {
     let read_half = match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
@@ -305,6 +307,7 @@ pub(crate) fn session_body(stream: TcpStream, cfg: &SessionConfig) -> SessionEnd
     let suite = SuiteReport::new(vec![report]);
     let artifact =
         RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suite, None, hs.top);
+    drop(slot);
     let sent = wire::write_frame(&mut wr, FrameType::Stats, &encode_stats(events))
         .and_then(|_| wire::write_frame(&mut wr, FrameType::Result, artifact.to_json().as_bytes()));
     match sent {

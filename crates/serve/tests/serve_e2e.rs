@@ -6,7 +6,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use harness::artifact::{scenario_from_label, RunArtifact};
 use harness::trace_mode::{self, record_trace};
@@ -200,6 +200,50 @@ fn healthy_session(addr: SocketAddr, file: &Path, context: &str) {
     assert!(res.artifact_json.is_some(), "{context}: healthy session missing artifact");
 }
 
+/// A session's last two frames, `stats` then `result`, go out back to
+/// back. If the server left Nagle's algorithm on, `result` would wait for
+/// this client's delayed ACK of `stats` (about 40 ms on Linux). The raw
+/// client leaves Nagle on, so only the server's `TCP_NODELAY` keeps the
+/// gap short. Between the two writes the server only serializes the
+/// artifact, so the gap does not depend on the trace or the build.
+#[test]
+fn result_frame_follows_the_final_stats_frame_without_a_stall() {
+    let dir = test_dir("gap");
+    let trace = by_name("INT01", Scale::Tiny).unwrap().generate();
+    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let trace_bytes = std::fs::read(&file).unwrap();
+
+    let (addr, handle) = start_server(8, false);
+    let mut gaps: Vec<Duration> = (0..7)
+        .map(|i| {
+            let (mut rd, mut wr) = raw_connect(addr);
+            let hs = Handshake {
+                spec: "gshare:12".to_string(),
+                name_hint: "INT01.ttr".to_string(),
+                ..Handshake::default()
+            };
+            wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
+            expect_ready(&mut rd, "gap session");
+            for chunk in trace_bytes.chunks(wire::DATA_CHUNK) {
+                wire::write_frame(&mut wr, FrameType::Data, chunk).unwrap();
+            }
+            wire::write_frame(&mut wr, FrameType::End, b"").unwrap();
+            let stats = wire::read_frame(&mut rd).unwrap();
+            let stats_at = Instant::now();
+            let result = wire::read_frame(&mut rd).unwrap();
+            let gap = stats_at.elapsed();
+            let kinds = (stats.kind, result.kind);
+            assert_eq!(kinds, (FrameType::Stats, FrameType::Result), "session {i}");
+            gap
+        })
+        .collect();
+    gaps.sort();
+    let median = gaps[gaps.len() / 2];
+    assert!(median < Duration::from_millis(10), "median gap {median:?}, all gaps {gaps:?}");
+    stop_server(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn every_fault_kills_only_its_own_session() {
     let dir = test_dir("faults");
@@ -344,6 +388,22 @@ fn admission_limit_sends_a_typed_refusal() {
         assert_eq!(res.error.as_ref().unwrap().code, "admission");
     }
     assert!(ok, "slot never freed after the holder disconnected");
+    stop_server(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client that opens its next session as soon as it has a result must
+/// not be refused for the slot its last session still held.
+#[test]
+fn back_to_back_sessions_fit_a_one_session_limit() {
+    let dir = test_dir("backtoback");
+    let trace = by_name("INT01", Scale::Tiny).unwrap().generate();
+    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+
+    let (addr, handle) = start_server(1, false);
+    for i in 0..50 {
+        healthy_session(addr, &file, &format!("back-to-back session #{i}"));
+    }
     stop_server(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
