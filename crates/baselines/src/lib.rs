@@ -7,8 +7,6 @@
 //! * [`gehl`] — the GEHL adder-tree predictor, the paper's "neural
 //!   inspired" representative (520 Kbit, 13 tables × 8K × 5-bit, (6,2000)
 //!   geometric histories, §4.1.1).
-//! * [`perceptron`] — the original Jiménez & Lin perceptron (context for
-//!   the neural family).
 //! * [`snap`] — a scaled piecewise-linear neural predictor standing in for
 //!   OH-SNAP (3rd CBP, §6.3).
 //! * [`ftl`] — a fused global+local GEHL standing in for FTL++ (3rd CBP,
@@ -24,14 +22,12 @@ pub mod bimodal;
 pub mod ftl;
 pub mod gehl;
 pub mod gshare;
-pub mod perceptron;
 pub mod snap;
 
 pub use bimodal::Bimodal;
 pub use ftl::Ftl;
 pub use gehl::Gehl;
 pub use gshare::Gshare;
-pub use perceptron::Perceptron;
 pub use snap::Snap;
 
 /// Geometric history length series `L(i) = round(L1 * α^(i-1))` with

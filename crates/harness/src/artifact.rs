@@ -17,10 +17,10 @@
 //! under `--threads 1` and `--threads 4`, batched or scalar. The
 //! `artifacts_are_byte_deterministic` integration test pins this.
 //!
-//! Serialization is the repo's hand-rolled JSON path (the vendored serde
-//! is a no-op stand-in): a fixed-field-order writer plus a minimal
-//! recursive-descent parser covering exactly the subset the writer emits
-//! (objects, arrays, strings, unsigned integers, null).
+//! Serialization is the repo's hand-rolled JSON path: a fixed-field-order
+//! writer plus a minimal recursive-descent parser covering exactly the
+//! subset the writer emits (objects, arrays, strings, unsigned integers,
+//! null).
 
 use crate::runner::SchedulerStats;
 use pipeline::{BranchProfile, BranchStat, SimReport, SuiteReport};

@@ -10,7 +10,6 @@
 //! gshare:512k | gshare:BITS      — McFarling gshare (§4's 512 Kbit rep)
 //! gehl:520k                      — the GEHL adder tree (§4.1.1)
 //! bimodal:ENTRIES,CTR_BITS       — PC-indexed counters (Figure 3)
-//! perceptron:ROWS,HIST           — Jiménez & Lin perceptron
 //! snap:512k                      — OH-SNAP stand-in (§6.3)
 //! ftl:512k                       — FTL++ stand-in (§6.3)
 //! ```
@@ -27,7 +26,7 @@
 //! external-trace cells, sampled slices, a served session, the budget
 //! columns — gets the same boxed [`BlockSim`].
 
-use baselines::{Bimodal, Ftl, Gehl, Gshare, Perceptron, Snap};
+use baselines::{Bimodal, Ftl, Gehl, Gshare, Snap};
 use pipeline::{BlockSim, PipelineConfig, WindowEngine};
 use simkit::predictor::UpdateScenario;
 use std::fmt;
@@ -70,13 +69,6 @@ pub enum PredictorSpec {
         entries: usize,
         /// Counter width in bits.
         ctr_bits: u8,
-    },
-    /// The original perceptron predictor.
-    Perceptron {
-        /// Weight-table rows.
-        rows: usize,
-        /// History length.
-        hist: usize,
     },
     /// The OH-SNAP-style piecewise-linear neural stand-in.
     Snap512k,
@@ -121,15 +113,6 @@ impl PredictorSpec {
                 }
                 Ok(())
             }
-            PredictorSpec::Perceptron { rows, hist } => {
-                if *rows == 0 || !rows.is_power_of_two() || !(1..=64).contains(hist) {
-                    return Err(SpecError::BadArg {
-                        token: "perceptron".into(),
-                        reason: "needs a power-of-two row count and 1..=64 history bits",
-                    });
-                }
-                Ok(())
-            }
             _ => Ok(()),
         }
     }
@@ -162,9 +145,6 @@ impl PredictorSpec {
             PredictorSpec::Gehl520k => Box::new(WindowEngine::new(Gehl::cbp_520k(), scenario, cfg)),
             PredictorSpec::Bimodal { entries, ctr_bits } => {
                 Box::new(WindowEngine::new(Bimodal::new(*entries, *ctr_bits), scenario, cfg))
-            }
-            PredictorSpec::Perceptron { rows, hist } => {
-                Box::new(WindowEngine::new(Perceptron::new(*rows, *hist), scenario, cfg))
             }
             PredictorSpec::Snap512k => Box::new(WindowEngine::new(Snap::cbp_512k(), scenario, cfg)),
             PredictorSpec::Ftl512k => Box::new(WindowEngine::new(Ftl::cbp_512k(), scenario, cfg)),
@@ -207,7 +187,6 @@ impl fmt::Display for PredictorSpec {
             PredictorSpec::Bimodal { entries, ctr_bits } => {
                 write!(f, "bimodal:{entries},{ctr_bits}")
             }
-            PredictorSpec::Perceptron { rows, hist } => write!(f, "perceptron:{rows},{hist}"),
             PredictorSpec::Snap512k => write!(f, "snap:512k"),
             PredictorSpec::Ftl512k => write!(f, "ftl:512k"),
         }
@@ -267,11 +246,7 @@ impl FromStr for PredictorSpec {
                 })?;
                 PredictorSpec::Bimodal { entries, ctr_bits }
             }
-            ("perceptron", Some(args)) => {
-                let (rows, hist) = parse_pair(args, "perceptron")?;
-                PredictorSpec::Perceptron { rows, hist }
-            }
-            ("gehl" | "snap" | "ftl" | "bimodal" | "perceptron", None) => {
+            ("gehl" | "snap" | "ftl" | "bimodal", None) => {
                 return Err(SpecError::BadArg {
                     token: head.into(),
                     reason: "this predictor needs a configuration argument",
@@ -306,7 +281,6 @@ mod tests {
             "gshare:14",
             "gehl:520k",
             "bimodal:4096,2",
-            "perceptron:512,32",
             "snap:512k",
             "ftl:512k",
             "tage+ium+sc+loop/as=ISL-TAGE",
@@ -339,6 +313,11 @@ mod tests {
         ));
         assert!(matches!(
             PredictorSpec::parse("wibble").unwrap_err(),
+            SpecError::UnknownToken { .. }
+        ));
+        // A well-formed argument does not rescue an unknown head.
+        assert!(matches!(
+            PredictorSpec::parse("perceptron:512,32").unwrap_err(),
             SpecError::UnknownToken { .. }
         ));
         assert!(matches!(
@@ -385,16 +364,15 @@ mod tests {
     fn built_names_match_direct_construction() {
         // One spec per PredictorSpec arm: the engine `build_engine`
         // returns must report the name and storage of the predictor the
-        // arm stands for. `perceptron`, `bimodal:N,M` and `gshare:N` are
-        // reached by no golden table, so this is their pin.
-        let cases: [(&str, (String, u64)); 9] = [
+        // arm stands for. `bimodal:N,M` and `gshare:N` are reached by no
+        // golden table, so this is their pin.
+        let cases: [(&str, (String, u64)); 8] = [
             ("tage:lsc+ium+lsc/as=TAGE-LSC", direct(tage::TageSystem::tage_lsc())),
             ("tage+ium", direct(tage::TageSystem::tage_ium())),
             ("gshare:512k", direct(Gshare::cbp_512k())),
             ("gshare:14", direct(Gshare::new(14))),
             ("gehl:520k", direct(Gehl::cbp_520k())),
             ("bimodal:4096,2", direct(Bimodal::new(4096, 2))),
-            ("perceptron:512,32", direct(Perceptron::new(512, 32))),
             ("snap:512k", direct(Snap::cbp_512k())),
             ("ftl:512k", direct(Ftl::cbp_512k())),
         ];

@@ -20,10 +20,9 @@
 //! values read, side-predictor decisions).
 
 use crate::stats::AccessStats;
-use serde::{Deserialize, Serialize};
 
 /// Classification of a control-flow instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Conditional direct branch — the only kind that is *predicted* here.
     Conditional,
@@ -46,7 +45,7 @@ impl BranchKind {
 }
 
 /// Static information about a branch presented to the predictor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BranchInfo {
     /// Instruction address.
     pub pc: u64,
@@ -64,7 +63,7 @@ impl BranchInfo {
 }
 
 /// The four predictor-update scenarios of §4.1.2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UpdateScenario {
     /// `[I]` — oracle immediate update at fetch time (upper bound).
     Immediate,

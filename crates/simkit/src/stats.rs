@@ -27,7 +27,7 @@
 /// s.silent_writes_avoided += 5;
 /// assert_eq!(s.total_accesses(), 3);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Full-predictor reads performed at prediction (fetch) time.
     pub predict_reads: u64,

@@ -1,12 +1,11 @@
 //! Trace event and trace container types, and the [`EventSource`]
 //! streaming abstraction the simulation pipeline consumes.
 
-use serde::{Deserialize, Serialize};
 use simkit::predictor::{BranchInfo, BranchKind};
 
 /// One dynamic control-flow event of a trace, together with the
 /// micro-architectural context the penalty model needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Branch instruction address.
     pub pc: u64,
@@ -40,7 +39,7 @@ impl TraceEvent {
 }
 
 /// A fully materialized trace: a named, reproducible event sequence.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Trace {
     /// Trace name, e.g. `"CLIENT02"`.
     pub name: String,

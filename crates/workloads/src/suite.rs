@@ -61,10 +61,14 @@ impl std::fmt::Display for Category {
 }
 
 /// Trace length scale. The paper's traces are ~50M µops; these scales trade
-/// fidelity for laptop runtime (shapes are stable from `Small` upward).
+/// fidelity for laptop runtime, and which of the paper's claims hold
+/// depends on the scale: the suite's TAGE MPPKI crosses the paper's 617
+/// between `Small` (656.3) and `Default` (510.6), and the SC gain reaches
+/// the paper's ~2 % only from `Default`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scale {
-    /// ~6K conditional branches per trace — unit tests, criterion benches.
+    /// ~6K conditional branches per trace — unit tests and the tiny golden
+    /// tables.
     Tiny,
     /// ~30K — quick experiment previews.
     Small,

@@ -4,7 +4,7 @@
 //!
 //! * [`tage`] — the TAGE predictor family (TAGE, ISL-TAGE, TAGE-LSC with
 //!   IUM, loop predictor and statistical correctors);
-//! * [`baselines`] — gshare, GEHL, perceptron, and the CBP-3 neural
+//! * [`baselines`] — bimodal, gshare, GEHL, and the CBP-3 neural
 //!   contenders' stand-ins;
 //! * [`workloads`] — the 40-trace synthetic CBP-3-like benchmark suite;
 //! * [`pipeline`] — the trace-driven delayed-update simulation engine
