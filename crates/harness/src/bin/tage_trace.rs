@@ -1,29 +1,27 @@
 //! `tage_trace` — record, convert, and inspect external trace files.
 //!
 //! ```text
-//! tage_trace record <trace-name...|all> [--scale tiny|small|default|full]
-//!                   [--out DIR] [--format ttr|ttr3|cbp|csv] [--compress] [--scheme raw|lz]
-//! tage_trace convert <input> <output> [--format ttr|ttr3|cbp|csv] [--compress] [--scheme raw|lz]
-//! tage_trace inspect <file...>
+//! tage_trace record <trace-name...|all> [--scale tiny|small|default|full] [--out DIR]
+//! tage_trace convert <input> <output>
+//! tage_trace inspect <file...> [--json]
 //! tage_trace formats
 //! ```
 //!
-//! `record` *streams* synthetic suite traces to files (the bridge from
-//! the generator to the external-trace pipeline) — events flow from the
-//! generator into the codec without ever materializing the trace, so peak
-//! memory is bounded by the codec's working set even at `--scale full`;
-//! `convert` transcodes any recognized format to any other (output format
-//! from the extension unless `--format` overrides); `inspect` streams a
-//! file and prints its vitals, including the v3 container's scheme byte,
-//! block count and compressed/raw ratio. `--compress` selects the block-
-//! compressed `.ttr` v3 container (`--scheme` picks the block scheme;
-//! default `lz`).
+//! `record` *streams* synthetic suite traces to `<name>.ttr3` files (the
+//! bridge from the generator to the external-trace pipeline): events flow
+//! from the generator into the `.ttr` v3 writer without ever
+//! materializing the trace, so peak memory is one block buffer plus the
+//! static-branch table even at `--scale full`. Every recorded file
+//! carries `lz` blocks and the seekable block index. `convert` transcodes
+//! any recognized format to the format its output extension names
+//! (`.ttr3`, `.csv` or `.cbp`; `.ttr` v2 is read-only); `inspect` streams
+//! a file and prints its vitals, including the v3 container's scheme
+//! byte, block count and compressed/raw ratio.
 
 use harness::cli::Flags;
 use std::io;
 use std::path::{Path, PathBuf};
 use traces::CodecRegistry;
-use workloads::event::EventSource;
 use workloads::suite::{by_name, suite, Scale};
 
 fn main() {
@@ -52,53 +50,14 @@ fn main() {
 
 fn print_usage() {
     println!("usage: tage_trace record <trace-name...|all> [--scale tiny|small|default|full]");
-    println!("                         [--out DIR] [--format ttr|ttr3|cbp|csv]");
-    println!("                         [--compress] [--scheme raw|lz]");
-    println!("       tage_trace convert <input> <output> [--format ttr|ttr3|cbp|csv]");
-    println!("                          [--compress] [--scheme raw|lz]");
+    println!("                         [--out DIR]");
+    println!("       tage_trace convert <input> <output>");
     println!("       tage_trace inspect <file...> [--json]");
     println!("       tage_trace formats");
-    println!("  --compress    write the block-compressed .ttr v3 container (same as --format ttr3)");
-    println!("  --scheme S    v3 block scheme (default lz; see DESIGN.md section 3b)");
+    println!("  record        writes <name>.ttr3 (lz blocks + block index) per trace");
+    println!("  convert       output format from the extension: .ttr3, .csv or .cbp");
+    println!("                (.ttr v2 is read-only)");
     println!("  --json        inspect: emit a JSON array (same fields as the text columns)");
-}
-
-/// Resolves the output codec from `--format`/`--compress`/`--scheme`.
-/// `--compress` (or `--scheme`) selects the v3 container; an explicit
-/// conflicting `--format` is a usage error, not a silent override. The
-/// `Ttr3Codec` is returned owned because a non-default scheme byte is not
-/// in the registry.
-fn output_codec<'a>(
-    registry: &'a traces::CodecRegistry,
-    flags: &Flags,
-    default_format: Option<&str>,
-) -> Result<(Option<&'a dyn traces::TraceCodec>, Option<traces::Ttr3Codec>), String> {
-    let compress = flags.switch("--compress") || flags.flag("--scheme").is_some();
-    let format = flags.flag("--format");
-    if compress {
-        if let Some(f) = format {
-            if f != "ttr3" {
-                return Err(format!("--compress writes ttr3, which conflicts with --format {f}"));
-            }
-        }
-        let scheme = flags.flag("--scheme").unwrap_or("lz");
-        let Some((_, scheme_id, _)) = traces::SCHEMES.iter().find(|(n, _, _)| *n == scheme)
-        else {
-            let known: Vec<&str> = traces::SCHEMES.iter().map(|(n, _, _)| *n).collect();
-            return Err(format!("unknown scheme '{scheme}' (known: {})", known.join(", ")));
-        };
-        // Recorded v3 files always carry the seekable block index — the
-        // 16-bytes-per-block footer is what makes `tage_exp sample` skip
-        // in O(1) instead of decompressing every leading block.
-        return Ok((None, Some(traces::Ttr3Codec { scheme_id: *scheme_id | traces::TTR3_INDEX_FLAG })));
-    }
-    match format.or(default_format) {
-        Some(name) => match registry.by_name(name) {
-            Some(c) => Ok((Some(c), None)),
-            None => Err(format!("unknown format '{name}' (see `tage_trace formats`)")),
-        },
-        None => Ok((None, None)),
-    }
 }
 
 fn usage_error(msg: &str) -> i32 {
@@ -113,11 +72,10 @@ fn io_fail(what: &str, e: &io::Error) -> i32 {
 }
 
 fn cmd_record(args: &[String]) -> i32 {
-    let flags =
-        match Flags::parse(args, &["--scale", "--out", "--format", "--scheme"], &["--compress"]) {
-            Ok(v) => v,
-            Err(e) => return usage_error(&e.to_string()),
-        };
+    let flags = match Flags::parse(args, &["--scale", "--out"], &[]) {
+        Ok(v) => v,
+        Err(e) => return usage_error(&e.to_string()),
+    };
     let names = &flags.positional;
     if names.is_empty() {
         return usage_error("record: no trace names given");
@@ -130,17 +88,6 @@ fn cmd_record(args: &[String]) -> i32 {
         },
     };
     let out = PathBuf::from(flags.flag("--out").unwrap_or("."));
-    let registry = CodecRegistry::standard();
-    let (reg_codec, owned) = match output_codec(&registry, &flags, Some("ttr")) {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e.to_string()),
-    };
-    let codec: &dyn traces::TraceCodec = match (&owned, reg_codec) {
-        (Some(c), _) => c,
-        // INVARIANT: record passes a default format, so output_codec
-        // always resolves one of the two.
-        (None, c) => c.expect("record always has a format"),
-    };
     let specs = if names.iter().any(|n| n == "all") {
         suite(scale)
     } else {
@@ -154,11 +101,7 @@ fn cmd_record(args: &[String]) -> i32 {
         specs
     };
     for spec in &specs {
-        // Streamed end to end: the generator feeds the codec directly
-        // (re-invoked for two-pass layouts), so recording `--scale full`
-        // never materializes the event vector.
-        let mut make = || Ok(Box::new(spec.stream()) as Box<dyn EventSource + Send>);
-        match harness::trace_mode::record_stream(&spec.name, codec, &out, &mut make) {
+        match harness::trace_mode::record_spec(spec, &out) {
             Ok(path) => {
                 let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                 println!("recorded {} ({} bytes, streamed) -> {}", spec.name, bytes, path.display());
@@ -170,7 +113,7 @@ fn cmd_record(args: &[String]) -> i32 {
 }
 
 fn cmd_convert(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, &["--format", "--scheme"], &["--compress"]) {
+    let flags = match Flags::parse(args, &[], &[]) {
         Ok(v) => v,
         Err(e) => return usage_error(&e.to_string()),
     };
@@ -179,22 +122,11 @@ fn cmd_convert(args: &[String]) -> i32 {
     };
     let (input, output) = (Path::new(input), Path::new(output));
     let registry = CodecRegistry::standard();
-    let (reg_codec, owned) = match output_codec(&registry, &flags, None) {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e.to_string()),
-    };
-    let to: &dyn traces::TraceCodec = match (&owned, reg_codec) {
-        (Some(c), _) => c,
-        (None, Some(c)) => c,
-        (None, None) => match registry.by_extension(output) {
-            Some(c) => c,
-            None => {
-                return usage_error(&format!(
-                    "cannot infer output format from '{}' (pass --format)",
-                    output.display()
-                ))
-            }
-        },
+    let Some(to) = registry.by_extension(output) else {
+        return usage_error(&format!(
+            "cannot infer output format from '{}' (use .ttr3, .csv or .cbp)",
+            output.display()
+        ));
     };
     // Conversion is offline: materialize the decoded trace, then encode.
     let mut source = match registry.open(input) {
@@ -214,23 +146,10 @@ fn cmd_convert(args: &[String]) -> i32 {
         category: source.category().to_string(),
         events,
     };
-    // Atomic like record: a mid-encode failure (e.g. a CBP-unrepresentable
-    // trace, a full disk) must not leave a partial file or destroy a
-    // pre-existing one at the destination.
-    let tmp = output.with_file_name(format!(
-        "{}.tmp.{}",
-        output.file_name().and_then(|s| s.to_str()).unwrap_or("out"),
-        std::process::id()
-    ));
-    let write = || -> io::Result<()> {
-        let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
-        to.encode(&mut w, &trace)?;
-        use io::Write;
-        w.flush()?;
-        std::fs::rename(&tmp, output)
-    };
-    if let Err(e) = write() {
-        let _ = std::fs::remove_file(&tmp);
+    // Atomic: a failed encode (a read-only or CBP-unrepresentable
+    // target, a full disk) leaves neither a partial file nor a clobbered
+    // destination.
+    if let Err(e) = harness::trace_mode::write_atomic(output, |w| to.encode(w, &trace)) {
         return io_fail(&output.display().to_string(), &e);
     }
     println!(

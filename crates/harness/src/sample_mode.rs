@@ -284,20 +284,16 @@ pub fn render(runs: &[SampleRun], spec_names: &[String], opts: &SampleOptions) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace_mode::record_trace;
+    use crate::trace_mode::record_spec;
     use workloads::suite::{by_name, Scale};
 
     fn record(names: &[&str], tag: &str) -> (PathBuf, Vec<PathBuf>) {
         let dir = std::env::temp_dir()
             .join(format!("tage-sample-mode-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let codec = traces::Ttr3Codec::default();
         let files = names
             .iter()
-            .map(|n| {
-                let t = by_name(n, Scale::Tiny).unwrap().generate();
-                record_trace(&t, &codec, &dir).unwrap()
-            })
+            .map(|n| record_spec(&by_name(n, Scale::Tiny).unwrap(), &dir).unwrap())
             .collect();
         (dir, files)
     }

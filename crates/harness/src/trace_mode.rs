@@ -20,10 +20,10 @@ use crate::spec::PredictorSpec;
 use crate::table::{f1, Table};
 use pipeline::{simulate_engine, BlockSim, PipelineConfig, SuiteReport};
 use simkit::predictor::UpdateScenario;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use traces::{CodecRegistry, TraceCodec, TraceDecoder};
+use traces::{CodecRegistry, TraceCodec, TraceDecoder, Ttr3Writer};
 use workloads::event::{EventSource, Trace, TraceEvent};
 use workloads::TraceSpec;
 
@@ -254,63 +254,69 @@ pub fn render(results: &[(&str, SuiteReport)]) -> String {
     out
 }
 
+/// Writes `path` atomically: `write` fills a buffered temp file beside
+/// it (`<file name>.tmp.<pid>`), which is flushed and renamed into place.
+/// On any failure the temp file is removed, so neither a partial file nor
+/// a clobbered destination is left behind.
+///
+/// # Errors
+///
+/// Propagates `write`'s error and file I/O errors.
+pub fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
+    let name = path.file_name().and_then(|s| s.to_str()).unwrap_or("out");
+    // The temp name keeps the full file name: writing one trace in two
+    // formats concurrently must not collide on one temp file.
+    let tmp = path.with_file_name(format!("{name}.tmp.{}", std::process::id()));
+    let result = std::fs::File::create(&tmp)
+        .and_then(|f| {
+            let mut w = io::BufWriter::new(f);
+            write(&mut w)?;
+            w.flush()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
 /// Records a materialized trace into `dir` as `<name>.<ext>` using
-/// `codec`, atomically (temp file + rename).
+/// `codec`, atomically ([`write_atomic`]).
 ///
 /// # Errors
 ///
 /// Propagates encode and file I/O errors.
 pub fn record_trace(trace: &Trace, codec: &dyn TraceCodec, dir: &Path) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let ext = codec.extensions()[0];
-    let path = dir.join(format!("{}.{ext}", trace.name));
-    // The temp name keeps the codec extension: recording the same trace
-    // through two codecs concurrently must not collide on one temp file.
-    let tmp = dir.join(format!("{}.{ext}.tmp.{}", trace.name, std::process::id()));
-    {
-        let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
-        codec.encode(&mut w, trace)?;
-        use io::Write;
-        w.flush()?;
-    }
-    std::fs::rename(&tmp, &path)?;
+    let path = dir.join(format!("{}.{}", trace.name, codec.extensions()[0]));
+    write_atomic(&path, |w| codec.encode(w, trace))?;
     Ok(path)
 }
 
-/// Records a *streamed* trace into `dir` as `<name>.<ext>` using
-/// `codec`, atomically. Unlike [`record_trace`] the events are never
-/// materialized here: the codec pulls them through
-/// [`TraceCodec::encode_stream`], re-invoking `make_source` when its
-/// layout needs a second pass, so peak memory is bounded by the codec's
-/// working set (the static-branch table plus, for block formats, one
-/// block buffer) regardless of trace length. Byte-identical to the
-/// materialized path for every registered codec (the trait contract,
-/// pinned per codec in `tage-traces`).
+/// Records a synthetic trace into `dir` as `<name>.ttr3` under
+/// [`traces::RECORD_SCHEME`], atomically — `tage_trace record`. The
+/// generator streams straight into [`Ttr3Writer`], so peak memory is one
+/// block buffer plus the static-branch table at any trace length. The
+/// bytes equal [`record_trace`] of the generated trace through
+/// [`traces::Ttr3Codec`].
 ///
 /// # Errors
 ///
 /// Propagates encode and file I/O errors.
-pub fn record_stream(
-    name: &str,
-    codec: &dyn TraceCodec,
-    dir: &Path,
-    make_source: &mut dyn FnMut() -> io::Result<Box<dyn EventSource + Send>>,
-) -> io::Result<PathBuf> {
+pub fn record_spec(spec: &TraceSpec, dir: &Path) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let ext = codec.extensions()[0];
-    let path = dir.join(format!("{name}.{ext}"));
-    let tmp = dir.join(format!("{name}.{ext}.tmp.{}", std::process::id()));
-    let mut write = || -> io::Result<()> {
-        let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
-        codec.encode_stream(&mut w, make_source)?;
-        use io::Write;
-        w.flush()
-    };
-    if let Err(e) = write() {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    std::fs::rename(&tmp, &path)?;
+    let path = dir.join(format!("{}.ttr3", spec.name));
+    write_atomic(&path, |w| {
+        let mut src = spec.stream();
+        let mut writer = Ttr3Writer::new(w, src.name(), src.category(), traces::RECORD_SCHEME)?;
+        while let Some(e) = src.next_event() {
+            writer.push(&e)?;
+        }
+        writer.finish().map(|_| ())
+    })?;
     Ok(path)
 }
 
@@ -356,11 +362,7 @@ mod tests {
     fn matrix_over_recorded_files_matches_direct_specs() {
         let specs = tiny(&["CLIENT01", "MM01"]);
         let dir = temp_dir("matrix");
-        let codec = traces::TtrCodec;
-        let files: Vec<PathBuf> = specs
-            .iter()
-            .map(|s| record_trace(&s.generate(), &codec, &dir).unwrap())
-            .collect();
+        let files: Vec<PathBuf> = specs.iter().map(|s| record_spec(s, &dir).unwrap()).collect();
         let cfg = PipelineConfig::default();
         let direct = matrix(specs, &cfg, 2).unwrap();
         let recorded = matrix(files, &cfg, 2).unwrap();
@@ -404,27 +406,41 @@ mod tests {
     }
 
     #[test]
-    fn record_stream_is_byte_identical_to_record_trace() {
+    fn record_spec_is_byte_identical_to_record_trace() {
         let spec = by_name("CLIENT03", Scale::Tiny).unwrap();
-        let trace = spec.generate();
         let dir = temp_dir("stream-rec");
-        for codec_name in ["ttr", "ttr3"] {
-            let registry = traces::CodecRegistry::standard();
-            let codec = registry.by_name(codec_name).unwrap();
-            let materialized = record_trace(&trace, codec, &dir.join("mat")).unwrap();
-            let streamed = record_stream(
-                &trace.name,
-                codec,
-                &dir.join("str"),
-                &mut || Ok(Box::new(spec.stream()) as _),
-            )
-            .unwrap();
-            assert_eq!(
-                std::fs::read(&materialized).unwrap(),
-                std::fs::read(&streamed).unwrap(),
-                "{codec_name}: streamed record diverged from materialized"
-            );
-        }
+        let materialized =
+            record_trace(&spec.generate(), &traces::Ttr3Codec, &dir.join("mat")).unwrap();
+        let streamed = record_spec(&spec, &dir.join("str")).unwrap();
+        assert_eq!(streamed.file_name().unwrap(), "CLIENT03.ttr3");
+        assert_eq!(
+            std::fs::read(&materialized).unwrap(),
+            std::fs::read(&streamed).unwrap(),
+            "streamed record diverged from materialized"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_record_leaves_no_temp_file() {
+        // CBP stores the not-taken fall-through distance in a u32, so a
+        // target 2^40 past its pc cannot be encoded.
+        let far = Trace {
+            name: "FAR01".into(),
+            category: "FAR".into(),
+            events: vec![TraceEvent {
+                pc: 0x1000,
+                kind: simkit::predictor::BranchKind::Conditional,
+                taken: false,
+                target: 0x1000 + (1 << 40),
+                uops_before: 0,
+                load_addr: None,
+            }],
+        };
+        let dir = temp_dir("failed-rec");
+        assert!(record_trace(&far, &traces::CbpCodec, &dir).is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert!(left.is_empty(), "a failed record left {left:?} behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -470,10 +486,9 @@ mod tests {
 
     #[test]
     fn corrupt_recorded_file_is_an_error_not_a_truncated_run() {
-        let spec = by_name("INT04", Scale::Tiny).unwrap();
         let dir = temp_dir("corrupt");
-        let path = record_trace(&spec.generate(), &traces::TtrCodec, &dir).unwrap();
-        // Truncate the recorded file mid-event-stream.
+        let path = record_spec(&by_name("INT04", Scale::Tiny).unwrap(), &dir).unwrap();
+        // Truncate the recorded file mid-block (the trailer goes too).
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).unwrap();
         let err = matrix(vec![path], &PipelineConfig::default(), 2);

@@ -4,7 +4,7 @@
 //! `--trace`, and duplicate or label-only specs never overwrite each
 //! other's artifacts.
 
-use harness::trace_mode::record_trace;
+use harness::trace_mode::{record_spec, record_trace};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use workloads::suite::{by_name, Scale};
@@ -15,12 +15,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Records the Tiny `names` into `dir` with `codec`.
-fn record(dir: &Path, names: &[&str], codec: &dyn traces::TraceCodec) -> Vec<PathBuf> {
-    names
-        .iter()
-        .map(|n| record_trace(&by_name(n, Scale::Tiny).unwrap().generate(), codec, dir).unwrap())
-        .collect()
+/// Records the Tiny `names` into `dir` as `.ttr3`, like `tage_trace record`.
+fn record(dir: &Path, names: &[&str]) -> Vec<PathBuf> {
+    names.iter().map(|n| record_spec(&by_name(n, Scale::Tiny).unwrap(), dir).unwrap()).collect()
 }
 
 fn tage_exp(args: &[&str]) -> Output {
@@ -68,11 +65,13 @@ fn system_trace_without_specs_prints_the_trace_mode_golden() {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/trace_mode_expected.txt"),
     )
     .unwrap();
-    let v2 = record(&dir, &["CLIENT01", "MM01"], &traces::TtrCodec);
-    assert_eq!(without_comments(&system_trace(&v2, &[])), golden);
-    // The compressed v3 container feeds the matrix bit-identically.
-    let v3 = record(&dir, &["CLIENT01"], &traces::Ttr3Codec::default());
-    let mixed = [v3[0].clone(), v2[1].clone()];
+    let v3 = record(&dir, &["CLIENT01", "MM01"]);
+    assert_eq!(without_comments(&system_trace(&v3, &[])), golden);
+    // Mixed formats feed the matrix bit-identically: CSV CLIENT01 next to
+    // the .ttr3 MM01.
+    let client = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
+    let csv = record_trace(&client, &traces::CsvCodec, &dir).unwrap();
+    let mixed = [csv, v3[1].clone()];
     assert_eq!(without_comments(&system_trace(&mixed, &[])), golden);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -80,7 +79,7 @@ fn system_trace_without_specs_prints_the_trace_mode_golden() {
 #[test]
 fn system_trace_threads_size_the_pool_and_never_change_artifacts() {
     let dir = temp_dir("threads");
-    let files = record(&dir, &["INT03", "WS05"], &traces::TtrCodec);
+    let files = record(&dir, &["INT03", "WS05"]);
     let mut arts = Vec::new();
     for threads in ["1", "4"] {
         let out_dir = dir.join(format!("t{threads}"));
@@ -102,7 +101,7 @@ fn system_trace_threads_size_the_pool_and_never_change_artifacts() {
 #[test]
 fn system_trace_refuses_scale() {
     let dir = temp_dir("scale");
-    let files = record(&dir, &["WS01"], &traces::TtrCodec);
+    let files = record(&dir, &["WS01"]);
     let file = files[0].to_str().unwrap();
     let out = tage_exp(&["system", "tage", "--trace", file, "--scale", "full"]);
     assert_eq!(out.status.code(), Some(2));
@@ -113,7 +112,7 @@ fn system_trace_refuses_scale() {
 #[test]
 fn duplicate_and_label_only_specs_keep_the_first_artifact() {
     let dir = temp_dir("dups");
-    let files = record(&dir, &["CLIENT01"], &traces::Ttr3Codec::default());
+    let files = record(&dir, &["CLIENT01"]);
     let file = files[0].to_str().unwrap();
     for (mode, mut args) in [
         ("system", vec!["system", "tage", "tage", "tage/as=X", "--trace", file]),

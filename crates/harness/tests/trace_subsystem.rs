@@ -3,7 +3,7 @@
 //! pinned to a checked-in golden table (the same table CI diffs the real
 //! binaries against).
 
-use harness::trace_mode::{self, record_trace, Sources, MATRIX, MATRIX_SCENARIO};
+use harness::trace_mode::{self, record_spec, record_trace, Sources, MATRIX, MATRIX_SCENARIO};
 use harness::WorkerPool;
 use pipeline::{PipelineConfig, SuiteReport};
 use std::path::{Path, PathBuf};
@@ -25,8 +25,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn record_ttr(dir: &Path) -> Vec<PathBuf> {
-    specs().iter().map(|s| record_trace(&s.generate(), &traces::TtrCodec, dir).unwrap()).collect()
+fn record_ttr3(dir: &Path) -> Vec<PathBuf> {
+    specs().iter().map(|s| record_spec(s, dir).unwrap()).collect()
 }
 
 /// The predictor matrix over `sources` on a `threads`-worker pool, with
@@ -52,7 +52,7 @@ fn recorded_ttr_run_is_bit_identical_to_synthetic() {
     // reproduces the direct synthetic run's reports exactly — every
     // counter, every table cell.
     let dir = temp_dir("bitident");
-    let files = record_ttr(&dir);
+    let files = record_ttr3(&dir);
     let direct = matrix(specs(), 3);
     let recorded = matrix(files, 2);
     for ((n1, a), (n2, b)) in direct.iter().zip(&recorded) {
@@ -68,7 +68,7 @@ fn trace_mode_table_matches_the_checked_in_golden() {
     // Regenerate with:
     //   TAGE_WRITE_FIXTURES=1 cargo test -p harness --test trace_subsystem
     let dir = temp_dir("golden");
-    let files = record_ttr(&dir);
+    let files = record_ttr3(&dir);
     let rendered = trace_mode::render(&matrix(files, 4));
     let path = golden_table_path();
     if std::env::var_os("TAGE_WRITE_FIXTURES").is_some() {
@@ -88,15 +88,14 @@ fn trace_mode_table_matches_the_checked_in_golden() {
 
 #[test]
 fn cross_codec_conversion_chain_preserves_ttr_bytes() {
-    // ttr -> csv -> ttr must be byte-identical (both codecs are lossless
-    // and the encoders are deterministic); ttr -> cbp must stay runnable.
+    // ttr3 -> csv -> ttr3 must be byte-identical (both codecs are
+    // lossless and the encoders are deterministic); ttr3 -> cbp must stay
+    // runnable.
     let dir = temp_dir("chain");
-    std::fs::create_dir_all(&dir).unwrap();
     let registry = CodecRegistry::standard();
-    let spec = by_name("WS01", Scale::Tiny).unwrap();
-    let original = record_trace(&spec.generate(), &traces::TtrCodec, &dir).unwrap();
+    let original = record_spec(&by_name("WS01", Scale::Tiny).unwrap(), &dir).unwrap();
 
-    let reconvert = |from: &Path, codec_name: &str| -> PathBuf {
+    let reconvert = |from: &Path, codec_name: &str, to_dir: &Path| -> PathBuf {
         let mut src = registry.open(from).unwrap();
         let mut events = Vec::new();
         while let Some(e) = src.next_event() {
@@ -108,32 +107,19 @@ fn cross_codec_conversion_chain_preserves_ttr_bytes() {
             category: src.category().to_string(),
             events,
         };
-        record_trace(&trace, registry.by_name(codec_name).unwrap(), &dir).unwrap()
+        record_trace(&trace, registry.by_name(codec_name).unwrap(), to_dir).unwrap()
     };
 
-    let as_csv = dir.join("WS01.csv");
-    assert_eq!(reconvert(&original, "csv"), as_csv);
-    let round_dir = dir.join("round");
-    std::fs::create_dir_all(&round_dir).unwrap();
-    let mut src = registry.open(&as_csv).unwrap();
-    let mut events = Vec::new();
-    while let Some(e) = src.next_event() {
-        events.push(e);
-    }
-    traces::finish(src.as_ref()).unwrap();
-    let trace = workloads::Trace {
-        name: src.name().to_string(),
-        category: src.category().to_string(),
-        events,
-    };
-    let back = record_trace(&trace, &traces::TtrCodec, &round_dir).unwrap();
+    let as_csv = reconvert(&original, "csv", &dir);
+    assert_eq!(as_csv, dir.join("WS01.csv"));
+    let back = reconvert(&as_csv, "ttr3", &dir.join("round"));
     assert_eq!(
         std::fs::read(&original).unwrap(),
         std::fs::read(&back).unwrap(),
-        "ttr -> csv -> ttr must be byte-identical"
+        "ttr3 -> csv -> ttr3 must be byte-identical"
     );
 
-    let as_cbp = reconvert(&original, "cbp");
+    let as_cbp = reconvert(&original, "cbp", &dir);
     let results = matrix(vec![as_cbp], 2);
     assert_eq!(results[0].1.reports.len(), 1);
     assert!(results[0].1.reports[0].conditionals > 0);

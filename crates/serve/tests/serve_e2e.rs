@@ -14,7 +14,7 @@ use harness::{PredictorSpec, WorkerPool};
 use pipeline::{simulate_engine, PipelineConfig, SimWindow, SuiteReport};
 use serve::wire::{self, FrameType, Handshake, WireError};
 use serve::{run_one, BoundServer, ClientOptions, ServeOptions};
-use traces::{CodecRegistry, Ttr3Codec, TtrCodec};
+use traces::{CodecRegistry, CsvCodec, Ttr3Codec};
 use workloads::suite::{by_name, Scale};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -76,11 +76,13 @@ fn port_zero_binds_an_ephemeral_port() {
 fn served_results_are_bit_identical_to_offline_runs_across_codecs() {
     let dir = test_dir("bitident");
     let trace = by_name("INT01", Scale::Tiny).unwrap().generate();
-    // One subdir per container variant — both v3 flavors share the .ttr3
-    // extension, so they cannot live in one directory.
-    let v2 = record_trace(&trace, &TtrCodec, &dir.join("v2")).unwrap();
-    let v3_raw = record_trace(&trace, &Ttr3Codec { scheme_id: 0 }, &dir.join("v3")).unwrap();
-    let v3_lz = record_trace(&trace, &Ttr3Codec::default(), &dir.join("v3lz")).unwrap();
+    // .ttr v2 is read-only: its leg serves the committed fixture.
+    let v2 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../traces/tests/data/GOLD01.ttr");
+    let v3_raw = dir.join("INT01-raw.ttr3");
+    let mut raw = Vec::new();
+    traces::ttr3::encode(&mut raw, &trace, 0).unwrap();
+    std::fs::write(&v3_raw, raw).unwrap();
+    let v3_lz = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
 
     let (addr, handle) = start_server(8, false);
     for (label, file) in [("ttr v2", &v2), ("ttr3 raw", &v3_raw), ("ttr3 lz", &v3_lz)] {
@@ -99,7 +101,7 @@ fn served_results_are_bit_identical_to_offline_runs_across_codecs() {
 fn periodic_stats_frames_do_not_change_the_result() {
     let dir = test_dir("stats");
     let trace = by_name("MM05", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
     let offline = offline_artifact_json(&file);
 
     let (addr, handle) = start_server(8, false);
@@ -130,15 +132,16 @@ fn periodic_stats_frames_do_not_change_the_result() {
 fn windowed_sessions_match_the_offline_windowed_run() {
     let dir = test_dir("window");
     let trace = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
-    let v2 = record_trace(&trace, &TtrCodec, &dir.join("v2")).unwrap();
-    let v3 = record_trace(&trace, &Ttr3Codec::default(), &dir.join("v3")).unwrap();
+    // CSV decodes front to back off the live stream; .ttr3 spools first.
+    let csv = record_trace(&trace, &CsvCodec, &dir).unwrap();
+    let v3 = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
     let window = SimWindow { skip: 300, warmup: 500, measure: 1000 };
     let spec = PredictorSpec::parse("gshare:12").unwrap();
     let scenario = scenario_from_label("A").unwrap();
     let cfg = PipelineConfig { window, ..PipelineConfig::default() };
 
     let (addr, handle) = start_server(8, false);
-    for (label, file) in [("ttr v2", &v2), ("ttr3 lz", &v3)] {
+    for (label, file) in [("csv", &csv), ("ttr3 lz", &v3)] {
         let mut opts = client_opts(addr);
         opts.handshake.spec = spec.to_string();
         opts.handshake.skip = window.skip;
@@ -210,7 +213,7 @@ fn healthy_session(addr: SocketAddr, file: &Path, context: &str) {
 fn result_frame_follows_the_final_stats_frame_without_a_stall() {
     let dir = test_dir("gap");
     let trace = by_name("INT01", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
     let trace_bytes = std::fs::read(&file).unwrap();
 
     let (addr, handle) = start_server(8, false);
@@ -219,7 +222,7 @@ fn result_frame_follows_the_final_stats_frame_without_a_stall() {
             let (mut rd, mut wr) = raw_connect(addr);
             let hs = Handshake {
                 spec: "gshare:12".to_string(),
-                name_hint: "INT01.ttr".to_string(),
+                name_hint: "INT01.ttr3".to_string(),
                 ..Handshake::default()
             };
             wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
@@ -248,7 +251,7 @@ fn result_frame_follows_the_final_stats_frame_without_a_stall() {
 fn every_fault_kills_only_its_own_session() {
     let dir = test_dir("faults");
     let trace = by_name("INT02", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
     let trace_bytes = std::fs::read(&file).unwrap();
 
     let (addr, handle) = start_server(8, true);
@@ -287,7 +290,7 @@ fn every_fault_kills_only_its_own_session() {
     //    middle of the data phase.
     {
         let (mut rd, mut wr) = raw_connect(addr);
-        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr".to_string(), ..Handshake::default() };
+        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr3".to_string(), ..Handshake::default() };
         wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
         expect_ready(&mut rd, "garbage mid-stream");
         wire::write_frame(&mut wr, FrameType::Data, &trace_bytes[..64]).unwrap();
@@ -299,7 +302,7 @@ fn every_fault_kills_only_its_own_session() {
     // 4. Oversized frame length: refused before allocation.
     {
         let (mut rd, mut wr) = raw_connect(addr);
-        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr".to_string(), ..Handshake::default() };
+        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr3".to_string(), ..Handshake::default() };
         wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
         expect_ready(&mut rd, "oversized frame");
         let mut raw = vec![FrameType::Data as u8];
@@ -314,7 +317,7 @@ fn every_fault_kills_only_its_own_session() {
     //    the proof is that the server keeps serving afterwards.
     {
         let (_rd, mut wr) = raw_connect(addr);
-        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr".to_string(), ..Handshake::default() };
+        let hs = Handshake { spec: "tage".to_string(), name_hint: "INT02.ttr3".to_string(), ..Handshake::default() };
         wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
         wire::write_frame(&mut wr, FrameType::Data, &trace_bytes[..128]).unwrap();
         // Drop both halves: the peer vanishes mid-stream.
@@ -341,7 +344,7 @@ fn every_fault_kills_only_its_own_session() {
 fn fault_injection_is_refused_unless_enabled() {
     let dir = test_dir("noinject");
     let trace = by_name("WS01", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
 
     let (addr, handle) = start_server(8, false);
     let mut opts = client_opts(addr);
@@ -358,13 +361,13 @@ fn fault_injection_is_refused_unless_enabled() {
 fn admission_limit_sends_a_typed_refusal() {
     let dir = test_dir("admission");
     let trace = by_name("INT01", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
 
     let (addr, handle) = start_server(1, false);
 
     // Occupy the single slot: handshake through `ready`, then stall.
     let (mut rd, mut wr) = raw_connect(addr);
-    let hs = Handshake { spec: "tage".to_string(), name_hint: "INT01.ttr".to_string(), ..Handshake::default() };
+    let hs = Handshake { spec: "tage".to_string(), name_hint: "INT01.ttr3".to_string(), ..Handshake::default() };
     wire::write_frame(&mut wr, FrameType::Hello, &hs.encode()).unwrap();
     expect_ready(&mut rd, "slot holder");
 
@@ -398,7 +401,7 @@ fn admission_limit_sends_a_typed_refusal() {
 fn back_to_back_sessions_fit_a_one_session_limit() {
     let dir = test_dir("backtoback");
     let trace = by_name("INT01", Scale::Tiny).unwrap().generate();
-    let file = record_trace(&trace, &TtrCodec, &dir).unwrap();
+    let file = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
 
     let (addr, handle) = start_server(1, false);
     for i in 0..50 {
@@ -413,7 +416,7 @@ fn manyclient_bench_aggregates_and_isolates_injected_panics() {
     let dir = test_dir("manyclient");
     for name in ["INT01", "MM01", "WS01"] {
         let trace = by_name(name, Scale::Tiny).unwrap().generate();
-        record_trace(&trace, &TtrCodec, &dir).unwrap();
+        record_trace(&trace, &Ttr3Codec, &dir).unwrap();
     }
 
     let (addr, handle) = start_server(16, true);

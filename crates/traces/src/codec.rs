@@ -1,9 +1,10 @@
-//! The pluggable codec interface and the format-autodetecting registry.
+//! The codec interface and the registry of the four built-in formats,
+//! which autodetects a file's format.
 
 use crate::decoder::TraceDecoder;
 use std::io::{self, Read, Write};
 use std::path::Path;
-use workloads::event::{EventSource, Trace};
+use workloads::event::Trace;
 
 /// How many leading bytes [`CodecRegistry::detect`] hands to
 /// [`TraceCodec::matches_magic`].
@@ -12,11 +13,12 @@ pub const SNIFF_LEN: usize = 16;
 /// One on-disk trace format.
 ///
 /// Encoding is an offline operation and works from a materialized
-/// [`Trace`]; decoding is the hot ingestion path and must stream — the
-/// returned [`EventSource`] may hold the static-branch table in memory but
-/// never the event stream.
+/// [`Trace`] (streaming recording writes `.ttr3` through
+/// [`crate::Ttr3Writer`] directly); decoding is the hot ingestion path
+/// and must stream — the returned [`TraceDecoder`] may hold the
+/// static-branch table in memory but never the event stream.
 pub trait TraceCodec: Send + Sync {
-    /// Short format name, e.g. `"ttr"` (also the `--format` CLI token).
+    /// Short format name, e.g. `"ttr3"`.
     fn name(&self) -> &'static str;
 
     /// One-line human description for CLI listings.
@@ -41,38 +43,10 @@ pub trait TraceCodec: Send + Sync {
     /// # Errors
     ///
     /// Returns `InvalidInput` if the trace is not representable (e.g. more
-    /// static branches than CBP's 15-bit index can address) and any I/O
-    /// error from the writer.
+    /// static branches than CBP's 15-bit index can address), `Unsupported`
+    /// from a read-only format (`.ttr` v2), and any I/O error from the
+    /// writer.
     fn encode(&self, w: &mut dyn Write, trace: &Trace) -> io::Result<()>;
-
-    /// Streams a source into the encoded output without materializing the
-    /// event stream, where the format allows it. `make_source` must
-    /// produce a fresh source replaying the identical stream on every
-    /// call: single-pass formats (`.ttr` v3) call it once, table-first
-    /// formats (`.ttr` v2) twice. The default materializes one pass and
-    /// delegates to [`TraceCodec::encode`] — correct for any codec, with
-    /// memory proportional to the trace.
-    ///
-    /// Overrides must produce output byte-identical to encoding the
-    /// materialized trace.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceCodec::encode`], plus any error from `make_source`.
-    fn encode_stream(
-        &self,
-        w: &mut dyn Write,
-        make_source: &mut dyn FnMut() -> io::Result<Box<dyn EventSource + Send>>,
-    ) -> io::Result<()> {
-        let mut src = make_source()?;
-        let name = src.name().to_string();
-        let category = src.category().to_string();
-        let mut events = Vec::new();
-        while let Some(e) = src.next_event() {
-            events.push(e);
-        }
-        self.encode(w, &Trace { name, category, events })
-    }
 
     /// Opens `path` as a streaming event source. Codecs that do not embed
     /// trace metadata derive name/category from the file name (see
@@ -131,25 +105,18 @@ pub struct CodecRegistry {
 }
 
 impl CodecRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self { codecs: Vec::new() }
-    }
-
-    /// The built-in formats: `.ttr` v2, `.ttr3` block-compressed,
-    /// CBP-style, CSV.
+    /// The built-in formats: `.ttr` v2 (read-only), `.ttr3`
+    /// block-compressed, CBP-style, CSV. Earlier entries win
+    /// magic/extension ties.
     pub fn standard() -> Self {
-        let mut r = Self::new();
-        r.register(Box::new(crate::ttr::TtrCodec));
-        r.register(Box::new(crate::ttr3::Ttr3Codec::default()));
-        r.register(Box::new(crate::cbp::CbpCodec));
-        r.register(Box::new(crate::csv::CsvCodec));
-        r
-    }
-
-    /// Adds a codec (later registrations lose magic/extension ties).
-    pub fn register(&mut self, codec: Box<dyn TraceCodec>) {
-        self.codecs.push(codec);
+        Self {
+            codecs: vec![
+                Box::new(crate::ttr::TtrCodec),
+                Box::new(crate::ttr3::Ttr3Codec),
+                Box::new(crate::cbp::CbpCodec),
+                Box::new(crate::csv::CsvCodec),
+            ],
+        }
     }
 
     /// All registered codecs.

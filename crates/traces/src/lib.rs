@@ -1,4 +1,4 @@
-//! External-trace ingestion: pluggable codecs behind format autodetection.
+//! External-trace ingestion: four codecs behind format autodetection.
 //!
 //! Every number the repro produces comes from the synthetic 40-trace
 //! suite; this crate is the gateway for *recorded* branch streams. It
@@ -10,11 +10,13 @@
 //! * [`decoder`] — [`TraceDecoder`], the streaming-decoder contract:
 //!   an [`EventSource`](workloads::EventSource) plus error reporting, so
 //!   corrupt input ends a simulation detectably instead of silently;
-//! * [`ttr`] — the native `.ttr` v2 format: deduplicated static-branch
-//!   table + LEB128-packed event stream, lossless, with a reserved
-//!   compression-scheme byte for a future real compressor;
-//! * [`ttr3`] — the `.ttr` v3 container: streaming table-at-end layout
-//!   (bounded-memory recording) with scheme-compressed event blocks;
+//! * [`ttr3`] — the native `.ttr` v3 container and the one native layout
+//!   written: streaming table-at-end layout (bounded-memory recording)
+//!   with scheme-compressed event blocks, recorded under
+//!   [`RECORD_SCHEME`];
+//! * [`ttr`] — the `.ttr` v2 format, read-only: deduplicated
+//!   static-branch table + LEB128-packed event stream, whose event-record
+//!   codec v3 blocks reuse;
 //! * [`scheme`] — the [`BlockScheme`] registry behind the v3 scheme byte:
 //!   stored blocks plus a dependency-free LZ77, open for a real zstd;
 //! * [`cbp`] — the `cbp-experiments` branch-table + 16-bit entry layout
@@ -35,13 +37,13 @@
 //!
 //! let dir = std::env::temp_dir().join("traces-doctest");
 //! std::fs::create_dir_all(&dir).unwrap();
-//! let path = dir.join("INT05.ttr");
+//! let path = dir.join("INT05.ttr3");
 //!
 //! // Record a synthetic trace, then reopen it via autodetection.
 //! let trace = by_name("INT05", Scale::Tiny).unwrap().generate();
 //! let registry = CodecRegistry::standard();
 //! let mut file = std::fs::File::create(&path).unwrap();
-//! registry.by_name("ttr").unwrap().encode(&mut file, &trace).unwrap();
+//! registry.by_name("ttr3").unwrap().encode(&mut file, &trace).unwrap();
 //! drop(file);
 //!
 //! let mut source = registry.open(&path).unwrap();
@@ -69,4 +71,4 @@ pub use decoder::{check_decode, drain_checked, finish, ContainerInfo, TraceDecod
 pub use feed::FeedOpen;
 pub use scheme::{BlockScheme, LzScheme, RawScheme, SCHEMES};
 pub use ttr::{TtrCodec, TtrReader};
-pub use ttr3::{Ttr3Codec, Ttr3Reader, Ttr3Summary, Ttr3Writer, TTR3_INDEX_FLAG};
+pub use ttr3::{Ttr3Codec, Ttr3Reader, Ttr3Summary, Ttr3Writer, RECORD_SCHEME, TTR3_INDEX_FLAG};

@@ -35,7 +35,7 @@ pub trait BlockScheme: Send + Sync {
     /// The scheme byte this codec claims in the `.ttr` v3 header.
     fn id(&self) -> u8;
 
-    /// Short scheme name (also the `--scheme` CLI token).
+    /// Short scheme name, as `tage_trace inspect` reports it.
     fn name(&self) -> &'static str;
 
     /// Compresses `raw`. Infallible: every byte string is representable
@@ -229,11 +229,6 @@ pub fn by_id(id: u8) -> Option<&'static dyn BlockScheme> {
     SCHEMES.iter().find(|(_, b, _)| *b == id).map(|(_, _, s)| *s)
 }
 
-/// Looks a scheme up by its CLI name.
-pub fn by_name(name: &str) -> Option<&'static dyn BlockScheme> {
-    SCHEMES.iter().find(|(n, _, _)| *n == name).map(|(_, _, s)| *s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,10 +251,8 @@ mod tests {
             assert_eq!(scheme.id(), byte);
             assert_eq!(scheme.name(), name);
             assert_eq!(by_id(byte).map(|s| s.name()), Some(name));
-            assert_eq!(by_name(name).map(|s| s.id()), Some(byte));
         }
         assert!(by_id(250).is_none());
-        assert!(by_name("zstd").is_none());
     }
 
     #[test]

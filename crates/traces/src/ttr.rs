@@ -1,4 +1,11 @@
-//! The native `.ttr` v2 binary trace format.
+//! The `.ttr` v2 binary trace format, read-only.
+//!
+//! The one native layout the repo writes is `.ttr` v3 ([`crate::ttr3`]):
+//! [`TtrCodec`]'s `encode` refuses with `Unsupported`, and a `.ttr` file
+//! converts with `tage_trace convert old.ttr new.ttr3`. The committed
+//! `tests/data/GOLD01.ttr` pins this decoder, and v2's front-to-back
+//! layout is what lets [`crate::feed`] decode it off a live stream
+//! without spooling. The event-record codec below is shared with v3.
 //!
 //! Layout (all multi-byte integers little-endian, varints LEB128):
 //!
@@ -36,7 +43,6 @@
 use crate::decoder::TraceDecoder;
 use crate::varint;
 use simkit::predictor::BranchKind;
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use workloads::event::{EventSource, Trace, TraceEvent};
@@ -193,107 +199,6 @@ pub(crate) fn decode_event_record(
     Ok(TraceEvent { pc: site.pc, kind: site.kind, taken, target, uops_before, load_addr })
 }
 
-/// Serializes `trace` as `.ttr` v2. Thin wrapper over [`encode_two_pass`]
-/// replaying the materialized trace twice, so the streamed and
-/// materialized encoders are byte-identical by construction.
-///
-/// # Errors
-///
-/// Returns `InvalidInput` when the static footprint exceeds
-/// [`MAX_BRANCH_TABLE`] or a string field exceeds 64 KiB, and any I/O
-/// error from the writer.
-pub fn encode(w: &mut dyn Write, trace: &Trace) -> io::Result<()> {
-    encode_two_pass(w, || Ok(trace.stream()))
-}
-
-/// Streams a source to `.ttr` v2 in bounded memory: pass 1 collects the
-/// deduplicated static-branch table (first-observed targets become the
-/// per-site defaults; divergent events carry overrides) and the event
-/// count, pass 2 re-plays the source and packs the event stream. Peak
-/// memory is the branch table — the static footprint — independent of the
-/// trace length.
-///
-/// `make` must produce a source replaying the identical event stream on
-/// each call; a divergent replay is detected and reported.
-///
-/// # Errors
-///
-/// As [`encode`], plus `InvalidData` when the two passes disagree.
-pub fn encode_two_pass<S, F>(w: &mut dyn Write, mut make: F) -> io::Result<()>
-where
-    S: EventSource,
-    F: FnMut() -> io::Result<S>,
-{
-    let mut sites: BTreeMap<(u64, u8), (Option<u64>, Option<u64>)> = BTreeMap::new();
-    let mut event_count = 0u64;
-    let mut first = make()?;
-    let name = first.name().to_string();
-    let category = first.category().to_string();
-    while let Some(e) = first.next_event() {
-        let slot = sites.entry((e.pc, kind_code(e.kind))).or_default();
-        let side = if e.taken { &mut slot.0 } else { &mut slot.1 };
-        side.get_or_insert(e.target);
-        event_count += 1;
-    }
-    drop(first);
-    if sites.len() as u64 > u64::from(MAX_BRANCH_TABLE) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("{} static branches exceed the table cap", sites.len()),
-        ));
-    }
-    let table: Vec<TableEntry> = sites
-        .iter()
-        .map(|(&(pc, kind), &(t, nt))| TableEntry {
-            pc,
-            // INVARIANT: round-trips kind_code's own output; the codes are
-            // a closed set both functions enumerate.
-            kind: code_kind(kind).expect("kind_code output is always valid"),
-            taken_target: t.unwrap_or(pc),
-            nottaken_target: nt.unwrap_or(pc),
-        })
-        .collect();
-    let index_of: BTreeMap<(u64, u8), usize> =
-        sites.keys().enumerate().map(|(i, &k)| (k, i)).collect();
-
-    w.write_all(TTR_MAGIC)?;
-    w.write_all(&[COMPRESSION_RAW])?;
-    write_str(w, &name)?;
-    write_str(w, &category)?;
-    w.write_all(&(table.len() as u32).to_le_bytes())?;
-    w.write_all(&event_count.to_le_bytes())?;
-
-    let mut prev_pc = 0u64;
-    for t in &table {
-        varint::write_u64(w, t.pc.wrapping_sub(prev_pc))?;
-        w.write_all(&[kind_code(t.kind)])?;
-        varint::write_i64(w, t.taken_target.wrapping_sub(t.pc) as i64)?;
-        varint::write_i64(w, t.nottaken_target.wrapping_sub(t.pc) as i64)?;
-        prev_pc = t.pc;
-    }
-
-    let mut second = make()?;
-    let mut prev_index = 0i64;
-    let mut replayed = 0u64;
-    while let Some(e) = second.next_event() {
-        let index = *index_of.get(&(e.pc, kind_code(e.kind))).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "source replay produced a branch site the first pass never saw",
-            )
-        })?;
-        encode_event_record(w, &table[index], index, &mut prev_index, &e)?;
-        replayed += 1;
-    }
-    if replayed != event_count {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("source replay produced {replayed} events, first pass saw {event_count}"),
-        ));
-    }
-    Ok(())
-}
-
 /// A streaming `.ttr` v2 decoder: holds the header and static-branch table,
 /// decodes events one at a time.
 pub struct TtrReader<R> {
@@ -426,7 +331,8 @@ impl<R: Read> TraceDecoder for TtrReader<R> {
     }
 }
 
-/// The `.ttr` [`crate::TraceCodec`].
+/// The `.ttr` v2 [`crate::TraceCodec`]: decodes, autodetects and feeds;
+/// refuses to encode.
 pub struct TtrCodec;
 
 impl crate::TraceCodec for TtrCodec {
@@ -435,7 +341,7 @@ impl crate::TraceCodec for TtrCodec {
     }
 
     fn description(&self) -> &'static str {
-        "native .ttr v2: branch table + LEB128-packed event stream (lossless)"
+        "native .ttr v2 (read-only): branch table + LEB128-packed event stream (lossless)"
     }
 
     fn extensions(&self) -> &'static [&'static str] {
@@ -446,18 +352,11 @@ impl crate::TraceCodec for TtrCodec {
         prefix.starts_with(TTR_MAGIC)
     }
 
-    fn encode(&self, w: &mut dyn Write, trace: &Trace) -> io::Result<()> {
-        encode(w, trace)
-    }
-
-    fn encode_stream(
-        &self,
-        w: &mut dyn Write,
-        make_source: &mut dyn FnMut() -> io::Result<Box<dyn EventSource + Send>>,
-    ) -> io::Result<()> {
-        // Two passes over a regenerated source instead of one pass over a
-        // materialized trace: same bytes, bounded memory.
-        encode_two_pass(w, make_source)
+    fn encode(&self, _w: &mut dyn Write, _trace: &Trace) -> io::Result<()> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            ".ttr v2 is read-only; write .ttr3 instead",
+        ))
     }
 
     fn open(&self, path: &Path) -> io::Result<Box<dyn TraceDecoder + Send>> {
@@ -482,13 +381,6 @@ impl crate::TraceCodec for TtrCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::suite::{by_name, Scale};
-
-    fn encode_vec(t: &Trace) -> Vec<u8> {
-        let mut buf = Vec::new();
-        encode(&mut buf, t).unwrap();
-        buf
-    }
 
     fn decode_vec(buf: &[u8]) -> io::Result<Trace> {
         let mut r = TtrReader::new(buf)?;
@@ -502,77 +394,58 @@ mod tests {
         Ok(Trace { name: r.name.clone(), category: r.category.clone(), events })
     }
 
-    #[test]
-    fn suite_trace_round_trips_losslessly() {
-        let t = by_name("INT02", Scale::Tiny).unwrap().generate();
-        let back = decode_vec(&encode_vec(&t)).unwrap();
-        assert_eq!(back, t);
+    /// The committed v2 fixture (every branch kind, loads, a divergent
+    /// target); `tests/golden.rs` pins what it decodes to.
+    fn gold() -> Vec<u8> {
+        std::fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/GOLD01.ttr"))
+            .unwrap()
+    }
+
+    /// A hand-assembled file: one conditional site at pc 4 (taken target
+    /// 8) and one taken event on it. The event record is the last 3 bytes.
+    fn one_site_file() -> Vec<u8> {
+        let mut buf = TTR_MAGIC.to_vec();
+        buf.push(COMPRESSION_RAW);
+        write_str(&mut buf, "x").unwrap();
+        write_str(&mut buf, "X").unwrap();
+        buf.extend(1u32.to_le_bytes());
+        buf.extend(1u64.to_le_bytes());
+        buf.extend([4, 0, 8, 0]); // pc_delta, kind, taken +4 (zigzag), not-taken +0
+        buf.extend([0, FLAG_TAKEN, 0]); // index_delta, flags, uops_before
+        buf
     }
 
     #[test]
-    fn uncond_events_round_trip() {
-        let t = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
-        assert!(t.events.iter().any(|e| !e.kind.is_conditional()));
-        assert_eq!(decode_vec(&encode_vec(&t)).unwrap(), t);
-    }
-
-    #[test]
-    fn divergent_targets_use_overrides() {
-        // Same (pc, taken) with two different targets: the second event
-        // must survive via the override path.
-        let mk = |target| TraceEvent {
-            pc: 0x100,
-            kind: BranchKind::IndirectJump,
+    fn hand_assembled_file_decodes() {
+        let t = decode_vec(&one_site_file()).unwrap();
+        let want = TraceEvent {
+            pc: 4,
+            kind: BranchKind::Conditional,
             taken: true,
-            target,
-            uops_before: 3,
+            target: 8,
+            uops_before: 0,
             load_addr: None,
         };
-        let t = Trace {
-            name: "ind".into(),
-            category: "TEST".into(),
-            events: vec![mk(0x8000), mk(0x9000), mk(0x8000)],
-        };
-        assert_eq!(decode_vec(&encode_vec(&t)).unwrap(), t);
-    }
-
-    #[test]
-    fn extreme_addresses_round_trip() {
-        let mk = |pc, target| TraceEvent {
-            pc,
-            kind: BranchKind::Conditional,
-            taken: pc % 2 == 0,
-            target,
-            uops_before: u16::MAX,
-            load_addr: Some(u64::MAX),
-        };
-        let t = Trace {
-            name: "edge".into(),
-            category: "TEST".into(),
-            events: vec![mk(0, u64::MAX), mk(u64::MAX, 0), mk(1 << 63, 1)],
-        };
-        assert_eq!(decode_vec(&encode_vec(&t)).unwrap(), t);
+        assert_eq!(t.events, [want]);
     }
 
     #[test]
     fn rejects_bad_magic_and_compression() {
         assert!(decode_vec(b"NOTATTR2________").is_err());
-        let t = Trace { name: "x".into(), category: "X".into(), events: vec![] };
-        let mut buf = encode_vec(&t);
+        let mut buf = gold();
+        assert!(decode_vec(&buf).is_ok());
         buf[8] = 7; // unknown compression scheme
         assert!(decode_vec(&buf).is_err());
     }
 
     #[test]
     fn rejects_truncation_and_oversized_table() {
-        let t = by_name("WS01", Scale::Tiny).unwrap().generate();
-        let mut buf = encode_vec(&t);
+        let mut buf = gold();
         buf.truncate(buf.len() / 3);
         assert!(decode_vec(&buf).is_err());
         // Header claiming a huge branch table must be rejected before any
         // allocation of that size.
-        let empty = Trace { name: "x".into(), category: "X".into(), events: vec![] };
-        let mut buf = encode_vec(&empty);
+        let mut buf = one_site_file();
         let bc_pos = 8 + 1 + 2 + 1 + 2 + 1; // magic+comp+name("x")+cat("X")
         buf[bc_pos..bc_pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_vec(&buf).is_err());
@@ -580,66 +453,20 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_event_index() {
-        let t = Trace {
-            name: "x".into(),
-            category: "X".into(),
-            events: vec![TraceEvent {
-                pc: 4,
-                kind: BranchKind::Conditional,
-                taken: true,
-                target: 8,
-                uops_before: 0,
-                load_addr: None,
-            }],
-        };
-        let mut buf = encode_vec(&t);
-        // The event stream starts right after the single table entry; bump
-        // its index delta to point past the table.
-        let ev_start = buf.len() - 3; // index_delta + flags + uops
+        let mut buf = one_site_file();
+        // Bump the event's index delta to point past the one-entry table.
+        let ev_start = buf.len() - 3;
         buf[ev_start] = 0x04; // zigzag(2)
         assert!(decode_vec(&buf).is_err());
     }
 
     #[test]
-    fn streamed_encode_is_byte_identical_to_materialized() {
-        // CI `cmp`s recorded .ttr files against csv-round-tripped ones, so
-        // the bounded-memory two-pass recorder must reproduce the
-        // materialized encoder exactly.
-        let spec = by_name("CLIENT01", Scale::Tiny).unwrap();
-        let t = spec.generate();
-        let materialized = encode_vec(&t);
-        let mut streamed = Vec::new();
-        let codec = TtrCodec;
-        let mut make = || -> io::Result<Box<dyn EventSource + Send>> {
-            Ok(Box::new(by_name("CLIENT01", Scale::Tiny).unwrap().stream()))
-        };
-        crate::TraceCodec::encode_stream(&codec, &mut streamed, &mut make).unwrap();
-        assert_eq!(streamed, materialized);
-    }
-
-    #[test]
-    fn two_pass_detects_divergent_replay() {
-        // A source that replays differently on the second pass must be
-        // reported, not silently mis-encoded.
-        let t1 = by_name("MM01", Scale::Tiny).unwrap().generate();
-        let mut short = t1.clone();
-        short.events.truncate(t1.events.len() / 2);
-        let mut calls = 0;
+    fn encode_is_refused_and_names_ttr3() {
+        let t = Trace { name: "x".into(), category: "X".into(), events: vec![] };
         let mut buf = Vec::new();
-        let r = encode_two_pass(&mut buf, || {
-            calls += 1;
-            Ok(if calls == 1 { t1.stream() } else { short.stream() })
-        });
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn packed_stream_is_compact() {
-        let t = by_name("MM01", Scale::Tiny).unwrap().generate();
-        let per_event = encode_vec(&t).len() as f64 / t.events.len() as f64;
-        // A fixed-width record (pc, target, kind, taken, uops, load
-        // address) takes at least 21 bytes/event; the packed stream must
-        // stay under a third of that.
-        assert!(per_event < 7.0, "packed {per_event:.2} bytes/event");
+        let err = crate::TraceCodec::encode(&TtrCodec, &mut buf, &t).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert!(err.to_string().contains(".ttr3"), "{err}");
+        assert!(buf.is_empty());
     }
 }

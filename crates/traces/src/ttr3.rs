@@ -1,14 +1,16 @@
 //! The native `.ttr` v3 binary trace format: streaming, block-compressed,
-//! table-at-end.
+//! table-at-end — the one native layout the repo writes.
 //!
-//! v2 ([`crate::ttr`]) puts the static-branch table *before* the event
-//! stream, which forces an encoder to see every event before it can write
-//! byte one — fine for materialized traces, fatal for `Scale::Full`+
-//! recording. v3 moves the table to a footer located by a fixed-size
-//! trailer, so the writer streams events as they arrive and its peak
-//! memory is one block buffer plus the static footprint, independent of
-//! the trace length. Blocks are compressed through the pluggable
-//! [`crate::scheme`] registry named by the header's scheme byte.
+//! v2 ([`crate::ttr`], now read-only) puts the static-branch table
+//! *before* the event stream, which forces an encoder to see every event
+//! before it can write byte one. v3 moves the table to a footer located
+//! by a fixed-size trailer, so the writer streams events as they arrive
+//! and its peak memory is one block buffer plus the static footprint,
+//! independent of the trace length. Blocks are compressed through the
+//! pluggable [`crate::scheme`] registry named by the header's scheme
+//! byte; `tage_trace record` and [`Ttr3Codec`] always write
+//! [`RECORD_SCHEME`] (`lz` blocks plus the seekable block index), and
+//! the raw scheme and index-less files stay readable.
 //!
 //! Layout (all multi-byte integers little-endian, varints LEB128):
 //!
@@ -71,6 +73,11 @@ pub const TTR3_INDEX_FLAG: u8 = 0x80;
 
 /// Magic opening the block-index footer section.
 pub const TTR3_INDEX_MAGIC: &[u8; 8] = b"TAGEIDX3";
+
+/// The scheme byte every recorded file carries: `lz` blocks plus the
+/// seekable block index (16 bytes per ~64 KiB block, which buys O(1)
+/// `skip` for sampled simulation).
+pub const RECORD_SCHEME: u8 = 1 | TTR3_INDEX_FLAG;
 
 /// Fixed trailer size: branch_count u32 + event_count u64 + table_offset
 /// u64 + end magic.
@@ -669,21 +676,9 @@ impl<R: Read + Seek> TraceDecoder for Ttr3Reader<R> {
     }
 }
 
-/// The `.ttr` v3 [`crate::TraceCodec`]. Carries the scheme byte used for
-/// encoding; decoding reads whatever scheme the file names.
-pub struct Ttr3Codec {
-    /// Scheme byte for `encode`/`encode_stream` output.
-    pub scheme_id: u8,
-}
-
-impl Default for Ttr3Codec {
-    /// Compression is the point of v3: default to the LZ scheme, with the
-    /// seekable block index on (it costs 16 bytes per ~64 KiB block and
-    /// buys O(1) `skip` for sampled simulation).
-    fn default() -> Self {
-        Self { scheme_id: 1 | TTR3_INDEX_FLAG }
-    }
-}
+/// The `.ttr` v3 [`crate::TraceCodec`]. Encodes under
+/// [`RECORD_SCHEME`]; decoding reads whatever scheme the file names.
+pub struct Ttr3Codec;
 
 impl crate::TraceCodec for Ttr3Codec {
     fn name(&self) -> &'static str {
@@ -703,21 +698,7 @@ impl crate::TraceCodec for Ttr3Codec {
     }
 
     fn encode(&self, w: &mut dyn Write, trace: &Trace) -> io::Result<()> {
-        encode(w, trace, self.scheme_id).map(|_| ())
-    }
-
-    fn encode_stream(
-        &self,
-        w: &mut dyn Write,
-        make_source: &mut dyn FnMut() -> io::Result<Box<dyn EventSource + Send>>,
-    ) -> io::Result<()> {
-        // Single pass: v3 is the streaming-native container.
-        let mut src = make_source()?;
-        let mut writer = Ttr3Writer::new(w, src.name(), src.category(), self.scheme_id)?;
-        while let Some(e) = src.next_event() {
-            writer.push(&e)?;
-        }
-        writer.finish().map(|_| ())
+        encode(w, trace, RECORD_SCHEME).map(|_| ())
     }
 
     fn open(&self, path: &Path) -> io::Result<Box<dyn TraceDecoder + Send>> {
@@ -810,37 +791,43 @@ mod tests {
     }
 
     #[test]
-    fn compressed_v3_decodes_to_v2_identical_stream() {
-        // v3(lz) → decode → re-encode as v2 must equal the direct v2
-        // encoding of the source trace, byte for byte.
-        let t = by_name("WS01", Scale::Tiny).unwrap().generate();
-        let back = decode_vec(encode_vec(&t, 1)).unwrap();
-        let mut direct_v2 = Vec::new();
-        crate::ttr::encode(&mut direct_v2, &t).unwrap();
-        let mut roundtrip_v2 = Vec::new();
-        crate::ttr::encode(&mut roundtrip_v2, &back).unwrap();
-        assert_eq!(roundtrip_v2, direct_v2);
-    }
-
-    #[test]
-    fn lz_v3_is_at_most_seven_tenths_of_v2() {
+    fn lz_v3_is_at_most_seven_tenths_of_raw_v3() {
         // The compression acceptance bar: on the suite fixtures, v3+lz
-        // must come in at ≤ 0.7× the v2 size (and beat stored v3 blocks),
-        // while staying lossless.
+        // must come in at ≤ 0.7× the raw-scheme v3 size (the uncompressed
+        // event records plus framing), while staying lossless.
         for name in ["CLIENT01", "MM01", "INT02", "WS01"] {
             let t = by_name(name, Scale::Tiny).unwrap().generate();
-            let mut v2 = Vec::new();
-            crate::ttr::encode(&mut v2, &t).unwrap();
             let raw = encode_vec(&t, 0);
             let lz = encode_vec(&t, 1);
             assert!(
-                lz.len() * 10 <= v2.len() * 7,
-                "{name}: v3+lz {} bytes vs v2 {} bytes",
+                lz.len() * 10 <= raw.len() * 7,
+                "{name}: v3+lz {} bytes vs raw v3 {} bytes",
                 lz.len(),
-                v2.len()
+                raw.len()
             );
-            assert!(lz.len() < raw.len(), "{name}: lz {} >= raw {}", lz.len(), raw.len());
             assert_eq!(decode_vec(lz).unwrap(), t, "{name}");
+        }
+    }
+
+    #[test]
+    fn extreme_addresses_round_trip() {
+        // Address arithmetic wraps: deltas between pc 0, 2^63 and
+        // u64::MAX, and targets and load addresses at both ends.
+        let mk = |pc, target| TraceEvent {
+            pc,
+            kind: simkit::predictor::BranchKind::Conditional,
+            taken: pc % 2 == 0,
+            target,
+            uops_before: u16::MAX,
+            load_addr: Some(u64::MAX),
+        };
+        let t = Trace {
+            name: "edge".into(),
+            category: "TEST".into(),
+            events: vec![mk(0, u64::MAX), mk(u64::MAX, 0), mk(1 << 63, 1)],
+        };
+        for scheme_id in [0, RECORD_SCHEME] {
+            assert_eq!(decode_vec(encode_vec(&t, scheme_id)).unwrap(), t, "scheme {scheme_id}");
         }
     }
 
@@ -879,7 +866,7 @@ mod tests {
 
     fn encode_indexed(t: &Trace, block_target: usize) -> Vec<u8> {
         let mut buf = Vec::new();
-        let mut w = Ttr3Writer::new(&mut buf, &t.name, &t.category, 1 | TTR3_INDEX_FLAG)
+        let mut w = Ttr3Writer::new(&mut buf, &t.name, &t.category, RECORD_SCHEME)
             .unwrap()
             .with_block_target(block_target);
         for e in &t.events {

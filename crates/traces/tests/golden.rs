@@ -1,8 +1,10 @@
 //! Golden-fixture tests: checked-in files in each format must decode to
 //! the known trace, and re-encoding the known trace must reproduce the
-//! files byte for byte (pinning the on-disk layouts — an intentional
-//! format change regenerates with `TAGE_WRITE_FIXTURES=1 cargo test -p
-//! tage-traces --test golden` and shows up as a fixture diff in review).
+//! writable formats' files byte for byte (pinning the on-disk layouts —
+//! an intentional format change regenerates the `.ttr3`, `.cbp` and
+//! `.csv` fixtures with `TAGE_WRITE_FIXTURES=1 cargo test -p tage-traces
+//! --test golden` and shows up as a fixture diff in review). `GOLD01.ttr`
+//! is frozen: `.ttr` v2 is read-only, and the file pins its decoder.
 
 use simkit::predictor::BranchKind;
 use std::path::PathBuf;
@@ -63,7 +65,7 @@ fn maybe_write_fixtures() -> bool {
     }
     std::fs::create_dir_all(data_dir()).unwrap();
     let t = fixture_trace();
-    for name in ["ttr", "cbp", "csv"] {
+    for name in ["ttr3", "cbp", "csv"] {
         std::fs::write(fixture_path(name), encode_with(name, &t)).unwrap();
     }
     true
@@ -82,14 +84,22 @@ fn decode_fixture(codec_name: &str) -> Trace {
 }
 
 #[test]
-fn ttr_fixture_decodes_and_reencodes_byte_identically() {
+fn ttr_v2_fixture_decodes_to_the_known_trace() {
+    if maybe_write_fixtures() {
+        return;
+    }
+    assert_eq!(decode_fixture("ttr"), fixture_trace());
+}
+
+#[test]
+fn ttr3_fixture_decodes_and_reencodes_byte_identically() {
     if maybe_write_fixtures() {
         return;
     }
     let expected = fixture_trace();
-    assert_eq!(decode_fixture("ttr"), expected);
-    let on_disk = std::fs::read(fixture_path("ttr")).unwrap();
-    assert_eq!(encode_with("ttr", &expected), on_disk, "the .ttr byte layout changed");
+    assert_eq!(decode_fixture("ttr3"), expected);
+    let on_disk = std::fs::read(fixture_path("ttr3")).unwrap();
+    assert_eq!(encode_with("ttr3", &expected), on_disk, "the .ttr3 byte layout changed");
 }
 
 #[test]
@@ -132,7 +142,7 @@ fn fixtures_are_present_in_the_repo() {
     if maybe_write_fixtures() {
         return;
     }
-    for name in ["ttr", "cbp", "csv"] {
+    for name in ["ttr", "ttr3", "cbp", "csv"] {
         let p = fixture_path(name);
         assert!(p.exists(), "missing checked-in fixture {}", p.display());
     }

@@ -5,7 +5,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use simkit::predictor::BranchKind;
 use std::io::Cursor;
-use traces::{CbpReader, CsvReader, TraceDecoder, Ttr3Reader, TtrReader, TTR3_INDEX_FLAG};
+use traces::{CbpReader, CsvReader, TraceDecoder, Ttr3Reader, TtrReader, RECORD_SCHEME};
 use workloads::event::{EventSource, Trace, TraceEvent};
 
 fn kind_of(code: u8) -> BranchKind {
@@ -65,16 +65,14 @@ fn drain<D: TraceDecoder>(mut d: D) -> Result<Trace, String> {
     }
 }
 
-proptest! {
-    #[test]
-    fn ttr_round_trips_losslessly(raw in event_strategy()) {
-        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
-        let mut buf = Vec::new();
-        traces::ttr::encode(&mut buf, &t).unwrap();
-        let back = drain(TtrReader::new(buf.as_slice()).unwrap()).unwrap();
-        prop_assert_eq!(back, t);
-    }
+/// The committed `.ttr` v2 fixture: v2 is read-only, so its corruption
+/// properties run over these frozen bytes.
+fn gold_v2() -> Vec<u8> {
+    std::fs::read(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/GOLD01.ttr"))
+        .unwrap()
+}
 
+proptest! {
     #[test]
     fn csv_round_trips_losslessly(raw in event_strategy()) {
         let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
@@ -141,13 +139,7 @@ proptest! {
 
     #[test]
     fn truncated_ttr_is_rejected_not_silently_short(cut in 1usize..100) {
-        let t = trace_of(
-            (0..50)
-                .map(|i| event((0x1000 + i * 16, (i % 5) as u8, i % 3 == 0), (0, 5, i % 2), true))
-                .collect(),
-        );
-        let mut buf = Vec::new();
-        traces::ttr::encode(&mut buf, &t).unwrap();
+        let mut buf = gold_v2();
         let cut = cut.min(buf.len() - 1);
         buf.truncate(buf.len() - cut);
         let failed = match TtrReader::new(buf.as_slice()) {
@@ -249,7 +241,7 @@ proptest! {
         // same suffix (ground truth: the encoded trace itself).
         let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
         let mut buf = Vec::new();
-        traces::ttr3::encode(&mut buf, &t, 1 | TTR3_INDEX_FLAG).unwrap();
+        traces::ttr3::encode(&mut buf, &t, RECORD_SCHEME).unwrap();
         let mut r = Ttr3Reader::new(Cursor::new(buf)).unwrap();
         let skipped = r.skip(s);
         prop_assert_eq!(skipped, s.min(t.events.len() as u64));
@@ -276,7 +268,7 @@ proptest! {
                 .collect(),
         );
         let mut buf = Vec::new();
-        traces::ttr3::encode(&mut buf, &t, 1 | TTR3_INDEX_FLAG).unwrap();
+        traces::ttr3::encode(&mut buf, &t, RECORD_SCHEME).unwrap();
         let idx = buf
             .windows(8)
             .position(|w| w == traces::ttr3::TTR3_INDEX_MAGIC)
@@ -327,7 +319,7 @@ proptest! {
                 .collect(),
         );
         let mut buf = Vec::new();
-        traces::ttr3::encode(&mut buf, &t, 1 | TTR3_INDEX_FLAG).unwrap();
+        traces::ttr3::encode(&mut buf, &t, RECORD_SCHEME).unwrap();
         let cut = cut.min(buf.len() - 1);
         buf.truncate(buf.len() - cut);
         let failed = match Ttr3Reader::new(Cursor::new(buf)) {
@@ -339,13 +331,7 @@ proptest! {
 
     #[test]
     fn flipped_byte_in_ttr_never_panics(pos in 0usize..4096, val in any::<u8>()) {
-        let t = trace_of(
-            (0..40)
-                .map(|i| event((0x2000 + i * 12, (i % 5) as u8, i % 2 == 0), (i, 7, 1), true))
-                .collect(),
-        );
-        let mut buf = Vec::new();
-        traces::ttr::encode(&mut buf, &t).unwrap();
+        let mut buf = gold_v2();
         let pos = pos % buf.len();
         buf[pos] = val;
         // Any outcome but a panic is acceptable: reject, or decode to some
