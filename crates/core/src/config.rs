@@ -15,6 +15,8 @@
 //!   non-consecutive tables, one 4-bit `USE_ALT_ON_NA` counter, one 8-bit
 //!   allocation-monitoring counter for global u-bit resets.
 
+use simkit::history::HISTORY_CAPACITY;
+
 /// Maximum number of tagged tables supported (fixed-size flight arrays).
 pub const MAX_TAGGED: usize = 16;
 
@@ -144,13 +146,15 @@ impl TageConfig {
     /// # Panics
     ///
     /// Panics if the table lists disagree with `num_tagged`, the counter
-    /// width is out of range, or the history series is degenerate.
+    /// width is out of range, or the history series is degenerate or
+    /// reaches past the global history's capacity.
     pub fn validate(&self) {
         assert!((1..=MAX_TAGGED).contains(&self.num_tagged));
         assert_eq!(self.table_size_bits.len(), self.num_tagged, "table size list length");
         assert_eq!(self.tag_widths.len(), self.num_tagged, "tag width list length");
         assert!((2..=8).contains(&self.ctr_bits), "counter width");
         assert!(self.l1 >= 1 && self.lmax > self.l1, "history bounds");
+        assert!(self.lmax < HISTORY_CAPACITY, "history length {} past the global history", self.lmax);
         assert!(self.bimodal_bits >= self.hysteresis_shift);
         assert!((1..=8).contains(&self.max_alloc), "allocation count");
         for &t in &self.tag_widths {

@@ -53,7 +53,8 @@
 //!
 //! Ill-formed chains are rejected with a typed [`SpecError`] — a stage
 //! before any provider, a second provider, a duplicated stage, a
-//! non-power-of-two IUM capacity — at parse *and* at build, so
+//! non-power-of-two IUM capacity, a size or history length past what
+//! its constructor builds — at parse *and* at build, so
 //! hand-constructed specs get the same checks as parsed ones.
 
 use crate::base::BaseChoice;
@@ -64,6 +65,7 @@ use crate::ium::Ium;
 use crate::loop_pred::LoopPredictor;
 use crate::stack::{PredictorStack, SideStage, StageKind, DEFAULT_IUM_CAPACITY};
 use crate::tage::Tage;
+use simkit::history::HISTORY_CAPACITY;
 use std::fmt;
 use std::str::FromStr;
 
@@ -95,8 +97,7 @@ pub struct ProviderSpec {
     pub history: Option<(usize, usize)>,
     /// Budget scale: every table ×`2^scale` entries (Figure 9).
     pub scale: i32,
-    /// The base predictor filling the slot under the tagged bank
-    /// (`tage(base=...)`).
+    /// The base predictor under the tagged bank (`tage(base=...)`).
     pub base_slot: BaseChoice,
     /// The provider/alternate chooser policy (`tage(chooser=...)`).
     pub chooser: ChooserChoice,
@@ -142,10 +143,11 @@ impl ProviderSpec {
 }
 
 fn check_history(l1: usize, lmax: usize, token: &str) -> Result<(), SpecError> {
-    if l1 < 1 || lmax <= l1 {
+    // A fold of `lmax` bits reads history bit `lmax`.
+    if l1 < 1 || lmax <= l1 || lmax >= HISTORY_CAPACITY {
         return Err(SpecError::BadArg {
             token: token.to_string(),
-            reason: "history bounds need 1 <= l1 < lmax",
+            reason: "history bounds need 1 <= l1 < lmax < 8192 (the global history capacity)",
         });
     }
     Ok(())
@@ -213,16 +215,28 @@ impl StageSpec {
                     });
                 }
             }
-            StageSpec::Gsc | StageSpec::Lsc { .. } => {}
+            StageSpec::Gsc => {}
+            StageSpec::Lsc { scale, .. } => {
+                // `Lsc::scaled` clamps its table bits outside this range,
+                // and above it the local history table grows without
+                // bound.
+                if !(-4..=10).contains(&scale) {
+                    return Err(SpecError::BadArg {
+                        token: "lsc:x".into(),
+                        reason: "scale must be in -4..=10",
+                    });
+                }
+            }
             StageSpec::Loop { entries, ways } => {
                 if !(1..=4).contains(&ways)
                     || entries == 0
+                    || entries > 1 << 16
                     || !entries.is_multiple_of(ways)
                     || !(entries / ways).is_power_of_two()
                 {
                     return Err(SpecError::BadArg {
                         token: "loop".into(),
-                        reason: "loop geometry needs 1..=4 ways dividing entries into a power-of-two set count",
+                        reason: "loop geometry needs at most 65536 entries and 1..=4 ways dividing them into a power-of-two set count",
                     });
                 }
             }
@@ -439,17 +453,7 @@ impl std::error::Error for SpecError {}
 
 impl fmt::Display for SystemSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tage")?;
-        // Provider-internal productions, defaults omitted (fixed
-        // base-then-chooser order keeps the form canonical).
-        let base_slot = (self.provider.base_slot != BaseChoice::default())
-            .then(|| format!("base={}", self.provider.base_slot.token()));
-        let chooser = (self.provider.chooser != ChooserChoice::default())
-            .then(|| format!("chooser={}", self.provider.chooser.token()));
-        let params: Vec<String> = base_slot.into_iter().chain(chooser).collect();
-        if !params.is_empty() {
-            write!(f, "({})", params.join(","))?;
-        }
+        write!(f, "tage{}", provider_params(self.provider.base_slot, self.provider.chooser))?;
         match self.provider.base {
             TageBase::Reference => {}
             TageBase::LscCore => write!(f, ":lsc")?,
@@ -546,6 +550,21 @@ impl FromStr for SystemSpec {
         }
         spec.validate()?;
         Ok(spec)
+    }
+}
+
+/// The canonical `(base=...,chooser=...)` production for non-default
+/// base and chooser policies, `""` when both are the paper's (fixed
+/// base-then-chooser order keeps the form canonical).
+pub(crate) fn provider_params(base: BaseChoice, chooser: ChooserChoice) -> String {
+    let base = (base != BaseChoice::default()).then(|| format!("base={}", base.token()));
+    let chooser =
+        (chooser != ChooserChoice::default()).then(|| format!("chooser={}", chooser.token()));
+    let params: Vec<String> = base.into_iter().chain(chooser).collect();
+    if params.is_empty() {
+        String::new()
+    } else {
+        format!("({})", params.join(","))
     }
 }
 
@@ -905,7 +924,7 @@ mod tests {
         let gshare: SystemSpec = "tage(base=gshare)".parse().unwrap();
         assert_ne!(plain, always);
         assert_ne!(plain.to_string(), gshare.to_string());
-        // The base slot changes the budget; the chooser does not.
+        // The base changes the budget; the chooser does not.
         assert_eq!(plain.storage_bits().unwrap(), always.storage_bits().unwrap());
         assert_ne!(plain.storage_bits().unwrap(), gshare.storage_bits().unwrap());
     }

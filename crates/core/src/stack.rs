@@ -5,9 +5,8 @@
 //! IUM, the loop predictor and the global Statistical Corrector bolted on
 //! one at a time (§5); TAGE-LSC swaps the last two for the local
 //! corrector (§6). [`PredictorStack`] models exactly that: one [`Tage`]
-//! provider — itself a composition of base/tagged-bank/chooser
-//! sub-stages (see [`crate::provider::ProviderStack`]) — followed by a
-//! chain of [`SideStage`]s evaluated **in order** at prediction time:
+//! provider followed by a chain of [`SideStage`]s evaluated **in order**
+//! at prediction time:
 //!
 //! ```text
 //! Tage ──pred──▶ [IUM] ──▶ [SC] ──▶ [LSC] ──▶ [loop] ──▶ final
@@ -21,7 +20,8 @@
 //! correctors, as in Figures 6–7 — but the chain executes whatever order
 //! a [`SystemSpec`](crate::spec::SystemSpec) declares, so compositions
 //! the paper never measured (a corrector judging the loop output, say)
-//! are one spec string away.
+//! are one spec string away. [`SystemSpec::build`](crate::spec::SystemSpec::build)
+//! is the one way to compose a stack.
 //!
 //! Stage semantics that survive reordering:
 //!
@@ -38,7 +38,6 @@
 //! `TageSystem` bit for bit (pinned by the golden-table tests in the
 //! harness crate).
 
-use crate::config::TageConfig;
 use crate::corrector::{CorrectorFlight, Gsc, Lsc};
 use crate::ium::Ium;
 use crate::loop_pred::LoopPredictor;
@@ -157,10 +156,8 @@ impl StackFlight {
 
 /// A TAGE provider composed with an ordered chain of side stages.
 ///
-/// Assemble one from a [`SystemSpec`](crate::spec::SystemSpec) (the
-/// declarative route), from the [named presets](Self::isl_tage), or from
-/// the [`with_ium`](Self::with_ium)-style builders (which insert at the
-/// canonical chain position).
+/// Assemble one from a [`SystemSpec`](crate::spec::SystemSpec) or from
+/// the [named presets](Self::isl_tage), which are specs too.
 #[derive(Clone, Debug)]
 pub struct PredictorStack {
     tage: Tage,
@@ -174,17 +171,6 @@ pub struct PredictorStack {
 }
 
 impl PredictorStack {
-    /// A bare TAGE stack (no side stages).
-    pub fn new(cfg: TageConfig) -> Self {
-        Self {
-            tage: Tage::new(cfg),
-            stages: Vec::new(),
-            lsc_always_reread: false,
-            side_stats: AccessStats::default(),
-            label: "TAGE".to_string(),
-        }
-    }
-
     /// Assembles a stack from an already-validated chain (at most one
     /// stage per kind: the flight has one slot per kind). The stages run
     /// in the given order; callers wanting the paper's semantics list
@@ -195,20 +181,25 @@ impl PredictorStack {
             stages.iter().enumerate().all(|(i, s)| stages[..i].iter().all(|t| t.kind() != s.kind())),
             "one stage per kind"
         );
-        let mut stack = Self {
-            tage,
-            stages,
-            lsc_always_reread: false,
-            side_stats: AccessStats::default(),
-            label: String::new(),
-        };
-        stack.relabel();
-        stack
+        // Non-default base and chooser policies decorate the label with
+        // their spec production (empty for the paper's TAGE).
+        let mut label = format!("TAGE{}", tage.decoration());
+        for (kind, suffix) in [
+            (StageKind::Ium, "+IUM"),
+            (StageKind::Loop, "+LOOP"),
+            (StageKind::Gsc, "+SC"),
+            (StageKind::Lsc, "+LSC"),
+        ] {
+            if stages.iter().any(|s| s.kind() == kind) {
+                label.push_str(suffix);
+            }
+        }
+        Self { tage, stages, lsc_always_reread: false, side_stats: AccessStats::default(), label }
     }
 
     /// Switches every component (TAGE tables and any LSC tables) to
     /// 4-way bank-interleaved single-ported arrays (§4.3, §7.1).
-    pub fn interleaved(mut self) -> Self {
+    pub(crate) fn interleaved(mut self) -> Self {
         self.tage.enable_interleaving();
         for stage in &mut self.stages {
             if let SideStage::Lsc(lsc) = stage {
@@ -220,68 +211,13 @@ impl PredictorStack {
 
     /// §7.2: keep re-reading the *local* corrector at retire while the
     /// TAGE components skip the retire read on correct predictions.
-    pub fn lsc_always_reread(mut self) -> Self {
+    pub(crate) fn lsc_always_reread(mut self) -> Self {
         self.lsc_always_reread = true;
         self
     }
 
-    /// Inserts (or replaces) a stage at its canonical chain position.
-    fn insert_canonical(&mut self, stage: SideStage) {
-        let kind = stage.kind();
-        if let Some(slot) = self.stages.iter_mut().find(|s| s.kind() == kind) {
-            *slot = stage;
-        } else {
-            let at = self.stages.iter().position(|s| s.kind() > kind).unwrap_or(self.stages.len());
-            self.stages.insert(at, stage);
-        }
-        self.relabel();
-    }
-
-    /// Adds an Immediate Update Mimicker (§5.1) at the canonical position.
-    pub fn with_ium(mut self, capacity: usize) -> Self {
-        self.insert_canonical(SideStage::Ium(Ium::new(capacity)));
-        self
-    }
-
-    /// Adds a loop predictor (§5.2) at the canonical position.
-    pub fn with_loop(mut self, lp: LoopPredictor) -> Self {
-        self.insert_canonical(SideStage::Loop(lp));
-        self
-    }
-
-    /// Adds a global-history statistical corrector (§5.3) at the
-    /// canonical position.
-    pub fn with_gsc(mut self, gsc: Gsc) -> Self {
-        self.insert_canonical(SideStage::Gsc(gsc));
-        self
-    }
-
-    /// Adds a local-history statistical corrector (§6) at the canonical
-    /// position.
-    pub fn with_lsc(mut self, lsc: Lsc) -> Self {
-        self.insert_canonical(SideStage::Lsc(lsc));
-        self
-    }
-
-    fn relabel(&mut self) {
-        // Non-default provider sub-stages decorate the label with their
-        // spec production (empty for the paper's provider).
-        let mut label = format!("TAGE{}", self.tage.provider().decoration());
-        for kind in [StageKind::Ium, StageKind::Loop, StageKind::Gsc, StageKind::Lsc] {
-            if self.stage(kind).is_some() {
-                label.push_str(match kind {
-                    StageKind::Ium => "+IUM",
-                    StageKind::Loop => "+LOOP",
-                    StageKind::Gsc => "+SC",
-                    StageKind::Lsc => "+LSC",
-                });
-            }
-        }
-        self.label = label;
-    }
-
-    /// Overrides the display label (used by the named presets).
-    pub fn labeled(mut self, label: &str) -> Self {
+    /// Overrides the display label (the spec's `as=` flag).
+    pub(crate) fn labeled(mut self, label: &str) -> Self {
         self.label = label.to_string();
         self
     }
@@ -300,12 +236,12 @@ impl PredictorStack {
         &self.stages
     }
 
-    /// Per-component storage budget, in chain order: the three provider
-    /// sub-stage rows (`tage.base`, `tage.tagged`, `tage.chooser` — see
-    /// [`crate::provider::ProviderStack::budget`]) followed by one row
-    /// per side stage. Sums to [`Predictor::storage_bits`].
+    /// Per-component storage budget, in chain order: the three TAGE rows
+    /// (`tage.base`, `tage.tagged`, `tage.chooser` — see [`Tage::budget`])
+    /// followed by one row per side stage. Sums to
+    /// [`Predictor::storage_bits`].
     pub fn budget(&self) -> Vec<(&'static str, u64)> {
-        let mut rows = self.tage.provider().budget().to_vec();
+        let mut rows = self.tage.budget().to_vec();
         rows.extend(self.stages.iter().map(|s| (s.kind().token(), s.storage_bits())));
         rows
     }
@@ -531,7 +467,8 @@ mod tests {
         // An 8-entry IUM behind a 20-deep window, every branch executed at
         // fetch. The ring drops its oldest record when a push finds it
         // full; that branch's later retire must not drop a younger record.
-        let mut stack = PredictorStack::new(TageConfig::reference_64kb()).with_ium(8);
+        let spec: crate::spec::SystemSpec = "tage+ium:8".parse().unwrap();
+        let mut stack = spec.build().unwrap();
         let mut window = VecDeque::new();
         for i in 0..100u64 {
             let b = BranchInfo::conditional(0x1000 + 4 * i);

@@ -19,10 +19,6 @@ use crate::stack::PredictorStack;
 /// of side stages. (Alias kept from the pre-stack API.)
 pub type TageSystem = PredictorStack;
 
-/// In-flight snapshot of a [`TageSystem`]. (Alias kept from the
-/// pre-stack API.)
-pub type SystemFlight = crate::stack::StackFlight;
-
 fn preset(name: &str) -> PredictorStack {
     // INVARIANT: only called with names out of the PRESETS table below
     // (every row of which parses and builds, asserted by spec tests).
@@ -117,7 +113,10 @@ mod tests {
     use super::*;
     use crate::config::TageConfig;
     use crate::corrector::{Gsc, Lsc};
+    use crate::ium::Ium;
     use crate::loop_pred::LoopPredictor;
+    use crate::stack::SideStage;
+    use crate::tage::Tage;
     use simkit::predictor::{BranchInfo, Predictor, UpdateScenario};
 
     /// Functional drive: predict → fetch_commit → execute → retire.
@@ -177,8 +176,9 @@ mod tests {
         mispredicts
     }
 
-    fn small_cfg() -> TageConfig {
-        TageConfig {
+    /// A stack over a small six-table TAGE with `stages` in chain order.
+    fn small(stages: Vec<SideStage>) -> TageSystem {
+        let cfg = TageConfig {
             num_tagged: 6,
             l1: 4,
             lmax: 128,
@@ -189,7 +189,8 @@ mod tests {
             ctr_bits: 3,
             max_alloc: 4,
             path_bits: 16,
-        }
+        };
+        PredictorStack::from_parts(Tage::new(cfg), stages)
     }
 
     #[test]
@@ -218,26 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_order_is_canonicalized() {
-        // The compat builders insert at the canonical chain position
-        // regardless of call order, reproducing the pre-stack semantics
-        // (loop override on top, correctors after the IUM).
-        let a = TageSystem::new(small_cfg())
-            .with_ium(64)
-            .with_loop(LoopPredictor::cbp_64())
-            .with_gsc(Gsc::cbp_24kbit());
-        let b = TageSystem::new(small_cfg())
-            .with_gsc(Gsc::cbp_24kbit())
-            .with_loop(LoopPredictor::cbp_64())
-            .with_ium(64);
-        let kinds: Vec<_> = a.stages().iter().map(|s| s.kind()).collect();
-        assert_eq!(kinds, b.stages().iter().map(|s| s.kind()).collect::<Vec<_>>());
-        assert_eq!(a.name(), b.name());
-        use crate::stack::StageKind;
-        assert_eq!(kinds, vec![StageKind::Ium, StageKind::Gsc, StageKind::Loop]);
-    }
-
-    #[test]
     fn l_tage_is_tage_plus_loop() {
         let l = TageSystem::l_tage();
         let t = TageSystem::reference_tage();
@@ -253,19 +234,19 @@ mod tests {
         // PC chosen so no table computes a zero tag (which would falsely
         // hit an empty tagged entry and move the provider off the bimodal).
         let b = BranchInfo::conditional(0x434);
-        let mut with_ium = TageSystem::new(small_cfg()).with_ium(64);
-        let (pred1, mut f1) = with_ium.predict(&b);
-        with_ium.fetch_commit(&b, !pred1, &mut f1);
-        with_ium.execute(&b, !pred1, &mut f1);
+        let mut ium_stack = small(vec![SideStage::Ium(Ium::new(64))]);
+        let (pred1, mut f1) = ium_stack.predict(&b);
+        ium_stack.fetch_commit(&b, !pred1, &mut f1);
+        ium_stack.execute(&b, !pred1, &mut f1);
         // Same PC again, before retirement: provider is the same bimodal
         // entry; prediction must flip to the executed outcome.
-        let (pred2, f2) = with_ium.predict(&b);
+        let (pred2, f2) = ium_stack.predict(&b);
         assert_eq!(pred2, !pred1, "IUM must override with the executed outcome");
         assert_eq!(f2.ium_override(), Some(!pred1));
-        assert_eq!(with_ium.ium_overrides().unwrap(), 1);
+        assert_eq!(ium_stack.ium_overrides().unwrap(), 1);
 
         // Control: without the IUM the stale prediction persists.
-        let mut plain = TageSystem::new(small_cfg());
+        let mut plain = small(Vec::new());
         let (p1, mut g1) = plain.predict(&b);
         plain.fetch_commit(&b, !p1, &mut g1);
         plain.execute(&b, !p1, &mut g1);
@@ -280,15 +261,15 @@ mod tests {
         // the transition mispredictions.
         let stream: Vec<(u64, bool)> =
             (0..20_000).map(|i| (0x400u64, (i / 40) % 2 == 0)).collect();
-        let mut plain = TageSystem::new(small_cfg());
+        let mut plain = small(Vec::new());
         let base = drive_delayed(&mut plain, &stream, 2, 24, UpdateScenario::FetchOnly);
-        let mut with_ium = TageSystem::new(small_cfg()).with_ium(64);
-        let ium = drive_delayed(&mut with_ium, &stream, 2, 24, UpdateScenario::FetchOnly);
+        let mut ium_stack = small(vec![SideStage::Ium(Ium::new(64))]);
+        let ium = drive_delayed(&mut ium_stack, &stream, 2, 24, UpdateScenario::FetchOnly);
         assert!(
             ium <= base,
             "IUM should not hurt delayed-update mispredictions: {ium} vs {base}"
         );
-        assert!(with_ium.ium_overrides().unwrap() > 0, "IUM never engaged");
+        assert!(ium_stack.ium_overrides().unwrap() > 0, "IUM never engaged");
     }
 
     #[test]
@@ -313,11 +294,10 @@ mod tests {
             }
             wrong
         };
-        let mut plain = TageSystem::new(small_cfg());
+        let mut plain = small(Vec::new());
         let base = count_loop_misses(&mut plain);
-        let mut with_loop =
-            TageSystem::new(small_cfg()).with_loop(LoopPredictor::cbp_64());
-        let looped = count_loop_misses(&mut with_loop);
+        let mut loop_stack = small(vec![SideStage::Loop(LoopPredictor::cbp_64())]);
+        let looped = count_loop_misses(&mut loop_stack);
         assert!(
             looped * 2 < base.max(1),
             "loop predictor should fix constant loops: {looped} vs {base}"
@@ -342,15 +322,15 @@ mod tests {
             }
             wrong
         };
-        let mut plain = TageSystem::new(small_cfg());
+        let mut plain = small(Vec::new());
         let base = run(&mut plain);
-        let mut with_sc = TageSystem::new(small_cfg()).with_gsc(Gsc::cbp_24kbit());
-        let sc = run(&mut with_sc);
+        let mut sc_stack = small(vec![SideStage::Gsc(Gsc::cbp_24kbit())]);
+        let sc = run(&mut sc_stack);
         assert!(
             sc as f64 <= base as f64 * 1.02,
             "SC should not hurt biased branches: {sc} vs {base}"
         );
-        assert!(with_sc.revert_counts().0.unwrap() > 0, "SC never reverted");
+        assert!(sc_stack.revert_counts().0.unwrap() > 0, "SC never reverted");
     }
 
     #[test]
@@ -375,10 +355,10 @@ mod tests {
             }
             wrong
         };
-        let mut plain = TageSystem::new(small_cfg());
+        let mut plain = small(Vec::new());
         let base = run(&mut plain);
-        let mut with_lsc = TageSystem::new(small_cfg()).with_lsc(Lsc::cbp_30kbit());
-        let lsc = run(&mut with_lsc);
+        let mut lsc_stack = small(vec![SideStage::Lsc(Lsc::cbp_30kbit())]);
+        let lsc = run(&mut lsc_stack);
         assert!(
             (lsc as f64) < base as f64 * 0.6,
             "LSC should capture the local pattern: {lsc} vs {base}"
@@ -393,8 +373,8 @@ mod tests {
         let delta = full.storage_bits() - plain.storage_bits();
         // IUM + loop + GSC + LSC ≈ 2 + 3 + 24 + 31 Kbit.
         assert!(delta < 80 * 1024, "side predictor budget too large: {delta}");
-        // The per-component budget breakdown sums to the whole; the
-        // provider contributes its three sub-stage rows.
+        // The per-component budget breakdown sums to the whole; TAGE
+        // contributes its base, tagged and chooser rows.
         let budget = full.budget();
         assert_eq!(budget.iter().map(|(_, b)| b).sum::<u64>(), full.storage_bits());
         assert_eq!(budget[0].0, "tage.base");

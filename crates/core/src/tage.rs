@@ -1,4 +1,4 @@
-//! The TAGE predictor (§3), driven as a decomposed [`ProviderStack`].
+//! The TAGE predictor (§3).
 //!
 //! A base predictor backed by M partially tagged components indexed with
 //! geometrically increasing global history lengths. The *provider* is
@@ -8,22 +8,19 @@
 //! non-consecutive tables above the provider, guarded by single useful
 //! bits with a global reset driven by an 8-bit allocation monitor.
 //!
-//! [`Tage`] is the [`Predictor`] lifecycle wrapper: it owns the shared
-//! speculative state (global and path history, the bank-interleaving
-//! selector, access stats) and drives the three provider sub-stages —
-//! [`BaseSlot`](crate::base::BaseSlot),
-//! [`TaggedBank`](crate::tagged::TaggedBank) and the
-//! [`Chooser`](simkit::Chooser) policy — that a [`ProviderStack`]
-//! composes. The default composition (bimodal base, `USE_ALT_ON_NA`
-//! chooser) is bit-identical to the pre-decomposition fused predictor
-//! (pinned by the golden-table suite).
+//! [`Tage`] owns its three parts directly — the [`Base`] table, the
+//! [`TaggedBank`] and the [`Chooser`] that arbitrates between provider
+//! and alternate — plus the shared speculative state (global and path
+//! history, the bank-interleaving selector, access stats). The spec
+//! grammar picks the base and chooser policies (`tage(base=...)`,
+//! `tage(chooser=...)`); the paper's choices (bimodal base,
+//! `USE_ALT_ON_NA`) are the defaults.
 
-use crate::base::{BaseChoice, BaseRead};
-use crate::chooser::ChooserChoice;
+use crate::base::{Base, BaseChoice, BaseRead};
+use crate::chooser::{Chooser, ChooserChoice, ChooserView};
 use crate::config::{TageConfig, MAX_TAGGED};
-use crate::provider::ProviderStack;
+use crate::tagged::TaggedBank;
 use memarray::{interleaved_index, BankSelector, ConflictModel};
-use simkit::chooser::{Chooser, ChooserView};
 use simkit::history::{GlobalHistory, PathHistory};
 use simkit::predictor::{BranchInfo, Predictor, UpdateScenario};
 use simkit::stats::AccessStats;
@@ -40,7 +37,9 @@ pub struct Interleave {
 #[derive(Clone, Debug)]
 pub struct Tage {
     cfg: TageConfig,
-    provider: ProviderStack,
+    base: Base,
+    bank: TaggedBank,
+    chooser: Chooser,
     ghist: GlobalHistory,
     path: PathHistory,
     interleave: Option<Interleave>,
@@ -201,27 +200,10 @@ impl Tage {
     /// Panics if the configuration fails [`TageConfig::validate`].
     pub fn with_choices(cfg: TageConfig, base: BaseChoice, chooser: ChooserChoice) -> Self {
         cfg.validate();
-        let provider = ProviderStack::with_choices(&cfg, base, chooser);
-        Self::from_parts(cfg, provider)
-    }
-
-    /// Wraps an explicitly assembled [`ProviderStack`]. The provider's
-    /// bank must have been built from `cfg` (the config supplies the
-    /// shared path-history width and the component count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`TageConfig::validate`] or the
-    /// bank's table count disagrees with it.
-    pub fn from_parts(cfg: TageConfig, provider: ProviderStack) -> Self {
-        cfg.validate();
-        assert_eq!(
-            provider.bank().len(),
-            cfg.num_tagged,
-            "provider bank disagrees with the configuration"
-        );
         Self {
-            provider,
+            base: Base::new(base, &cfg),
+            bank: TaggedBank::new(&cfg),
+            chooser: Chooser::new(chooser),
             ghist: GlobalHistory::new(),
             path: PathHistory::new(cfg.path_bits),
             interleave: None,
@@ -264,20 +246,34 @@ impl Tage {
         &self.cfg
     }
 
-    /// The decomposed provider (sub-stage access, per-stage budget).
-    pub fn provider(&self) -> &ProviderStack {
-        &self.provider
+    /// The provider/alternate chooser (diagnostics: [`Chooser::bias`]).
+    pub fn chooser(&self) -> &Chooser {
+        &self.chooser
     }
 
     /// Fraction of useful bits currently set, per table (diagnostics).
     pub fn useful_fractions(&self) -> Vec<f64> {
-        self.provider.bank().useful_fractions()
+        self.bank.useful_fractions()
     }
 
-    /// Current `USE_ALT_ON_NA` value (0 when a stateless chooser policy
-    /// is installed).
-    pub fn use_alt_on_na(&self) -> i16 {
-        self.provider.chooser().alt_on_weak_bias().unwrap_or(0)
+    /// Storage budget per part. Sums to [`Predictor::storage_bits`]; the
+    /// chooser row reports table storage only (see `crate::chooser` — the
+    /// 4-bit `USE_ALT_ON_NA` counter is control state, excluded like the
+    /// allocation tick).
+    pub fn budget(&self) -> [(&'static str, u64); 3] {
+        [
+            ("tage.base", self.base.storage_bits()),
+            ("tage.tagged", self.bank.storage_bits()),
+            ("tage.chooser", self.chooser.storage_bits()),
+        ]
+    }
+
+    /// The spec-grammar decoration for non-default base and chooser
+    /// policies: the canonical `(base=...,chooser=...)` production, or
+    /// `""` for the paper's predictor. [`Predictor::name`] and the stack
+    /// label append it.
+    pub fn decoration(&self) -> String {
+        crate::spec::provider_params(self.base.choice(), self.chooser.choice())
     }
 
     /// Reads the tagged bank at `indices`/`tags` and derives the
@@ -290,7 +286,7 @@ impl Tage {
         indices: &[u32; MAX_TAGGED],
         tags: &[u16; MAX_TAGGED],
     ) -> UpdateView {
-        let bank = self.provider.bank();
+        let bank = &self.bank;
         let (hits, us) = bank.read(indices, tags);
         let (provider, alt) = provider_alt(hits);
         let ctr = |t: Option<u8>| t.map_or(0, |t| bank.ctr(t as usize, indices[t as usize]));
@@ -308,7 +304,7 @@ impl Tage {
     /// indices (retire-time re-read, scenarios \[I\]/\[A\] and
     /// mispredicted \[C\]).
     fn reread_view(&self, flight: &TageFlight) -> UpdateView {
-        let base = self.provider.base().read_index(flight.base.index as usize);
+        let base = self.base.read_index(flight.base.index as usize);
         self.read_view(base, &flight.indices, &flight.tags)
     }
 }
@@ -321,12 +317,12 @@ impl Predictor for Tage {
             "tage-{}c-{}Kbit{}",
             self.cfg.num_tagged + 1,
             (self.storage_bits() + 512) / 1024,
-            self.provider.decoration()
+            self.decoration()
         )
     }
 
     fn storage_bits(&self) -> u64 {
-        self.provider.storage_bits()
+        self.budget().iter().map(|(_, b)| b).sum()
     }
 
     fn predict(&mut self, b: &BranchInfo) -> (bool, TageFlight) {
@@ -338,20 +334,16 @@ impl Predictor for Tage {
         });
         let base = match bank {
             Some(bk) => {
-                let idx = interleaved_index(
-                    self.provider.base().index(b.pc),
-                    bk,
-                    self.provider.base().size_bits(),
-                );
-                self.provider.base().read_index(idx)
+                let idx = interleaved_index(self.base.index(b.pc), bk, self.base.size_bits());
+                self.base.read_index(idx)
             }
-            None => self.provider.base().read(b.pc),
+            None => self.base.read(b.pc),
         };
         let mut indices = [0; MAX_TAGGED];
         let mut tags = [0; MAX_TAGGED];
-        self.provider.bank().compute_keys(b.pc, &self.path, bank, &mut indices, &mut tags);
+        self.bank.compute_keys(b.pc, &self.path, bank, &mut indices, &mut tags);
         let view = self.read_view(base, &indices, &tags);
-        let tage_pred = self.provider.chooser().choose(&view.chooser_view(b.pc));
+        let tage_pred = self.chooser.choose(&view.chooser_view(b.pc));
         let flight = TageFlight {
             base,
             indices,
@@ -371,8 +363,8 @@ impl Predictor for Tage {
 
     fn fetch_commit(&mut self, b: &BranchInfo, outcome: bool, _flight: &mut TageFlight) {
         self.ghist.push(outcome);
-        self.provider.bank_mut().update_history(&self.ghist);
-        self.provider.base_mut().update_history(&self.ghist);
+        self.bank.update_history(&self.ghist);
+        self.base.update_history(&self.ghist);
         self.path.push(b.pc);
     }
 
@@ -402,7 +394,7 @@ impl Predictor for Tage {
                 // outcome (§3.2); the useful bit is set when the provider
                 // was correct and the alternate was not.
                 let set_u = view.provider_pred != view.alt_pred && view.provider_pred == outcome;
-                self.provider.bank_mut().train_provider(
+                self.bank.train_provider(
                     p,
                     idx,
                     view.provider_ctr,
@@ -413,17 +405,17 @@ impl Predictor for Tage {
                 // Train the base when it was the effective alternate of a
                 // weak provider (keeps the default prediction fresh).
                 if view.weak && view.alt.is_none() {
-                    self.provider.base_mut().update(view.base, outcome, &mut self.stats);
+                    self.base.update(view.base, outcome, &mut self.stats);
                 }
             }
             None => {
-                self.provider.base_mut().update(view.base, outcome, &mut self.stats);
+                self.base.update(view.base, outcome, &mut self.stats);
             }
         }
         // The chooser learns from every retire-time view (the policies
         // gate themselves; `USE_ALT_ON_NA` trains only on discriminating
         // weak-provider cases, §3.1).
-        self.provider.chooser_mut().update(&view.chooser_view(b.pc), outcome);
+        self.chooser.update(&view.chooser_view(b.pc), outcome);
 
         // Allocation on TAGE mispredictions (§3.2.1). The trigger is the
         // *fetch-time* TAGE prediction: that is what steered the pipeline.
@@ -432,7 +424,7 @@ impl Predictor for Tage {
                 Some(p) => p as usize + 1,
                 None => 0,
             };
-            self.provider.bank_mut().allocate(
+            self.bank.allocate(
                 &flight.indices,
                 &flight.tags,
                 view.us,
@@ -588,9 +580,42 @@ mod tests {
         let p = Tage::reference_64kb();
         assert_eq!(p.storage_bits(), 65_408 * 8);
         assert!(p.name().contains("13c"));
-        // The decomposed provider budget rows sum to the same total.
-        let budget = p.provider().budget();
-        assert_eq!(budget.iter().map(|(_, b)| b).sum::<u64>(), p.storage_bits());
+    }
+
+    #[test]
+    fn default_budget_matches_the_fused_accounting() {
+        let cfg = TageConfig::reference_64kb();
+        let p = Tage::new(cfg.clone());
+        // The per-part split reproduces the paper's §3.4 arithmetic:
+        // 40,960 bimodal bits + 482,304 tagged bits = 65,408 bytes.
+        assert_eq!(
+            p.budget(),
+            [("tage.base", 40_960), ("tage.tagged", 482_304), ("tage.chooser", 0)]
+        );
+        assert_eq!(p.storage_bits(), cfg.storage_bits());
+        assert_eq!(p.decoration(), "");
+    }
+
+    #[test]
+    fn non_default_choices_decorate_and_rebudget() {
+        let cfg = TageConfig::reference_64kb();
+        let p = Tage::with_choices(cfg.clone(), BaseChoice::Gshare, ChooserChoice::Confidence);
+        assert_eq!(p.decoration(), "(base=gshare,chooser=conf)");
+        // The gshare base has private hysteresis: 2 bits per entry.
+        assert_eq!(p.budget()[0], ("tage.base", 2 << cfg.bimodal_bits));
+        let two_bit =
+            Tage::with_choices(cfg.clone(), BaseChoice::TwoBit, ChooserChoice::default());
+        assert_eq!(two_bit.decoration(), "(base=2bc)");
+        let chooser_only =
+            Tage::with_choices(cfg.clone(), BaseChoice::default(), ChooserChoice::AlwaysProvider);
+        assert_eq!(chooser_only.decoration(), "(chooser=always)");
+        assert_eq!(chooser_only.storage_bits(), cfg.storage_bits());
+        // The per-PC chooser table is the one policy with real storage:
+        // its bits land on the chooser row and in the total.
+        let table = Tage::with_choices(cfg.clone(), BaseChoice::default(), ChooserChoice::Table);
+        assert_eq!(table.decoration(), "(chooser=table)");
+        assert_eq!(table.budget()[2], ("tage.chooser", 2048));
+        assert_eq!(table.storage_bits(), cfg.storage_bits() + 2048);
     }
 
     #[test]
@@ -682,9 +707,12 @@ mod tests {
     fn chooser_policies_still_learn_the_stream() {
         // Every chooser policy must leave the core learning machinery
         // intact: a biased branch trains to near-perfect prediction.
-        for chooser in
-            [ChooserChoice::AltOnWeak, ChooserChoice::AlwaysProvider, ChooserChoice::Confidence]
-        {
+        for chooser in [
+            ChooserChoice::AltOnWeak,
+            ChooserChoice::AlwaysProvider,
+            ChooserChoice::Confidence,
+            ChooserChoice::Table,
+        ] {
             let mut p = Tage::with_choices(small_cfg(), BaseChoice::default(), chooser);
             let mut wrong = 0;
             for i in 0..2000 {
@@ -743,6 +771,6 @@ mod tests {
             p.fetch_commit(&b, out, &mut f);
             p.retire(&b, out, pred, f, UpdateScenario::Immediate);
         }
-        assert_eq!(p.use_alt_on_na(), 0, "stateless chooser reports no bias");
+        assert_eq!(p.chooser().bias(0x400), None, "stateless chooser has no counter");
     }
 }

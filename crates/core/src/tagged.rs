@@ -1,5 +1,5 @@
 //! Tagged predictor components (tables T1..TM) and the [`TaggedBank`]
-//! sub-stage that groups them.
+//! that groups them.
 //!
 //! Each entry holds a 3-bit prediction counter `ctr` (sign = prediction),
 //! a partial tag and a useful bit `u` (Figure 2 of the paper). Tables are
@@ -10,8 +10,8 @@
 //! [`TaggedBank`] owns the table group *and its allocation/update
 //! policy*: the randomized non-consecutive allocation of §3.2.1, the
 //! 8-bit tick monitor driving the global u-bit reset of §3.2.2, and the
-//! provider-entry training write. It is one of the three separately
-//! constructible provider sub-stages (see `crate::provider`).
+//! provider-entry training write. It is one of the three parts
+//! [`Tage`](crate::Tage) owns, with the base and the chooser.
 
 use crate::config::{TageConfig, MAX_TAGGED};
 use memarray::interleaved_index;
@@ -230,7 +230,7 @@ impl TaggedTable {
     }
 }
 
-/// The tagged-table sub-stage: tables T1..TM plus their allocation and
+/// The tagged tables T1..TM plus their allocation and
 /// update policy (§3.2). Owns the per-bank control state the fused
 /// predictor used to carry — the 8-bit allocation tick, its saturation
 /// threshold, and the LFSR that randomizes allocation starts.

@@ -316,7 +316,7 @@ fn print_usage() {
     println!("                    TAGE+IUM, ISL-TAGE, TAGE-LSC). The offline twin of a");
     println!("                    tage_serve session: served results match it exactly");
     println!("  budgets          per-component storage budgets of the named presets");
-    println!("                   (base/tagged/chooser provider sub-stage rows + side stages)");
+    println!("                   (TAGE's base/tagged/chooser rows + side stages)");
     println!("  sample <file...> sampled simulation: fixed-interval warmup/measure");
     println!("                   slices, one pool job per (spec x slice), weighted");
     println!("                   whole-trace MPPKI estimate (defaults: 8 phases,");

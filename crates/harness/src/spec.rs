@@ -96,19 +96,22 @@ impl PredictorSpec {
         match self {
             PredictorSpec::Stack(spec) => spec.validate(),
             PredictorSpec::Gshare { index_bits: Some(bits) } => {
-                if !(4..=28).contains(bits) {
+                // `Gshare::new` asserts at most 26 index bits.
+                if !(4..=26).contains(bits) {
                     return Err(SpecError::BadArg {
                         token: "gshare".into(),
-                        reason: "index bits must be in 4..=28",
+                        reason: "index bits must be in 4..=26",
                     });
                 }
                 Ok(())
             }
             PredictorSpec::Bimodal { entries, ctr_bits } => {
-                if *entries == 0 || !entries.is_power_of_two() || !(1..=8).contains(ctr_bits) {
+                // Capped like gshare's largest table, 2^26 counters.
+                if !entries.is_power_of_two() || *entries > 1 << 26 || !(1..=8).contains(ctr_bits)
+                {
                     return Err(SpecError::BadArg {
                         token: "bimodal".into(),
-                        reason: "needs a power-of-two entry count and 1..=8 counter bits",
+                        reason: "needs a power-of-two entry count up to 2^26 and 1..=8 counter bits",
                     });
                 }
                 Ok(())
@@ -242,7 +245,7 @@ impl FromStr for PredictorSpec {
                 // not silently aliased onto a 1-bit counter.
                 let ctr_bits = u8::try_from(ctr_bits).map_err(|_| SpecError::BadArg {
                     token: "bimodal".into(),
-                    reason: "needs a power-of-two entry count and 1..=8 counter bits",
+                    reason: "needs a power-of-two entry count up to 2^26 and 1..=8 counter bits",
                 })?;
                 PredictorSpec::Bimodal { entries, ctr_bits }
             }
@@ -352,6 +355,38 @@ mod tests {
             PredictorSpec::parse("tage/ilv").unwrap().sim_key(),
             PredictorSpec::parse("tage").unwrap().sim_key()
         );
+    }
+
+    #[test]
+    fn constructor_bounds_validate_and_one_step_past_is_bad_arg() {
+        // Each pair is (the bound itself, one step past it). Past the
+        // bound the predictor's constructor panics, overflows an
+        // allocation or reads past the global history.
+        for (at, past) in [
+            ("gshare:4", "gshare:3"),
+            ("gshare:26", "gshare:27"),
+            ("bimodal:67108864,2", "bimodal:134217728,2"),
+            ("tage+loop:65536,4", "tage+loop:131072,4"),
+            ("tage+lsc:x-4", "tage+lsc:x-5"),
+            ("tage+lsc:x10", "tage+lsc:x11"),
+            ("tage:h4,8191", "tage:h4,8192"),
+            ("tage:b12,4,8191", "tage:b12,4,8192"),
+        ] {
+            let spec = PredictorSpec::parse(at).unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(spec.to_string(), at);
+            let err = PredictorSpec::parse(past).unwrap_err();
+            assert!(matches!(err, SpecError::BadArg { .. }), "{past}: {err:?}");
+        }
+        for s in [
+            "gshare:28",
+            "bimodal:4611686018427387904,2",
+            "tage+loop:4611686018427387904,4",
+            "tage+lsc:x30",
+            "tage:h4,100000000",
+        ] {
+            let err = PredictorSpec::parse(s).unwrap_err();
+            assert!(matches!(err, SpecError::BadArg { .. }), "{s}: {err:?}");
+        }
     }
 
     /// Name and storage of `p` built directly, for comparison with the

@@ -1,8 +1,8 @@
 //! The `tage_exp` binary end to end over recorded trace files: `system
 //! --trace` with no spec is the trace-mode golden, `--threads` sizes its
 //! pool and leaves the artifact bytes alone, `--scale` is refused next to
-//! `--trace`, and duplicate or label-only specs never overwrite each
-//! other's artifacts.
+//! `--trace`, duplicate or label-only specs never overwrite each other's
+//! artifacts, and an out-of-range spec is a usage error.
 
 use harness::trace_mode::{record_spec, record_trace};
 use std::path::{Path, PathBuf};
@@ -129,6 +129,15 @@ fn duplicate_and_label_only_specs_keep_the_first_artifact() {
         assert_eq!(art.predictor, "TAGE-511Kbit", "{mode}: the first spec's artifact must survive");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec past its predictor's bounds is refused at parse, not by a panic
+/// in a pool worker.
+#[test]
+fn out_of_range_spec_is_a_usage_error() {
+    let out = tage_exp(&["system", "gshare:27", "--scale", "tiny"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad spec 'gshare:27'"));
 }
 
 #[test]

@@ -357,6 +357,27 @@ fn fault_injection_is_refused_unless_enabled() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A spec past its predictor's bounds (`gshare:27`: gshare builds at most
+/// 26 index bits) must end its own session with a typed `spec` error and
+/// leave the server serving. A panic in the constructor would take down
+/// a release server, which aborts on panic.
+#[test]
+fn out_of_range_spec_is_a_spec_error_and_the_next_session_is_served() {
+    let dir = test_dir("badspec");
+    let trace = by_name("INT01", Scale::Tiny).unwrap().generate();
+    let file = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
+
+    let (addr, handle) = start_server(8, false);
+    let mut opts = client_opts(addr);
+    opts.handshake.spec = "gshare:27".to_string();
+    let res = run_one(&file, &opts).unwrap();
+    let err = res.error.expect("gshare:27 must be refused");
+    assert_eq!(err.code, "spec", "got {err:?}");
+    healthy_session(addr, &file, "session after the refused spec");
+    stop_server(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn admission_limit_sends_a_typed_refusal() {
     let dir = test_dir("admission");

@@ -11,14 +11,15 @@
 
 use crate::bits::mask;
 
-/// Maximum global history capacity (must exceed the longest geometric
-/// history length used anywhere; the paper's maximum is 5000 in §6.2).
-const CAPACITY: usize = 8192;
+/// Global history capacity in bits. A fold of `length` bits reads bit
+/// `length`, so every history length must stay below it (the paper's
+/// longest is 5000, in §6.2).
+pub const HISTORY_CAPACITY: usize = 8192;
 
 /// A circular-buffer global branch direction history.
 ///
 /// Bit 0 is the most recent branch outcome. The buffer never forgets until
-/// `CAPACITY` bits; predictors only ever look `length` bits back.
+/// `HISTORY_CAPACITY` bits; predictors only ever look `length` bits back.
 ///
 /// # Example
 ///
@@ -35,7 +36,7 @@ const CAPACITY: usize = 8192;
 pub struct GlobalHistory {
     /// Fixed-size boxed array: masked indexing is provably in-bounds, so
     /// the (very hot) `bit` reads compile without bounds checks.
-    buf: Box<[u8; CAPACITY]>,
+    buf: Box<[u8; HISTORY_CAPACITY]>,
     /// Index of the most recent bit.
     head: usize,
     pushed: u64,
@@ -44,15 +45,16 @@ pub struct GlobalHistory {
 impl GlobalHistory {
     /// Creates an empty history (all zeros).
     pub fn new() -> Self {
-        // INVARIANT: the boxed slice is built with length CAPACITY on the
-        // previous token, so the fixed-size conversion cannot fail.
-        Self { buf: vec![0u8; CAPACITY].into_boxed_slice().try_into().unwrap(), head: 0, pushed: 0 }
+        // INVARIANT: the boxed slice is built with length HISTORY_CAPACITY
+        // on the previous token, so the fixed-size conversion cannot fail.
+        let buf = vec![0u8; HISTORY_CAPACITY].into_boxed_slice().try_into().unwrap();
+        Self { buf, head: 0, pushed: 0 }
     }
 
     /// Pushes the newest branch outcome.
     #[inline]
     pub fn push(&mut self, taken: bool) {
-        self.head = (self.head + CAPACITY - 1) & (CAPACITY - 1);
+        self.head = (self.head + HISTORY_CAPACITY - 1) & (HISTORY_CAPACITY - 1);
         self.buf[self.head] = taken as u8;
         self.pushed = self.pushed.wrapping_add(1);
     }
@@ -60,8 +62,8 @@ impl GlobalHistory {
     /// Returns history bit `i` (0 = most recent) as 0 or 1.
     #[inline]
     pub fn bit(&self, i: usize) -> u64 {
-        debug_assert!(i < CAPACITY);
-        u64::from(self.buf[(self.head + i) & (CAPACITY - 1)])
+        debug_assert!(i < HISTORY_CAPACITY);
+        u64::from(self.buf[(self.head + i) & (HISTORY_CAPACITY - 1)])
     }
 
     /// Number of outcomes pushed so far.
@@ -349,10 +351,10 @@ mod tests {
     #[test]
     fn global_history_wraps() {
         let mut h = GlobalHistory::new();
-        for i in 0..(CAPACITY * 2 + 17) {
+        for i in 0..(HISTORY_CAPACITY * 2 + 17) {
             h.push(i % 2 == 0);
         }
-        // Last pushed index: i = 2*CAPACITY+16, even => taken.
+        // Last pushed index: i = 2*HISTORY_CAPACITY+16, even => taken.
         assert_eq!(h.bit(0), 1);
         assert_eq!(h.bit(1), 0);
     }

@@ -10,13 +10,10 @@
 //!   *folded* history used to index TAGE's geometric-length tables in O(1);
 //! * [`rng`] — deterministic, portable pseudo-random number generators
 //!   (SplitMix64, Xoshiro256**) so every experiment is bit-reproducible;
-//! * [`predictor`] — the predictor lifecycle trait shared by every predictor:
-//!   `predict` → `fetch_commit` → `execute` → `retire`, with an associated
-//!   `Flight` snapshot type that models the information a real pipeline
-//!   propagates alongside each in-flight branch;
-//! * [`chooser`] — the provider/alternate arbitration contract
-//!   ([`Chooser`]) tagged-geometric providers plug their chooser policies
-//!   into;
+//! * [`predictor`] — the predictor lifecycle trait shared by every predictor
+//!   (the crate's one trait): `predict` → `fetch_commit` → `execute` →
+//!   `retire`, with an associated `Flight` snapshot type that models the
+//!   information a real pipeline propagates alongside each in-flight branch;
 //! * [`stats`] — predictor-table access accounting (reads, effective writes,
 //!   silent writes avoided) in the units used by §4 of the paper;
 //! * [`bits`] — tiny bit-manipulation helpers.
@@ -35,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bits;
-pub mod chooser;
 pub mod counter;
 pub mod history;
 pub mod predictor;
@@ -43,7 +39,6 @@ pub mod rng;
 pub mod threshold;
 pub mod stats;
 
-pub use chooser::{Chooser, ChooserView};
 pub use counter::{SignedCounter, UnsignedCounter};
 pub use history::{FoldedHistory, GlobalHistory, LocalHistories, PathHistory};
 pub use predictor::{BranchInfo, BranchKind, Predictor, UpdateScenario};

@@ -11,7 +11,7 @@
 
 use pipeline::{simulate_engine, PipelineConfig, WindowEngine};
 use simkit::UpdateScenario;
-use tage::{LoopPredictor, TageSystem};
+use tage::{SystemSpec, TageSystem};
 use workloads::behavior::Behavior;
 use workloads::program::{LoadModel, Node, PcAlloc, Program, Site, Trip};
 
@@ -41,16 +41,17 @@ fn main() {
         simulate_engine(&mut WindowEngine::new(p, scenario, &cfg), &mut trace.stream())
     };
     let plain = run(TageSystem::tage_ium());
-    let with_loop = run(TageSystem::tage_ium().with_loop(LoopPredictor::cbp_64()));
+    let spec: SystemSpec = "tage+ium+loop".parse().expect("valid spec");
+    let looped = run(spec.build().expect("spec builds"));
 
     println!("constant trip 37, noisy body — {} branches", trace.conditional_count());
     println!("TAGE+IUM       : {:6} mispredictions ({:.2} MPKI)", plain.mispredicts, plain.mpki());
     println!(
         "TAGE+IUM+loop  : {:6} mispredictions ({:.2} MPKI)",
-        with_loop.mispredicts,
-        with_loop.mpki()
+        looped.mispredicts,
+        looped.mpki()
     );
-    let saved = plain.mispredicts.saturating_sub(with_loop.mispredicts);
+    let saved = plain.mispredicts.saturating_sub(looped.mispredicts);
     println!(
         "\nthe loop predictor removed {saved} mispredictions — roughly one per\n\
          loop execution ({} executions), which is exactly the §5.2 claim:\n\

@@ -47,7 +47,8 @@ fn arb_spec(
         chooser: match chooser_sel {
             0 => ChooserChoice::AltOnWeak,
             1 => ChooserChoice::AlwaysProvider,
-            _ => ChooserChoice::Confidence,
+            2 => ChooserChoice::Confidence,
+            _ => ChooserChoice::Table,
         },
     };
     let mut stages = Vec::new();
@@ -85,7 +86,7 @@ proptest! {
         h_span in 1usize..2000,
         scale in -3i32..4,
         slot_sel in 0u8..3,
-        chooser_sel in 0u8..3,
+        chooser_sel in 0u8..4,
         stage_mask in 0u8..16,
         reverse_chain in any::<bool>(),
         ium_pow in 4u32..10,
@@ -191,7 +192,7 @@ proptest! {
         // A random spec with the provider-internal defaults written out
         // explicitly must canonicalize onto — and predict bit-for-bit
         // like — the undecorated spec: the decomposed provider path *is*
-        // the fused path when the default sub-stages are selected.
+        // the fused path when the default base and chooser are selected.
         let mut spec = arb_spec(
             0, 4, false, 3, 100, scale, 0, 0, stage_mask, reverse_chain,
             6, false, 0, 4, 2, false, false, 0,
