@@ -20,6 +20,10 @@ use simkit::history::HISTORY_CAPACITY;
 /// Maximum number of tagged tables supported (fixed-size flight arrays).
 pub const MAX_TAGGED: usize = 16;
 
+/// log2 entries [`TageConfig::scaled`] keeps every table within.
+const MIN_TABLE_BITS: i64 = 6;
+const MAX_TABLE_BITS: i64 = 24;
+
 /// Complete static configuration of a TAGE predictor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TageConfig {
@@ -105,15 +109,30 @@ impl TageConfig {
     }
 
     /// Scales every table (bimodal and tagged) by `2^log2_delta` entries,
-    /// clamping tagged tables at 64 entries — the Figure 9 size sweep.
+    /// clamping each to 2^6..=2^24 entries — the Figure 9 size sweep.
+    /// Specs stay inside [`TageConfig::scale_range`], where nothing clamps.
     pub fn scaled(&self, log2_delta: i32) -> Self {
         let mut cfg = self.clone();
-        let adj = |bits: u32| -> u32 { (bits as i64 + i64::from(log2_delta)).clamp(6, 24) as u32 };
+        let adj = |bits: u32| -> u32 {
+            (bits as i64 + i64::from(log2_delta)).clamp(MIN_TABLE_BITS, MAX_TABLE_BITS) as u32
+        };
         cfg.bimodal_bits = adj(self.bimodal_bits);
         for b in &mut cfg.table_size_bits {
             *b = adj(*b);
         }
         cfg
+    }
+
+    /// The `log2_delta`s under which [`TageConfig::scaled`] clamps no
+    /// table, bimodal or tagged: −4..=9 for the reference predictor, whose
+    /// tables span 2^10..=2^15 entries.
+    pub fn scale_range(&self) -> std::ops::RangeInclusive<i32> {
+        let bits = || {
+            self.table_size_bits.iter().chain([&self.bimodal_bits]).map(|&b| i64::from(b))
+        };
+        let smallest = bits().min().unwrap_or(MIN_TABLE_BITS);
+        let largest = bits().max().unwrap_or(MAX_TABLE_BITS);
+        (MIN_TABLE_BITS - smallest) as i32..=(MAX_TABLE_BITS - largest) as i32
     }
 
     /// Replaces the geometric history bounds (the §6.2 history ablation).

@@ -136,6 +136,12 @@ impl ProviderSpec {
             cfg = cfg.with_history(l1, lmax);
         }
         if self.scale != 0 {
+            if !cfg.scale_range().contains(&self.scale) {
+                return Err(SpecError::BadArg {
+                    token: "tage:x".into(),
+                    reason: "scale would clamp a table outside 2^6..=2^24 entries (the reference TAGE takes -4..=9)",
+                });
+            }
             cfg = cfg.scaled(self.scale);
         }
         Ok(cfg)
@@ -773,6 +779,41 @@ mod tests {
             let display = parsed.to_string();
             let reparsed: SystemSpec = display.parse().unwrap();
             assert_eq!(parsed, reparsed, "{name}: '{display}' did not round-trip");
+        }
+    }
+
+    #[test]
+    fn tage_scale_stops_where_a_table_would_clamp() {
+        // The reference tables span 2^10..=2^15 entries: x-4 takes T10–T12
+        // to 2^6 and x9 the bimodal to 2^24. One step further, `scaled`
+        // would clamp a table, so the spec is refused instead of quietly
+        // building a different predictor (x40 used to build a
+        // 3,018,752 Kbit TAGE).
+        assert_eq!(TageConfig::reference_64kb().scale_range(), -4..=9);
+        for ok in ["tage:x-4", "tage:x9", "tage:x-2", "tage:x6", "tage:lsc:x-4+ium+lsc"] {
+            let spec: SystemSpec = ok.parse().unwrap_or_else(|e| panic!("{ok}: {e}"));
+            assert!(spec.build().is_ok(), "{ok}");
+        }
+        for bad in ["tage:x-5", "tage:x10", "tage:x40", "tage:x-40", "tage:lsc:x10"] {
+            let err = bad.parse::<SystemSpec>().unwrap_err();
+            let refused = matches!(&err, SpecError::BadArg { token, .. } if token == "tage:x");
+            assert!(refused, "{bad}: {err:?}");
+        }
+        // Each provider bounds its own tables: two balanced tables of 2^14
+        // entries reach down to x-8.
+        let cfg = TageConfig::balanced(2, 6, 2000);
+        assert_eq!(cfg.scale_range(), -8..=9);
+        assert!("tage:b2,6,2000:x-8".parse::<SystemSpec>().is_ok());
+        assert!("tage:b2,6,2000:x-9".parse::<SystemSpec>().is_err());
+        // Inside the range nothing clamps: every table moves by the delta.
+        let reference = TageConfig::reference_64kb();
+        for delta in [-4i32, 9] {
+            let scaled = reference.scaled(delta);
+            let moved = |to: u32, from: u32| to as i32 - from as i32 == delta;
+            assert!(moved(scaled.bimodal_bits, reference.bimodal_bits), "x{delta}");
+            for (&to, &from) in scaled.table_size_bits.iter().zip(&reference.table_size_bits) {
+                assert!(moved(to, from), "x{delta}");
+            }
         }
     }
 

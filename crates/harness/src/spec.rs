@@ -369,6 +369,8 @@ mod tests {
             ("tage+loop:65536,4", "tage+loop:131072,4"),
             ("tage+lsc:x-4", "tage+lsc:x-5"),
             ("tage+lsc:x10", "tage+lsc:x11"),
+            ("tage:x-4", "tage:x-5"),
+            ("tage:x9", "tage:x10"),
             ("tage:h4,8191", "tage:h4,8192"),
             ("tage:b12,4,8191", "tage:b12,4,8192"),
         ] {
@@ -382,6 +384,7 @@ mod tests {
             "bimodal:4611686018427387904,2",
             "tage+loop:4611686018427387904,4",
             "tage+lsc:x30",
+            "tage:x40",
             "tage:h4,100000000",
         ] {
             let err = PredictorSpec::parse(s).unwrap_err();

@@ -135,9 +135,13 @@ fn duplicate_and_label_only_specs_keep_the_first_artifact() {
 /// in a pool worker.
 #[test]
 fn out_of_range_spec_is_a_usage_error() {
-    let out = tage_exp(&["system", "gshare:27", "--scale", "tiny"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("bad spec 'gshare:27'"));
+    // gshare:27 would abort in its constructor; tage:x40 would clamp every
+    // table and quietly build a 3,018,752 Kbit TAGE.
+    for spec in ["gshare:27", "tage:x40"] {
+        let out = tage_exp(&["system", spec, "--scale", "tiny"]);
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(&format!("bad spec '{spec}'")));
+    }
 }
 
 #[test]

@@ -42,14 +42,18 @@ pub trait BlockScheme: Send + Sync {
     /// (worst case a stored literal run slightly larger than the input).
     fn compress(&self, raw: &[u8]) -> Vec<u8>;
 
-    /// Decompresses `comp`, which must expand to exactly `raw_len` bytes.
+    /// Decompresses `comp`, which must expand to exactly `raw_len` bytes,
+    /// into `out`. `out` is cleared first and keeps its capacity, so a
+    /// reader that passes the same buffer for every block allocates only
+    /// when a block outgrows it.
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` when `comp` is truncated, carries trailing
     /// garbage, or would step outside `raw_len` — corrupt input must
-    /// never panic or over-allocate past [`MAX_BLOCK_RAW`].
-    fn decompress(&self, comp: &[u8], raw_len: usize) -> io::Result<Vec<u8>>;
+    /// never panic or over-allocate past [`MAX_BLOCK_RAW`]. `out` holds
+    /// an unspecified prefix of the block afterwards.
+    fn decompress_into(&self, comp: &[u8], raw_len: usize, out: &mut Vec<u8>) -> io::Result<()>;
 }
 
 /// Scheme 0: stored blocks, no transform.
@@ -68,7 +72,7 @@ impl BlockScheme for RawScheme {
         raw.to_vec()
     }
 
-    fn decompress(&self, comp: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
+    fn decompress_into(&self, comp: &[u8], raw_len: usize, out: &mut Vec<u8>) -> io::Result<()> {
         if raw_len > MAX_BLOCK_RAW {
             return Err(invalid(format!("raw block of {raw_len} bytes exceeds the cap")));
         }
@@ -78,7 +82,9 @@ impl BlockScheme for RawScheme {
                 comp.len()
             )));
         }
-        Ok(comp.to_vec())
+        out.clear();
+        out.extend_from_slice(comp);
+        Ok(())
     }
 }
 
@@ -145,11 +151,12 @@ impl BlockScheme for LzScheme {
         out
     }
 
-    fn decompress(&self, comp: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
+    fn decompress_into(&self, comp: &[u8], raw_len: usize, out: &mut Vec<u8>) -> io::Result<()> {
         if raw_len > MAX_BLOCK_RAW {
             return Err(invalid(format!("block of {raw_len} bytes exceeds the cap")));
         }
-        let mut out = Vec::with_capacity(raw_len);
+        out.clear();
+        out.reserve(raw_len);
         let mut r = comp;
         if raw_len > 0 {
             loop {
@@ -185,17 +192,22 @@ impl BlockScheme for LzScheme {
                         "match of {len} overflows the declared {raw_len}-byte block"
                     )));
                 }
-                // Byte-at-a-time: matches may overlap their own output.
                 let start = out.len() - offset;
-                for src in start..start + len {
-                    out.push(out[src]);
+                if offset >= len {
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // The match overlaps its own output (offset < length
+                    // replays a run): copy byte by byte.
+                    for src in start..start + len {
+                        out.push(out[src]);
+                    }
                 }
             }
         }
         if !r.is_empty() {
             return Err(invalid(format!("{} trailing bytes after the block", r.len())));
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -245,6 +257,12 @@ mod tests {
             .collect()
     }
 
+    /// Decompresses into a fresh buffer.
+    fn decompress(scheme: &dyn BlockScheme, comp: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
+        let mut out = Vec::new();
+        scheme.decompress_into(comp, raw_len, &mut out).map(|()| out)
+    }
+
     #[test]
     fn registry_is_consistent() {
         for &(name, byte, scheme) in SCHEMES {
@@ -271,7 +289,7 @@ mod tests {
             runs,
         ] {
             let comp = lz.compress(&raw);
-            let back = lz.decompress(&comp, raw.len()).unwrap();
+            let back = decompress(&lz, &comp, raw.len()).unwrap();
             assert_eq!(back, raw, "round-trip failed for {}-byte input", raw.len());
         }
     }
@@ -290,16 +308,60 @@ mod tests {
         let raw = vec![b'a'; 1000];
         let comp = LzScheme.compress(&raw);
         assert!(comp.len() < 20);
-        assert_eq!(LzScheme.decompress(&comp, 1000).unwrap(), raw);
+        assert_eq!(decompress(&LzScheme, &comp, 1000).unwrap(), raw);
+    }
+
+    #[test]
+    fn short_offset_matches_replay_their_own_output() {
+        // Hand-built streams: a literal seed of `offset` bytes, one match
+        // of `len` > `offset` bytes back at that distance, then a literal
+        // tail. The expected output replays the match one byte at a time,
+        // the LZ77 definition. One buffer, dirty from the previous case,
+        // serves every decode.
+        let mut out = vec![0xEEu8; 7];
+        for offset in 1..=8usize {
+            for len in [MIN_MATCH.max(offset + 1), offset + 5, 3 * offset + 2, 40] {
+                let seed: Vec<u8> = (0..offset as u8).map(|i| b'a' + i).collect();
+                let mut comp = Vec::new();
+                varint_push(&mut comp, offset as u64);
+                comp.extend_from_slice(&seed);
+                varint_push(&mut comp, offset as u64);
+                varint_push(&mut comp, (len - MIN_MATCH) as u64);
+                varint_push(&mut comp, 3);
+                comp.extend_from_slice(b"xyz");
+                let mut want = seed.clone();
+                for _ in 0..len {
+                    want.push(want[want.len() - offset]);
+                }
+                want.extend_from_slice(b"xyz");
+                LzScheme.decompress_into(&comp, want.len(), &mut out).unwrap();
+                assert_eq!(out, want, "offset {offset}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn reused_buffer_decodes_like_a_fresh_one() {
+        // A large block, then a smaller one, then an empty one through the
+        // same buffer (the reader's pattern), under both schemes.
+        let big: Vec<u8> = b"0123456789abcdef".iter().copied().cycle().take(9000).collect();
+        let small = noise(300, 5);
+        for scheme in [&LzScheme as &dyn BlockScheme, &RawScheme] {
+            let mut out = Vec::new();
+            for raw in [&big, &small, &Vec::new()] {
+                scheme.decompress_into(&scheme.compress(raw), raw.len(), &mut out).unwrap();
+                assert_eq!(&out, raw, "{}", scheme.name());
+            }
+        }
     }
 
     #[test]
     fn raw_scheme_is_identity_and_checks_length() {
         let data = noise(100, 3);
         assert_eq!(RawScheme.compress(&data), data);
-        assert_eq!(RawScheme.decompress(&data, 100).unwrap(), data);
-        assert!(RawScheme.decompress(&data, 99).is_err());
-        assert!(RawScheme.decompress(&data, MAX_BLOCK_RAW + 1).is_err());
+        assert_eq!(decompress(&RawScheme, &data, 100).unwrap(), data);
+        assert!(decompress(&RawScheme, &data, 99).is_err());
+        assert!(decompress(&RawScheme, &data, MAX_BLOCK_RAW + 1).is_err());
     }
 
     #[test]
@@ -309,28 +371,28 @@ mod tests {
         let good = lz.compress(&raw);
         // Truncations at every length.
         for cut in 0..good.len() {
-            assert!(lz.decompress(&good[..cut], raw.len()).is_err(), "cut {cut}");
+            assert!(decompress(&lz, &good[..cut], raw.len()).is_err(), "cut {cut}");
         }
         // Every single-byte flip either round-trips to an error or decodes
         // to the wrong (but bounded) output — never a panic.
         for i in 0..good.len() {
             let mut bad = good.clone();
             bad[i] ^= 0x55;
-            if let Ok(out) = lz.decompress(&bad, raw.len()) {
+            if let Ok(out) = decompress(&lz, &bad, raw.len()) {
                 assert_eq!(out.len(), raw.len());
             }
         }
         // Wrong declared length: both directions fail.
-        assert!(lz.decompress(&good, raw.len() + 1).is_err());
-        assert!(lz.decompress(&good, raw.len() - 1).is_err());
+        assert!(decompress(&lz, &good, raw.len() + 1).is_err());
+        assert!(decompress(&lz, &good, raw.len() - 1).is_err());
         // Oversized declared length is rejected before allocation.
-        assert!(lz.decompress(&good, MAX_BLOCK_RAW + 1).is_err());
+        assert!(decompress(&lz, &good, MAX_BLOCK_RAW + 1).is_err());
         // A match offset pointing before the start of the output.
         let mut bad = Vec::new();
         varint_push(&mut bad, 1);
         bad.push(b'x');
         varint_push(&mut bad, 9); // offset 9 > 1 byte produced
         varint_push(&mut bad, 0);
-        assert!(lz.decompress(&bad, 10).is_err());
+        assert!(decompress(&lz, &bad, 10).is_err());
     }
 }

@@ -159,9 +159,13 @@ pub(crate) fn encode_event_record(
 }
 
 /// Decodes one event record against `table` — the inverse of
-/// [`encode_event_record`].
-pub(crate) fn decode_event_record(
-    r: &mut dyn Read,
+/// [`encode_event_record`], and the one record parser of both container
+/// versions. It is generic over the byte source, so each caller gets its
+/// own monomorphized copy with no per-byte dynamic dispatch: v3 runs it
+/// over a decompressed block slice (`R = &[u8]`), v2 over its buffered
+/// stream.
+pub(crate) fn decode_event_record<R: Read + ?Sized>(
+    r: &mut R,
     table: &[TableEntry],
     prev_index: &mut i64,
 ) -> io::Result<TraceEvent> {

@@ -55,7 +55,7 @@ use crate::varint;
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use workloads::event::{EventSource, Trace, TraceEvent};
+use workloads::event::{EventBlock, EventSource, Trace, TraceEvent};
 
 /// Leading magic of a `.ttr` v3 file.
 pub const TTR3_MAGIC: &[u8; 8] = b"TAGETTR3";
@@ -334,6 +334,8 @@ pub fn encode(w: &mut dyn Write, trace: &Trace, scheme_id: u8) -> io::Result<Ttr
 
 /// A streaming `.ttr` v3 decoder: reads the footer table up front (one
 /// seek), then streams blocks, holding one decompressed block at a time.
+/// The compressed and decompressed block buffers are reused from block to
+/// block, and events decode straight from the decompressed slice.
 pub struct Ttr3Reader<R> {
     name: String,
     category: String,
@@ -343,6 +345,7 @@ pub struct Ttr3Reader<R> {
     reader: R,
     remaining: u64,
     total: u64,
+    comp: Vec<u8>,
     block: Vec<u8>,
     block_pos: usize,
     block_left: u32,
@@ -508,6 +511,7 @@ impl<R: Read + Seek> Ttr3Reader<R> {
             reader,
             remaining: total,
             total,
+            comp: Vec::new(),
             block: Vec::new(),
             block_pos: 0,
             block_left: 0,
@@ -523,38 +527,72 @@ impl<R: Read + Seek> Ttr3Reader<R> {
     }
 
     fn refill_block(&mut self) -> io::Result<()> {
-        if self.block_pos != self.block.len() {
-            return Err(bad(format!(
-                "{} undecoded bytes left at the end of a block",
-                self.block.len() - self.block_pos
-            )));
-        }
         let (events, raw_len, comp_len) = read_frame(&mut self.reader)?;
         if events == 0 {
-            // remaining > 0 here (next_event checks first); the count
+            // remaining > 0 here (decode_run checks first); the count
             // shortfall is reported through remaining_events/finish.
-            self.block_left = 0;
             return Err(bad("block chain ended before the declared event count".to_string()));
         }
-        let mut comp = vec![0u8; comp_len as usize];
-        self.reader.read_exact(&mut comp)?;
-        self.block = self.scheme.decompress(&comp, raw_len as usize)?;
+        self.comp.resize(comp_len as usize, 0);
+        self.reader.read_exact(&mut self.comp)?;
+        self.scheme.decompress_into(&self.comp, raw_len as usize, &mut self.block)?;
         self.block_pos = 0;
         self.block_left = events;
         self.prev_index = 0;
         Ok(())
     }
 
-    fn decode_event(&mut self) -> io::Result<TraceEvent> {
-        if self.block_left == 0 {
-            self.refill_block()?;
+    /// Decodes up to `max` events, handing each to `sink` in stream order
+    /// and refilling from the next block frame whenever the current block
+    /// is spent; returns how many were delivered. The first error ends the
+    /// stream: it is recorded for [`TraceDecoder::decode_error`], the
+    /// events before it are delivered, and `remaining` counts exactly the
+    /// events not delivered. Once a block's last declared event is decoded,
+    /// the block must have no bytes left over — the last block included.
+    /// `next_event`, `next_block` and `skip` all decode through here, so
+    /// they stop at the same place on the same bytes.
+    fn decode_run(&mut self, max: usize, mut sink: impl FnMut(TraceEvent)) -> usize {
+        let mut delivered = 0;
+        while delivered < max && self.remaining > 0 && self.error.is_none() {
+            if self.block_left == 0 {
+                if let Err(e) = self.refill_block() {
+                    self.error = Some(e);
+                    break;
+                }
+            }
+            let run = (max - delivered)
+                .min(self.block_left as usize)
+                .min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
+            let mut bytes = &self.block[self.block_pos..];
+            let before = bytes.len();
+            let mut decoded = 0;
+            let mut failed = None;
+            while decoded < run {
+                match decode_event_record(&mut bytes, &self.table, &mut self.prev_index) {
+                    Ok(e) => {
+                        sink(e);
+                        decoded += 1;
+                    }
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
+            }
+            self.block_pos += before - bytes.len();
+            self.block_left -= decoded as u32;
+            self.remaining -= decoded as u64;
+            delivered += decoded;
+            if failed.is_some() {
+                self.error = failed;
+            } else if self.block_left == 0 && self.block_pos != self.block.len() {
+                self.error = Some(bad(format!(
+                    "{} undecoded bytes left at the end of a block",
+                    self.block.len() - self.block_pos
+                )));
+            }
         }
-        let mut slice = &self.block[self.block_pos..];
-        let before = slice.len();
-        let e = decode_event_record(&mut slice, &self.table, &mut self.prev_index)?;
-        self.block_pos += before - slice.len();
-        self.block_left -= 1;
-        Ok(e)
+        delivered
     }
 }
 
@@ -595,21 +633,17 @@ impl<R: Read + Seek> EventSource for Ttr3Reader<R> {
     }
 
     fn next_event(&mut self) -> Option<TraceEvent> {
-        if self.remaining == 0 || self.error.is_some() {
-            return None;
-        }
-        match self.decode_event() {
-            Ok(e) => {
-                self.remaining -= 1;
-                Some(e)
-            }
-            Err(e) => {
-                // EventSource has no error channel; record the failure and
-                // end the stream so TraceDecoder::decode_error surfaces it.
-                self.error = Some(e);
-                None
-            }
-        }
+        // EventSource has no error channel: decode_run records a failure
+        // and ends the stream so TraceDecoder::decode_error surfaces it.
+        let mut event = None;
+        self.decode_run(1, |e| event = Some(e));
+        event
+    }
+
+    fn next_block(&mut self, block: &mut EventBlock, max: usize) -> usize {
+        block.events.clear();
+        let events = &mut block.events;
+        self.decode_run(max, |e| events.push(e))
     }
 
     fn skip(&mut self, n: u64) -> u64 {
@@ -645,11 +679,8 @@ impl<R: Read + Seek> EventSource for Ttr3Reader<R> {
         }
         // Decode-discard the within-block remainder to land exactly on
         // `target` (the whole distance, for index-less files).
-        while self.total - self.remaining < target {
-            if self.next_event().is_none() {
-                break;
-            }
-        }
+        let left = target - (self.total - self.remaining);
+        self.decode_run(usize::try_from(left).unwrap_or(usize::MAX), |_| {});
         (self.total - self.remaining) - start
     }
 }
@@ -927,6 +958,65 @@ mod tests {
             }
         }
         assert!(seeker.decode_error().is_none());
+    }
+
+    /// Byte offsets of a file's block frames, walked from the header.
+    fn frame_offsets(buf: &[u8], t: &Trace) -> Vec<usize> {
+        let word = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+        let mut at = 8 + 1 + 2 + t.name.len() + 2 + t.category.len();
+        let mut frames = Vec::new();
+        while word(at) != 0 {
+            frames.push(at);
+            at += 12 + word(at + 8) as usize;
+        }
+        frames
+    }
+
+    #[test]
+    fn last_block_bytes_past_its_declared_events_are_an_error() {
+        // Lower the last frame's and the trailer's event counts by one: the
+        // file still opens (the frame chain and the trailer agree), but the
+        // last block's final record is never decoded. That must end the
+        // stream with an error, through next_event and next_block alike,
+        // as it does for every earlier block. MM01 at Tiny records as one
+        // block; CLIENT01 with a 200-byte target as many.
+        let one = by_name("MM01", Scale::Tiny).unwrap().generate();
+        let many = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
+        let files = [
+            (&one, encode_vec(&one, 0)),
+            (&one, encode_vec(&one, RECORD_SCHEME)),
+            (&many, encode_indexed(&many, 200)),
+        ];
+        for (t, mut buf) in files {
+            let last = *frame_offsets(&buf, t).last().unwrap();
+            let events = u32::from_le_bytes(buf[last..last + 4].try_into().unwrap());
+            buf[last..last + 4].copy_from_slice(&(events - 1).to_le_bytes());
+            let at = buf.len() - TTR3_TRAILER_LEN as usize + 4;
+            let total = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+            buf[at..at + 8].copy_from_slice(&(total - 1).to_le_bytes());
+            let kept = &t.events[..t.events.len() - 1];
+
+            let mut r = Ttr3Reader::new(Cursor::new(buf.clone())).unwrap();
+            if t.name == "MM01" {
+                assert_eq!(r.container_info().unwrap().blocks, 1);
+            }
+            let events: Vec<_> = std::iter::from_fn(|| r.next_event()).collect();
+            assert_eq!(events, kept, "{}", t.name);
+            let msg = r.decode_error().map(io::Error::to_string).unwrap_or_default();
+            assert!(msg.contains("undecoded bytes left at the end of a block"), "{msg}");
+            assert!(crate::decoder::finish(&r).is_err());
+            assert_eq!(r.remaining_events(), Some(0));
+
+            let mut r = Ttr3Reader::new(Cursor::new(buf)).unwrap();
+            let mut block = EventBlock::default();
+            let mut events = Vec::new();
+            while r.next_block(&mut block, 4096) > 0 {
+                events.extend_from_slice(&block.events);
+            }
+            assert_eq!(events, kept, "{}", t.name);
+            assert_eq!(r.decode_error().map(io::Error::to_string), Some(msg));
+            assert_eq!(r.remaining_events(), Some(0));
+        }
     }
 
     #[test]

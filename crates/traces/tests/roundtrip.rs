@@ -4,9 +4,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simkit::predictor::BranchKind;
-use std::io::Cursor;
-use traces::{CbpReader, CsvReader, TraceDecoder, Ttr3Reader, TtrReader, RECORD_SCHEME};
-use workloads::event::{EventSource, Trace, TraceEvent};
+use std::io::{self, Cursor};
+use traces::{CbpReader, CsvReader, TraceDecoder, Ttr3Reader, Ttr3Writer, TtrReader, RECORD_SCHEME};
+use workloads::event::{EventBlock, EventSource, Trace, TraceEvent};
 
 fn kind_of(code: u8) -> BranchKind {
     match code % 5 {
@@ -63,6 +63,83 @@ fn drain<D: TraceDecoder>(mut d: D) -> Result<Trace, String> {
         }
         Err(e) => Err(e.to_string()),
     }
+}
+
+/// What one `.ttr3` decode route saw: how far `skip` got, the events
+/// delivered after it, the kind of the decode error that ended the stream
+/// (if any) and the events the container still owed.
+#[derive(Debug, PartialEq)]
+struct Drained {
+    skipped: u64,
+    events: Vec<TraceEvent>,
+    error: Option<io::ErrorKind>,
+    remaining: Option<u64>,
+}
+
+impl Drained {
+    /// Whether `traces::finish` would accept the stream.
+    fn clean(&self) -> bool {
+        self.error.is_none() && self.remaining == Some(0)
+    }
+}
+
+/// The `next_block` routes every `.ttr3` property drains through, as
+/// `(max, interleaved)`: one event at a time, runs that straddle records
+/// and frames, the engine's batch, and runs of 7 alternating with
+/// `next_event`.
+const BLOCK_ROUTES: [(usize, bool); 4] = [(1, false), (7, false), (4096, false), (7, true)];
+
+/// Opens `bytes` once per decode route, skips `skip` events and drains the
+/// rest: through `next_event`, then through each of [`BLOCK_ROUTES`].
+/// Every route must skip as far, deliver the same events, end on the same
+/// error kind and owe the same events. Returns the `next_event` route's
+/// view, or `None` when the open fails (it is deterministic, so it fails
+/// for every route).
+fn drain_every_way(bytes: &[u8], skip: u64) -> Option<Drained> {
+    let open = || Ttr3Reader::new(Cursor::new(bytes.to_vec())).ok();
+    let seen = |r: Ttr3Reader<Cursor<Vec<u8>>>, skipped, events| Drained {
+        skipped,
+        events,
+        error: r.decode_error().map(io::Error::kind),
+        remaining: r.remaining_events(),
+    };
+    let mut r = open()?;
+    let skipped = r.skip(skip);
+    let events = std::iter::from_fn(|| r.next_event()).collect();
+    let want = seen(r, skipped, events);
+    for (max, interleaved) in BLOCK_ROUTES {
+        let mut r = open().expect("the open succeeded once");
+        let skipped = r.skip(skip);
+        let mut events = Vec::new();
+        let mut block = EventBlock::default();
+        loop {
+            let n = r.next_block(&mut block, max);
+            assert!(n == block.len() && n <= max, "block of {n} for max {max}");
+            events.extend_from_slice(&block.events);
+            let single = if interleaved { r.next_event() } else { None };
+            events.extend(single);
+            if n == 0 && single.is_none() {
+                break;
+            }
+        }
+        let route = format!("next_block({max}), interleaved {interleaved}");
+        assert_eq!(seen(r, skipped, events), want, "{route} against next_event");
+    }
+    Some(want)
+}
+
+/// Records `t` through [`Ttr3Writer`] with a `block_target`-byte flush
+/// threshold.
+fn encode_blocks(t: &Trace, scheme: u8, block_target: usize) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = Ttr3Writer::new(&mut buf, &t.name, &t.category, scheme)
+        .unwrap()
+        .with_block_target(block_target);
+    for e in &t.events {
+        w.push(e).unwrap();
+    }
+    w.finish().unwrap();
+    buf
 }
 
 /// The committed `.ttr` v2 fixture: v2 is read-only, so its corruption
@@ -154,8 +231,30 @@ proptest! {
         let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
         let mut buf = Vec::new();
         traces::ttr3::encode(&mut buf, &t, scheme).unwrap();
+        let seen = drain_every_way(&buf, 0).unwrap();
+        prop_assert!(seen.clean());
+        prop_assert_eq!(&seen.events, &t.events);
         let back = drain(Ttr3Reader::new(Cursor::new(buf)).unwrap()).unwrap();
         prop_assert_eq!(back, t);
+    }
+
+    #[test]
+    fn ttr3_runs_straddle_small_block_frames(
+        raw in event_strategy(), block_target in 1usize..64, scheme in 0u8..2, s in 0u64..250,
+    ) {
+        // Blocks of one to a few events: every next_block run crosses
+        // frames, and with the index a skip lands mid-run.
+        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
+        for scheme_id in [scheme, scheme | traces::TTR3_INDEX_FLAG] {
+            let buf = encode_blocks(&t, scheme_id, block_target);
+            let seen = drain_every_way(&buf, 0).unwrap();
+            prop_assert!(seen.clean());
+            prop_assert_eq!(&seen.events, &t.events);
+            let seen = drain_every_way(&buf, s).unwrap();
+            prop_assert!(seen.clean());
+            prop_assert_eq!(seen.skipped, s.min(t.events.len() as u64));
+            prop_assert_eq!(seen.events.as_slice(), &t.events[seen.skipped as usize..]);
+        }
     }
 
     #[test]
@@ -173,6 +272,8 @@ proptest! {
         traces::ttr3::encode(&mut buf, &t, 1).unwrap();
         let cut = cut.min(buf.len() - 1);
         buf.truncate(buf.len() - cut);
+        let failed = drain_every_way(&buf, 0).is_none_or(|seen| !seen.clean());
+        prop_assert!(failed, "truncation by {cut} bytes went unnoticed");
         let failed = match Ttr3Reader::new(Cursor::new(buf)) {
             Err(_) => true,
             Ok(r) => drain(r).is_err(),
@@ -194,6 +295,7 @@ proptest! {
         traces::ttr3::encode(&mut buf, &t, 1).unwrap();
         let pos = pos % buf.len();
         buf[pos] = val;
+        drain_every_way(&buf, 0);
         if let Ok(r) = Ttr3Reader::new(Cursor::new(buf)) {
             let _ = drain(r);
         }
@@ -217,6 +319,11 @@ proptest! {
         let frame = 8 + 1 + 2 + t.name.len() + 2 + t.category.len();
         buf[frame + 4..frame + 8].copy_from_slice(&raw_len.to_le_bytes());
         buf[frame + 8..frame + 12].copy_from_slice(&comp_len.to_le_bytes());
+        if let Some(seen) = drain_every_way(&buf, 0) {
+            if seen.clean() {
+                prop_assert_eq!(&seen.events, &t.events);
+            }
+        }
         if let Ok(r) = Ttr3Reader::new(Cursor::new(buf.clone())) {
             if let Ok(back) = drain(r) {
                 // Only the original lengths can decode the original data.
@@ -242,7 +349,7 @@ proptest! {
         let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
         let mut buf = Vec::new();
         traces::ttr3::encode(&mut buf, &t, RECORD_SCHEME).unwrap();
-        let mut r = Ttr3Reader::new(Cursor::new(buf)).unwrap();
+        let mut r = Ttr3Reader::new(Cursor::new(buf.clone())).unwrap();
         let skipped = r.skip(s);
         prop_assert_eq!(skipped, s.min(t.events.len() as u64));
         let mut rest = Vec::new();
@@ -251,6 +358,9 @@ proptest! {
         }
         prop_assert!(r.decode_error().is_none());
         prop_assert_eq!(rest.as_slice(), &t.events[skipped as usize..]);
+        let seen = drain_every_way(&buf, s).unwrap();
+        prop_assert!(seen.clean());
+        prop_assert_eq!((seen.skipped, seen.events), (skipped, rest));
     }
 
     #[test]
