@@ -30,7 +30,7 @@
 //!
 //! `tage_exp system --trace` leaves the synthetic suite behind: it runs
 //! the specs — by default the full predictor matrix — over external
-//! trace files (`.ttr`, CBP, CSV — autodetected), one pool job per
+//! trace files (`.ttr`, `.ttr3`, CSV — autodetected), one pool job per
 //! (spec × file), grouped into categories by trace metadata or filename
 //! prefix. It is the offline twin of a `tage_serve` session.
 //!
@@ -310,7 +310,7 @@ fn print_usage() {
     println!("                    e.g. 'tage:x-1+ium+loop' or the provider-internal ablations");
     println!("                    'tage(base=gshare,chooser=always)' (see DESIGN.md §2)");
     println!("  --trace FILE      system mode: run the specs over external trace files");
-    println!("                    (.ttr / .ttr3 / cbp / csv, format autodetected) instead");
+    println!("                    (.ttr / .ttr3 / .csv, format autodetected) instead");
     println!("                    of the suite, one pool job per (spec x file); repeatable.");
     println!("                    With no spec: the predictor matrix (gshare, GEHL, TAGE,");
     println!("                    TAGE+IUM, ISL-TAGE, TAGE-LSC). The offline twin of a");

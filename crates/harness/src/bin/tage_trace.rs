@@ -14,7 +14,7 @@
 //! static-branch table even at `--scale full`. Every recorded file
 //! carries `lz` blocks and the seekable block index. `convert` transcodes
 //! any recognized format to the format its output extension names
-//! (`.ttr3`, `.csv` or `.cbp`; `.ttr` v2 is read-only); `inspect` streams
+//! (`.ttr3` or `.csv`; `.ttr` v2 is read-only); `inspect` streams
 //! a file and prints its vitals, including the v3 container's scheme
 //! byte, block count and compressed/raw ratio.
 
@@ -55,7 +55,7 @@ fn print_usage() {
     println!("       tage_trace inspect <file...> [--json]");
     println!("       tage_trace formats");
     println!("  record        writes <name>.ttr3 (lz blocks + block index) per trace");
-    println!("  convert       output format from the extension: .ttr3, .csv or .cbp");
+    println!("  convert       output format from the extension: .ttr3 or .csv");
     println!("                (.ttr v2 is read-only)");
     println!("  --json        inspect: emit a JSON array (same fields as the text columns)");
 }
@@ -124,7 +124,7 @@ fn cmd_convert(args: &[String]) -> i32 {
     let registry = CodecRegistry::standard();
     let Some(to) = registry.by_extension(output) else {
         return usage_error(&format!(
-            "cannot infer output format from '{}' (use .ttr3, .csv or .cbp)",
+            "cannot infer output format from '{}' (use .ttr3 or .csv)",
             output.display()
         ));
     };
@@ -146,9 +146,9 @@ fn cmd_convert(args: &[String]) -> i32 {
         category: source.category().to_string(),
         events,
     };
-    // Atomic: a failed encode (a read-only or CBP-unrepresentable
-    // target, a full disk) leaves neither a partial file nor a clobbered
-    // destination.
+    // Atomic: a failed encode (the read-only `.ttr` v2, a trace name CSV
+    // cannot carry, a full disk) leaves neither a partial file nor a
+    // clobbered destination.
     if let Err(e) = harness::trace_mode::write_atomic(output, |w| to.encode(w, &trace)) {
         return io_fail(&output.display().to_string(), &e);
     }
@@ -159,9 +159,6 @@ fn cmd_convert(args: &[String]) -> i32 {
         to.name(),
         trace.events.len()
     );
-    if to.lossy() {
-        println!("note: {} is lossy (µop padding and load dependences dropped)", to.name());
-    }
     0
 }
 
@@ -331,15 +328,10 @@ fn cmd_formats() -> i32 {
     let registry = CodecRegistry::standard();
     let mut t = harness::Table::new(
         "registered trace codecs (detection: magic bytes, then extension)",
-        &["name", "extensions", "lossy", "description"],
+        &["name", "extensions", "description"],
     );
     for c in registry.codecs() {
-        t.row(vec![
-            c.name().to_string(),
-            c.extensions().join(","),
-            if c.lossy() { "yes" } else { "no" }.to_string(),
-            c.description().to_string(),
-        ]);
+        t.row(vec![c.name().to_string(), c.extensions().join(","), c.description().to_string()]);
     }
     t.print();
     0

@@ -6,8 +6,8 @@
 //! codec registry, streaming. With no spec given, `system --trace` runs
 //! the paper's predictor [`MATRIX`]. Results are grouped into categories
 //! exactly like the synthetic suite (the codec supplies the category —
-//! `.ttr` from its header, CBP/CSV from the filename prefix), so the
-//! report tables render unchanged.
+//! `.ttr`/`.ttr3` from the header, CSV from its `category=` comment or
+//! the filename prefix), so the report tables render unchanged.
 //!
 //! [`run`] takes its [`Sources`] as an opener, so the same specs run over
 //! synthetic [`TraceSpec`]s directly; the
@@ -423,25 +423,33 @@ mod tests {
 
     #[test]
     fn failed_record_leaves_no_temp_file() {
-        // CBP stores the not-taken fall-through distance in a u32, so a
-        // target 2^40 past its pc cannot be encoded.
-        let far = Trace {
-            name: "FAR01".into(),
-            category: "FAR".into(),
-            events: vec![TraceEvent {
-                pc: 0x1000,
-                kind: simkit::predictor::BranchKind::Conditional,
-                taken: false,
-                target: 0x1000 + (1 << 40),
-                uops_before: 0,
-                load_addr: None,
-            }],
-        };
+        // `.ttr` v2 is read-only: its encode fails before writing a byte,
+        // after `write_atomic` has created the temp file.
+        let trace = Trace { name: "V2ONLY".into(), category: "V".into(), events: vec![] };
         let dir = temp_dir("failed-rec");
-        assert!(record_trace(&far, &traces::CbpCodec, &dir).is_err());
+        assert!(record_trace(&trace, &traces::TtrCodec, &dir).is_err());
         let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
         assert!(left.is_empty(), "a failed record left {left:?} behind");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warmup_traffic_is_not_counted() {
+        // Under a warm-up window every matrix predictor reads its tables
+        // once per *measured* conditional: the access counters cover the
+        // events that `conditionals` counts. A trace that ends inside the
+        // warm-up measures nothing and reports no traffic.
+        for (warmup, measured) in [(2_000, true), (1 << 40, false)] {
+            let cfg = PipelineConfig {
+                window: pipeline::SimWindow { skip: 0, warmup, measure: 2_000 },
+                ..PipelineConfig::default()
+            };
+            for (name, suite) in matrix(tiny(&["CLIENT01"]), &cfg, 2).unwrap() {
+                let r = &suite.reports[0];
+                assert_eq!(r.conditionals > 0, measured, "{name} under warm-up {warmup}");
+                assert_eq!(r.stats.predict_reads, r.conditionals, "{name} under warm-up {warmup}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The `tage_exp` binary end to end over recorded trace files: `system
 //! --trace` with no spec is the trace-mode golden, `--threads` sizes its
 //! pool and leaves the artifact bytes alone, `--scale` is refused next to
-//! `--trace`, duplicate or label-only specs never overwrite each other's
-//! artifacts, and an out-of-range spec is a usage error.
+//! `--trace`, a file no codec claims names the known formats, duplicate
+//! or label-only specs never overwrite each other's artifacts, and an
+//! out-of-range spec is a usage error.
 
 use harness::trace_mode::{record_spec, record_trace};
 use std::path::{Path, PathBuf};
@@ -106,6 +107,20 @@ fn system_trace_refuses_scale() {
     let out = tage_exp(&["system", "tage", "--trace", file, "--scale", "full"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--scale"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn system_trace_names_the_known_formats_for_an_unrecognized_file() {
+    // No codec claims a `.cbp` extension or these leading bytes.
+    let dir = temp_dir("unknown-format");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cbp = dir.join("y.cbp");
+    std::fs::write(&cbp, b"no registered codec claims these bytes").unwrap();
+    let out = tage_exp(&["system", "--trace", cbp.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unrecognized trace format (known: ttr, ttr3, csv)"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,7 +1,8 @@
 //! The `tage_trace` binary end to end: `record` writes `.ttr3` only,
 //! `convert` picks its output format from the extension and refuses the
-//! read-only `.ttr` v2, the removed output-format flags are usage errors,
-//! and `inspect` still autodetects the committed v2 fixture.
+//! read-only `.ttr` v2, the removed output-format flags and extensions are
+//! usage errors, `formats` lists the three codecs, and `inspect` still
+//! autodetects the committed v2 fixture.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -92,6 +93,31 @@ fn removed_format_flags_and_unknown_extensions_are_usage_errors() {
     assert_eq!(tage_trace(&["convert", f, bin.to_str().unwrap()]).status.code(), Some(2));
     assert_eq!(file_names(&dir), ["CLIENT01.ttr3"]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn convert_to_cbp_is_a_usage_error_naming_the_writable_formats() {
+    let dir = temp_dir("cbp");
+    let file = record_client(&dir);
+    let cbp = dir.join("y.cbp");
+    let out = tage_trace(&["convert", file.to_str().unwrap(), cbp.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(".ttr3") && stderr.contains(".csv"), "{stderr}");
+    assert_eq!(file_names(&dir), ["CLIENT01.ttr3"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn formats_lists_exactly_the_three_codecs() {
+    let listing = ok(&["formats"]);
+    let names: Vec<&str> = listing
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(names, ["ttr", "ttr3", "csv"], "{listing}");
 }
 
 #[test]

@@ -89,8 +89,7 @@ fn trace_mode_table_matches_the_checked_in_golden() {
 #[test]
 fn cross_codec_conversion_chain_preserves_ttr_bytes() {
     // ttr3 -> csv -> ttr3 must be byte-identical (both codecs are
-    // lossless and the encoders are deterministic); ttr3 -> cbp must stay
-    // runnable.
+    // lossless and the encoders are deterministic).
     let dir = temp_dir("chain");
     let registry = CodecRegistry::standard();
     let original = record_spec(&by_name("WS01", Scale::Tiny).unwrap(), &dir).unwrap();
@@ -119,9 +118,5 @@ fn cross_codec_conversion_chain_preserves_ttr_bytes() {
         "ttr3 -> csv -> ttr3 must be byte-identical"
     );
 
-    let as_cbp = reconvert(&original, "cbp", &dir);
-    let results = matrix(vec![as_cbp], 2);
-    assert_eq!(results[0].1.reports.len(), 1);
-    assert!(results[0].1.reports[0].conditionals > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

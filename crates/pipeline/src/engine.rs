@@ -34,10 +34,18 @@ pub const DEFAULT_BATCH: usize = 4096;
 ///   touched and no counter moves;
 /// * the next `warmup` events train the predictor (the full
 ///   predict/update path through the in-flight window) but score
-///   nothing — [`AccessStats`] still observes their table traffic;
+///   nothing;
 /// * the next `measure` events train *and* count; everything after is
 ///   fast-forwarded again (the drivers stop pulling events once the
 ///   window is spent).
+///
+/// [`AccessStats`] are reset at the first measured event, so table
+/// traffic counts over the same window as `conditionals` and
+/// `mispredicts`: the paper divides accesses by measured branches
+/// (§4.2's accesses per retired branch). Warm-up branches still in
+/// flight at that event retire inside the window, and their retire
+/// traffic counts. A stream that ends before the measured window begins
+/// reports no traffic.
 ///
 /// The default (`skip = 0`, `warmup = 0`, `measure = u64::MAX`) runs the
 /// identical arithmetic path as the unwindowed engine, so its reports are
@@ -177,6 +185,10 @@ struct WindowState<F> {
     skip_end: u64,
     measure_start: u64,
     window_end: u64,
+    // Whether the predictor's access counters still await their reset at
+    // `measure_start`. False when measuring starts at event 0: the engine
+    // hands `step` a predictor whose counters are already clear.
+    stats_reset_pending: bool,
     // Opt-in per-static-branch accumulators (`PipelineConfig::branch_stats`).
     // `None` on the default path, so the only cost when off is one branch
     // per conditional; collection reads only values `step` already
@@ -205,8 +217,22 @@ impl<F> WindowState<F> {
             skip_end: cfg.window.skip,
             measure_start: cfg.window.measure_start(),
             window_end: cfg.window.end(),
+            stats_reset_pending: cfg.window.measure_start() > 0,
             profile: cfg.branch_stats.then(HashMap::new),
         }
+    }
+
+    /// How many of the next `len` events run before the access counters
+    /// are reset at `measure_start`: all of them unless that reset is
+    /// pending and falls among them.
+    fn events_before_reset(&self, len: usize) -> usize {
+        if !self.stats_reset_pending {
+            return len;
+        }
+        // INVARIANT: `run_block` resets at `measure_start`, so `position`
+        // cannot pass it while the reset is pending.
+        let warm = self.measure_start - self.position;
+        usize::try_from(warm).map_or(len, |warm| warm.min(len))
     }
 
     /// Whether the measurement window is spent: every further event would
@@ -404,8 +430,22 @@ where
     }
 
     fn run_block(&mut self, events: &[TraceEvent]) {
-        for ev in events {
-            self.state.step(&mut self.predictor, ev);
+        // The block is split at the first measured event, if it holds
+        // one, and the access counters are cleared there: the per-event
+        // body stays free of the check, any block slicing resets on the
+        // same event, and `step` keeps its one call site.
+        let mut events = events;
+        loop {
+            let (now, rest) = events.split_at(self.state.events_before_reset(events.len()));
+            for ev in now {
+                self.state.step(&mut self.predictor, ev);
+            }
+            if rest.is_empty() {
+                return;
+            }
+            self.predictor.reset_stats();
+            self.state.stats_reset_pending = false;
+            events = rest;
         }
     }
 
@@ -415,6 +455,11 @@ where
 
     fn finish(&mut self, trace: &str, category: &str) -> SimReport {
         self.state.drain(&mut self.predictor);
+        if self.state.stats_reset_pending {
+            // The stream ended before the measured window began: nothing
+            // was measured, so no table traffic counts either.
+            self.predictor.reset_stats();
+        }
         self.state.report(&self.predictor, trace, category)
     }
 }

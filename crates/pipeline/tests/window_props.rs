@@ -3,8 +3,8 @@
 //! simulation path. Three equivalences pin that:
 //!
 //! * under `Immediate` update, a `{skip: 0, warmup: w, measure: m}` run
-//!   reproduces the full run's measure-region counters exactly, as the
-//!   difference of two measured prefixes;
+//!   reproduces the full run's measure-region counters exactly, access
+//!   statistics included, as the difference of two measured prefixes;
 //! * the default window (and an explicit `{0, 0, len}` one) is
 //!   bit-identical to the unwindowed engine under *every* scenario;
 //! * skipping via the window and skipping via [`EventSource::skip`] land
@@ -92,9 +92,16 @@ proptest! {
         prop_assert_eq!(win.penalty_cycles, long.penalty_cycles - short.penalty_cycles);
         prop_assert_eq!(win.uops, long.uops - short.uops);
         prop_assert_eq!(win.conditionals, long.conditionals - short.conditionals);
-        // Warmup events still train, so the windowed run's table traffic
-        // is the *long* prefix's, not the difference.
-        prop_assert_eq!(win.stats, long.stats);
+        // Table traffic is counted from the first measured event on, so
+        // it partitions the same way.
+        let (ws, ls, ss) = (win.stats, long.stats, short.stats);
+        prop_assert_eq!(ws.predict_reads, ls.predict_reads - ss.predict_reads);
+        prop_assert_eq!(ws.retire_reads, ls.retire_reads - ss.retire_reads);
+        prop_assert_eq!(ws.effective_writes, ls.effective_writes - ss.effective_writes);
+        prop_assert_eq!(
+            ws.silent_writes_avoided,
+            ls.silent_writes_avoided - ss.silent_writes_avoided
+        );
     }
 
     #[test]

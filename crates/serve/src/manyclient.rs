@@ -13,13 +13,11 @@ use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::Instant;
 
+use traces::CodecRegistry;
+
 use crate::client::{run_one, ClientOptions};
 use crate::stats::{percentile, BenchSummary};
 use crate::wire::Handshake;
-
-/// Extensions the trace-directory scan accepts — one per registered codec
-/// in `traces::CodecRegistry::standard()`.
-const TRACE_EXTENSIONS: &[&str] = &["ttr", "ttr3", "cbp", "csv"];
 
 /// Load-bench options, straight from the CLI.
 #[derive(Clone, Debug)]
@@ -55,25 +53,24 @@ impl SessionOutcome {
     }
 }
 
-/// Scan `dir` for trace files in any registered codec, sorted by name so
-/// the round-robin assignment is deterministic.
+/// Scan `dir` for files whose extension a registered codec claims,
+/// sorted by name so the round-robin assignment is deterministic.
 pub fn collect_trace_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let registry = CodecRegistry::standard();
     let mut files = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
-        if !path.is_file() {
-            continue;
-        }
-        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("").to_ascii_lowercase();
-        if TRACE_EXTENSIONS.contains(&ext.as_str()) {
+        if path.is_file() && registry.by_extension(&path).is_some() {
             files.push(path);
         }
     }
     files.sort();
     if files.is_empty() {
+        let extensions: Vec<&str> =
+            registry.codecs().flat_map(|c| c.extensions()).copied().collect();
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
-            format!("no trace files ({}) under {}", TRACE_EXTENSIONS.join("/"), dir.display()),
+            format!("no trace files ({}) under {}", extensions.join("/"), dir.display()),
         ));
     }
     Ok(files)

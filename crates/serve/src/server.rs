@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
+use harness::runner::default_threads;
 use harness::WorkerPool;
 
 use crate::client;
@@ -47,7 +48,7 @@ pub struct ServeOptions {
     /// Admission limit: concurrent sessions beyond this are refused with a
     /// typed `admission` error.
     pub max_sessions: usize,
-    /// Worker threads; `None` = available parallelism.
+    /// Worker threads; `None` = [`default_threads`] (CPUs, at most 16).
     pub threads: Option<usize>,
     /// Honor the handshake `fault` test hook (robustness suite only).
     pub allow_fault_injection: bool,
@@ -122,10 +123,7 @@ impl Drop for Slot {
 
 fn run_accept_loop(listener: TcpListener, opts: &ServeOptions) -> io::Result<()> {
     let addr = listener.local_addr()?;
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16));
-    let pool = WorkerPool::new(threads);
+    let pool = WorkerPool::new(opts.threads.unwrap_or_else(default_threads));
     println!(
         "# tage_serve: {} worker thread(s), max {} concurrent session(s){}",
         pool.threads(),

@@ -42,7 +42,7 @@ use crate::wire::{
 /// Server-side knobs a session needs; shared by all sessions of one server.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Directory spooling codecs (`.ttr3`, `.cbp`) buffer into; cleaned up
+    /// Directory the spooling codec (`.ttr3`) buffers into; cleaned up
     /// per-feed by the decoder's drop guard.
     pub spool_dir: PathBuf,
     /// Honor the handshake's `fault` test hook. Off by default: a release

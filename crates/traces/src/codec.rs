@@ -1,12 +1,12 @@
-//! The codec interface and the registry of the four built-in formats,
-//! which autodetects a file's format.
+//! The codec interface and the registry of the three built-in formats,
+//! whose one matcher detects the format of a file or a byte stream.
 
 use crate::decoder::TraceDecoder;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use workloads::event::Trace;
 
-/// How many leading bytes [`CodecRegistry::detect`] hands to
+/// How many leading bytes [`CodecRegistry::detect_prefix`] hands to
 /// [`TraceCodec::matches_magic`].
 pub const SNIFF_LEN: usize = 16;
 
@@ -28,24 +28,18 @@ pub trait TraceCodec: Send + Sync {
     fn extensions(&self) -> &'static [&'static str];
 
     /// Whether the first [`SNIFF_LEN`] bytes of a file identify this
-    /// format. Formats without leading magic (CBP's header is a trailing
-    /// footer) return `false` and are matched by extension instead.
+    /// format. A file that does not open with its format's magic (a
+    /// hand-authored CSV that starts with a `#` comment) is matched by
+    /// extension instead.
     fn matches_magic(&self, prefix: &[u8]) -> bool;
-
-    /// Whether decoding loses information ([`crate::CbpCodec`] carries
-    /// neither µop padding nor load dependences).
-    fn lossy(&self) -> bool {
-        false
-    }
 
     /// Serializes `trace` to `w`.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidInput` if the trace is not representable (e.g. more
-    /// static branches than CBP's 15-bit index can address), `Unsupported`
-    /// from a read-only format (`.ttr` v2), and any I/O error from the
-    /// writer.
+    /// Returns `InvalidInput` if the trace is not representable (e.g. a
+    /// CSV trace name with control characters), `Unsupported` from a
+    /// read-only format (`.ttr` v2), and any I/O error from the writer.
     fn encode(&self, w: &mut dyn Write, trace: &Trace) -> io::Result<()>;
 
     /// Opens `path` as a streaming event source. Codecs that do not embed
@@ -61,9 +55,9 @@ pub trait TraceCodec: Send + Sync {
     /// Opens a decoder over a *non-seekable* byte stream — the network
     /// ingestion entry point (see [`crate::feed`]). Codecs whose layout
     /// decodes front-to-back (`.ttr` v2, CSV) override this and return
-    /// [`FeedOpen::Streaming`]; formats that need random access (`.ttr`
-    /// v3's table-at-end trailer, CBP's trailing footer) keep the default,
-    /// which hands the reader back as [`FeedOpen::NeedsSpool`] so
+    /// [`FeedOpen::Streaming`]; a format that needs random access (`.ttr`
+    /// v3's table-at-end trailer) keeps the default, which hands the
+    /// reader back as [`FeedOpen::NeedsSpool`] so
     /// [`CodecRegistry::open_feed`] can spool it to disk first. The
     /// fallback name/category play the role [`file_meta`] plays in
     /// [`TraceCodec::open`] for codecs that do not embed metadata.
@@ -98,22 +92,20 @@ pub fn file_meta(path: &Path) -> (String, String) {
     (stem.to_string(), category)
 }
 
-/// The codec registry: autodetects a file's format by magic bytes first,
-/// extension second.
+/// The codec registry: detects a file's or a stream's format by magic
+/// bytes first, extension second.
 pub struct CodecRegistry {
     codecs: Vec<Box<dyn TraceCodec>>,
 }
 
 impl CodecRegistry {
     /// The built-in formats: `.ttr` v2 (read-only), `.ttr3`
-    /// block-compressed, CBP-style, CSV. Earlier entries win
-    /// magic/extension ties.
+    /// block-compressed, CSV. Earlier entries win magic/extension ties.
     pub fn standard() -> Self {
         Self {
             codecs: vec![
                 Box::new(crate::ttr::TtrCodec),
                 Box::new(crate::ttr3::Ttr3Codec),
-                Box::new(crate::cbp::CbpCodec),
                 Box::new(crate::csv::CsvCodec),
             ],
         }
@@ -135,35 +127,45 @@ impl CodecRegistry {
         self.codecs().find(|c| c.extensions().contains(&ext.as_str()))
     }
 
-    /// Detects the format of an existing file: reads the first
-    /// [`SNIFF_LEN`] bytes and asks each codec's magic matcher, falling
-    /// back to the extension.
+    /// The format matcher behind every detection: the first codec whose
+    /// magic matches `prefix` (up to [`SNIFF_LEN`] bytes), else the codec
+    /// claiming `name_hint`'s extension.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` when no codec claims the prefix or the
+    /// hinted extension.
+    pub fn detect_prefix(
+        &self,
+        prefix: &[u8],
+        name_hint: Option<&Path>,
+    ) -> io::Result<&dyn TraceCodec> {
+        let sniff = &prefix[..prefix.len().min(SNIFF_LEN)];
+        if let Some(c) = self.codecs().find(|c| c.matches_magic(sniff)) {
+            return Ok(c);
+        }
+        if let Some(c) = name_hint.and_then(|hint| self.by_extension(hint)) {
+            return Ok(c);
+        }
+        let source =
+            name_hint.map_or_else(|| "trace stream".to_string(), |h| h.display().to_string());
+        let known: Vec<&str> = self.codecs().map(|c| c.name()).collect();
+        Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{source}: unrecognized trace format (known: {})", known.join(", ")),
+        ))
+    }
+
+    /// Detects the format of an existing file: [`CodecRegistry::detect_prefix`]
+    /// over its first [`SNIFF_LEN`] bytes, with its path as the name hint.
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` when no codec claims the file, plus any I/O
     /// error from reading the prefix.
     pub fn detect(&self, path: &Path) -> io::Result<&dyn TraceCodec> {
-        let mut prefix = [0u8; SNIFF_LEN];
-        let mut f = std::fs::File::open(path)?;
-        let mut filled = 0;
-        while filled < SNIFF_LEN {
-            let n = f.read(&mut prefix[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        if let Some(c) = self.codecs().find(|c| c.matches_magic(&prefix[..filled])) {
-            return Ok(c);
-        }
-        self.by_extension(path).ok_or_else(|| {
-            let known: Vec<&str> = self.codecs().map(|c| c.name()).collect();
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: unrecognized trace format (known: {})", path.display(), known.join(", ")),
-            )
-        })
+        let prefix = read_prefix(&mut std::fs::File::open(path)?)?;
+        self.detect_prefix(&prefix, Some(path))
     }
 
     /// Detects the format of `path` and opens it as a streaming source.
@@ -175,6 +177,14 @@ impl CodecRegistry {
     pub fn open(&self, path: &Path) -> io::Result<Box<dyn TraceDecoder + Send>> {
         self.detect(path)?.open(path)
     }
+}
+
+/// Reads up to [`SNIFF_LEN`] leading bytes, fewer only at end of input:
+/// the prefix every detection sniffs, from a file or a live stream.
+pub(crate) fn read_prefix(reader: &mut dyn Read) -> io::Result<Vec<u8>> {
+    let mut prefix = Vec::with_capacity(SNIFF_LEN);
+    reader.take(SNIFF_LEN as u64).read_to_end(&mut prefix)?;
+    Ok(prefix)
 }
 
 impl Default for CodecRegistry {
@@ -198,15 +208,15 @@ mod tests {
             file_meta(Path::new("ws7-recorded.csv")),
             ("ws7-recorded".to_string(), "WS".to_string())
         );
-        assert_eq!(file_meta(Path::new("1234.cbp")), ("1234".to_string(), "TRACE".to_string()));
+        assert_eq!(file_meta(Path::new("1234.ttr3")), ("1234".to_string(), "TRACE".to_string()));
         assert_eq!(file_meta(Path::new("")), ("trace".to_string(), "TRACE".to_string()));
     }
 
     #[test]
-    fn standard_registry_has_four_codecs() {
+    fn standard_registry_has_three_codecs() {
         let r = CodecRegistry::standard();
         let names: Vec<&str> = r.codecs().map(|c| c.name()).collect();
-        assert_eq!(names, ["ttr", "ttr3", "cbp", "csv"]);
+        assert_eq!(names, ["ttr", "ttr3", "csv"]);
         assert!(r.by_name("ttr").is_some());
         assert!(r.by_name("ttr3").is_some());
         assert!(r.by_name("nope").is_none());

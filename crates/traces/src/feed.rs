@@ -3,11 +3,12 @@
 //!
 //! [`CodecRegistry::open`] assumes a path on disk; the prediction
 //! server receives trace bytes over a socket. [`CodecRegistry::open_feed`]
-//! closes that gap: it sniffs the first [`SNIFF_LEN`] bytes off the
-//! stream, autodetects the codec (magic first, name-hint extension
-//! second — the same precedence as file detection), splices the sniffed
-//! prefix back in front of the reader, and asks the codec for a
-//! streaming decoder via [`TraceCodec::open_stream`].
+//! closes that gap: it sniffs the first [`SNIFF_LEN`](crate::SNIFF_LEN)
+//! bytes off the stream, detects the codec with
+//! [`CodecRegistry::detect_prefix`] (magic first, name-hint extension
+//! second — the matcher file detection uses), splices the sniffed prefix
+//! back in front of the reader, and asks the codec for a streaming
+//! decoder via [`TraceCodec::open_stream`].
 //!
 //! Two codec families fall out:
 //!
@@ -17,16 +18,16 @@
 //!   pulled one block at a time — which is exactly how the server
 //!   exerts backpressure (it simply does not read the socket while the
 //!   simulation is busy).
-//! * **Spooled** (`.ttr` v3, CBP): the container's table/footer lives
-//!   at the end, so the stream is copied to a temporary file under the
-//!   caller's spool directory first, then opened through the ordinary
-//!   path route. The spool file keeps the hinted file *name* (so
+//! * **Spooled** (`.ttr` v3): the container's static-branch table lives
+//!   in a footer at the end, so the stream is copied to a temporary file
+//!   under the caller's spool directory first, then opened through the
+//!   ordinary path route. The spool file keeps the hinted file *name* (so
 //!   [`file_meta`]-derived trace names match a direct [`CodecRegistry::open`]
 //!   of the original file bit for bit) inside a process-unique
 //!   directory, and is deleted when the decoder drops. Memory stays
 //!   bounded; disk holds the trace once.
 
-use crate::codec::{file_meta, CodecRegistry, TraceCodec, SNIFF_LEN};
+use crate::codec::{file_meta, read_prefix, CodecRegistry, TraceCodec};
 use crate::decoder::{ContainerInfo, TraceDecoder};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -47,47 +48,13 @@ pub enum FeedOpen {
 static SPOOL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl CodecRegistry {
-    /// Detects a format from a byte prefix (up to [`SNIFF_LEN`] bytes)
-    /// plus an optional file-name hint for magic-less formats — the
-    /// stream-side twin of [`CodecRegistry::detect`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` when no codec claims the prefix or the
-    /// hinted extension.
-    pub fn detect_prefix(
-        &self,
-        prefix: &[u8],
-        name_hint: Option<&Path>,
-    ) -> io::Result<&dyn TraceCodec> {
-        let sniff = &prefix[..prefix.len().min(SNIFF_LEN)];
-        if let Some(c) = self.codecs().find(|c| c.matches_magic(sniff)) {
-            return Ok(c);
-        }
-        if let Some(c) = name_hint.and_then(|hint| self.by_extension(hint)) {
-            return Ok(c);
-        }
-        let known: Vec<&str> = self.codecs().map(|c| c.name()).collect();
-        Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "unrecognized trace stream ({} prefix bytes{}; known: {})",
-                sniff.len(),
-                name_hint
-                    .map(|h| format!(", hint {}", h.display()))
-                    .unwrap_or_default(),
-                known.join(", ")
-            ),
-        ))
-    }
-
     /// Opens a streaming decoder over a non-seekable byte stream:
     /// detect via [`CodecRegistry::detect_prefix`], then either wrap
     /// the live stream (streaming codecs) or spool it to a temporary
     /// file under `spool_dir` first (seek-requiring codecs). The
-    /// `name_hint` doubles as the extension fallback for magic-less
-    /// formats and the [`file_meta`] source for codecs that derive
-    /// trace metadata from file names.
+    /// `name_hint` doubles as the extension fallback for a stream that
+    /// does not open with its format's magic, and as the [`file_meta`]
+    /// source for codecs that derive trace metadata from file names.
     ///
     /// # Errors
     ///
@@ -98,22 +65,13 @@ impl CodecRegistry {
         name_hint: Option<&Path>,
         spool_dir: &Path,
     ) -> io::Result<Box<dyn TraceDecoder + Send>> {
-        let mut prefix = [0u8; SNIFF_LEN];
-        let mut filled = 0;
-        while filled < SNIFF_LEN {
-            let n = reader.read(&mut prefix[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        let codec = self.detect_prefix(&prefix[..filled], name_hint)?;
+        let prefix = read_prefix(&mut reader)?;
+        let codec = self.detect_prefix(&prefix, name_hint)?;
         let (name, category) = match name_hint {
             Some(p) => file_meta(p),
             None => ("trace".to_string(), "TRACE".to_string()),
         };
-        let sniffed: Vec<u8> = prefix[..filled].to_vec();
-        let chained: Box<dyn Read + Send> = Box::new(io::Cursor::new(sniffed).chain(reader));
+        let chained: Box<dyn Read + Send> = Box::new(io::Cursor::new(prefix).chain(reader));
         match codec.open_stream(chained, name, category)? {
             FeedOpen::Streaming(d) => Ok(d),
             FeedOpen::NeedsSpool(rest) => spool_and_open(codec, rest, name_hint, spool_dir),
@@ -289,7 +247,7 @@ mod tests {
         let spool = tmp("match");
         let r = CodecRegistry::standard();
         let direct = sample_trace();
-        for codec_name in ["ttr3", "csv", "cbp"] {
+        for codec_name in ["ttr3", "csv"] {
             let bytes = encode(codec_name);
             let hint = format!("INT01.{codec_name}");
             let mut d = r
@@ -320,20 +278,32 @@ mod tests {
     }
 
     #[test]
-    fn cbp_feed_needs_the_name_hint() {
-        // CBP has no leading magic: without an extension hint the
-        // stream is undetectable, with one it spools and decodes.
-        let spool = tmp("cbp");
+    fn csv_without_magic_is_found_by_its_extension() {
+        // A hand-authored CSV that opens with a `# name=` comment has
+        // neither the magic line nor the column header at byte 0: the
+        // `.csv` extension places it, from a file and from a feed's name
+        // hint, and a feed without a hint cannot.
+        let text = "# name=HAND01\n# category=HAND\n\
+                    pc,kind,taken,target,uops_before,load_addr\n\
+                    0x100,cond,1,0x140,5,\n0x104,ret,1,0x108,2,\n";
         let r = CodecRegistry::standard();
-        let bytes = encode("cbp");
-        assert!(r.open_feed(Box::new(io::Cursor::new(bytes.clone())), None, &spool).is_err());
-        let mut d = r
-            .open_feed(Box::new(io::Cursor::new(bytes)), Some(Path::new("INT01.cbp")), &spool)
-            .unwrap();
-        assert_eq!(d.format(), "cbp");
-        assert_eq!(d.name(), "INT01");
-        assert!(drain_checked(d.as_mut()).unwrap() > 0);
-        let _ = std::fs::remove_dir_all(&spool);
+        assert!(r.detect_prefix(text.as_bytes(), None).is_err());
+        let dir = tmp("csv-ext");
+        let path = dir.join("hand.csv");
+        std::fs::write(&path, text).unwrap();
+        let mut opened = r.open(&path).unwrap();
+        assert_eq!((opened.format(), opened.name()), ("csv", "HAND01"));
+        assert_eq!(drain_checked(opened.as_mut()).unwrap(), 2);
+        let spool = dir.join("spool");
+        let feed = |hint: Option<&Path>| {
+            r.open_feed(Box::new(io::Cursor::new(text.as_bytes().to_vec())), hint, &spool)
+        };
+        let mut fed = feed(Some(Path::new("hand.csv"))).unwrap();
+        assert_eq!((fed.format(), fed.name()), ("csv", "HAND01"));
+        assert_eq!(drain_checked(fed.as_mut()).unwrap(), 2);
+        let err = feed(None).err().expect("no magic and no hint");
+        assert!(err.to_string().contains("unrecognized trace format"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! External-trace ingestion: four codecs behind format autodetection.
+//! External-trace ingestion: three codecs behind format autodetection.
 //!
 //! Every number the repro produces comes from the synthetic 40-trace
 //! suite; this crate is the gateway for *recorded* branch streams. It
 //! layers strictly above `workloads` and below the harness:
 //!
 //! * [`codec`] — the [`TraceCodec`] trait (encode a [`Trace`], open a
-//!   streaming decoder) and the [`CodecRegistry`] that autodetects a
-//!   file's format by magic bytes first, extension second;
+//!   streaming decoder) and the [`CodecRegistry`] whose one matcher
+//!   detects a file's or a stream's format by magic bytes first,
+//!   extension second;
 //! * [`decoder`] — [`TraceDecoder`], the streaming-decoder contract:
 //!   an [`EventSource`](workloads::EventSource) plus error reporting, so
 //!   corrupt input ends a simulation detectably instead of silently;
@@ -19,8 +20,6 @@
 //!   codec v3 blocks reuse;
 //! * [`scheme`] — the [`BlockScheme`] registry behind the v3 scheme byte:
 //!   stored blocks plus a dependency-free LZ77, open for a real zstd;
-//! * [`cbp`] — the `cbp-experiments` branch-table + 16-bit entry layout
-//!   (sans zstd), for interop with externally recorded traces;
 //! * [`csv`] — plain text for hand-authored regression traces.
 //!
 //! Decoders hold the static-branch table in memory and nothing else, so
@@ -54,7 +53,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cbp;
 pub mod codec;
 pub mod csv;
 pub mod decoder;
@@ -64,7 +62,6 @@ pub mod ttr;
 pub mod ttr3;
 pub mod varint;
 
-pub use cbp::{CbpCodec, CbpReader};
 pub use codec::{file_meta, CodecRegistry, TraceCodec, SNIFF_LEN};
 pub use csv::{CsvCodec, CsvReader};
 pub use decoder::{check_decode, drain_checked, finish, ContainerInfo, TraceDecoder};

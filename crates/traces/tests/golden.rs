@@ -1,9 +1,9 @@
 //! Golden-fixture tests: checked-in files in each format must decode to
 //! the known trace, and re-encoding the known trace must reproduce the
 //! writable formats' files byte for byte (pinning the on-disk layouts —
-//! an intentional format change regenerates the `.ttr3`, `.cbp` and
-//! `.csv` fixtures with `TAGE_WRITE_FIXTURES=1 cargo test -p tage-traces
-//! --test golden` and shows up as a fixture diff in review). `GOLD01.ttr`
+//! an intentional format change regenerates the `.ttr3` and `.csv`
+//! fixtures with `TAGE_WRITE_FIXTURES=1 cargo test -p tage-traces --test
+//! golden` and shows up as a fixture diff in review). `GOLD01.ttr`
 //! is frozen: `.ttr` v2 is read-only, and the file pins its decoder.
 
 use simkit::predictor::BranchKind;
@@ -65,7 +65,7 @@ fn maybe_write_fixtures() -> bool {
     }
     std::fs::create_dir_all(data_dir()).unwrap();
     let t = fixture_trace();
-    for name in ["ttr3", "cbp", "csv"] {
+    for name in ["ttr3", "csv"] {
         std::fs::write(fixture_path(name), encode_with(name, &t)).unwrap();
     }
     true
@@ -114,35 +114,11 @@ fn csv_fixture_decodes_and_reencodes_byte_identically() {
 }
 
 #[test]
-fn cbp_fixture_decodes_representable_fields_and_reencodes_byte_identically() {
-    if maybe_write_fixtures() {
-        return;
-    }
-    let expected = fixture_trace();
-    let decoded = decode_fixture("cbp");
-    // Name/category come from the file name; uops/loads are synthesized
-    // (lossy format) — compare the representable per-event fields.
-    assert_eq!(decoded.name, "GOLD01");
-    assert_eq!(decoded.category, "GOLD");
-    assert_eq!(decoded.events.len(), expected.events.len());
-    for (i, (a, b)) in decoded.events.iter().zip(&expected.events).enumerate() {
-        assert_eq!((a.pc, a.kind, a.taken), (b.pc, b.kind, b.taken), "event {i}");
-        if i != 7 {
-            // Event 7's divergent indirect target is the one field the
-            // single-target-per-site layout cannot carry.
-            assert_eq!(a.target, b.target, "event {i}");
-        }
-    }
-    let on_disk = std::fs::read(fixture_path("cbp")).unwrap();
-    assert_eq!(encode_with("cbp", &expected), on_disk, "the cbp byte layout changed");
-}
-
-#[test]
 fn fixtures_are_present_in_the_repo() {
     if maybe_write_fixtures() {
         return;
     }
-    for name in ["ttr", "ttr3", "cbp", "csv"] {
+    for name in ["ttr", "ttr3", "csv"] {
         let p = fixture_path(name);
         assert!(p.exists(), "missing checked-in fixture {}", p.display());
     }

@@ -5,7 +5,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use simkit::predictor::BranchKind;
 use std::io::{self, Cursor};
-use traces::{CbpReader, CsvReader, TraceDecoder, Ttr3Reader, Ttr3Writer, TtrReader, RECORD_SCHEME};
+use traces::{CsvReader, TraceDecoder, Ttr3Reader, Ttr3Writer, TtrReader, RECORD_SCHEME};
 use workloads::event::{EventBlock, EventSource, Trace, TraceEvent};
 
 fn kind_of(code: u8) -> BranchKind {
@@ -19,21 +19,18 @@ fn kind_of(code: u8) -> BranchKind {
 }
 
 /// Builds an event from one strategy sample. Targets derive from
-/// `(pc, taken)` the way the synthetic generator's do, which keeps the
-/// stream inside what the (lossy) CBP layout can represent; the TTR/CSV
-/// properties additionally perturb targets via `toff` to exercise the
-/// override path.
+/// `(pc, taken)` the way the synthetic generator's do, perturbed by
+/// `toff` to exercise the target-override path.
 fn event(
     (pc, kind, taken): (u64, u8, bool),
     (toff, uops, load_code): (u64, u16, u64),
-    divergent_targets: bool,
 ) -> TraceEvent {
     let base = pc.wrapping_add(if taken { 0x40 } else { 8 });
     TraceEvent {
         pc,
         kind: kind_of(kind),
         taken,
-        target: if divergent_targets { base.wrapping_add(toff) } else { base },
+        target: base.wrapping_add(toff),
         uops_before: uops,
         load_addr: (load_code != 0).then(|| 0x10_0000_0000 + load_code),
     }
@@ -152,32 +149,12 @@ fn gold_v2() -> Vec<u8> {
 proptest! {
     #[test]
     fn csv_round_trips_losslessly(raw in event_strategy()) {
-        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
+        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b)).collect());
         let mut buf = Vec::new();
         traces::csv::encode(&mut buf, &t).unwrap();
         let back =
             drain(CsvReader::new(buf.as_slice(), "fb".into(), "FB".into()).unwrap()).unwrap();
         prop_assert_eq!(back, t);
-    }
-
-    #[test]
-    fn cbp_preserves_the_representable_fields(raw in event_strategy()) {
-        // CBP carries no uops/loads and one target per (site, direction):
-        // generate generator-shaped targets and assert the representable
-        // fields round-trip exactly.
-        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, false)).collect());
-        let mut buf = Vec::new();
-        traces::cbp::encode(&mut buf, &t).unwrap();
-        let back =
-            drain(CbpReader::new(Cursor::new(buf), "t".into(), "T".into()).unwrap()).unwrap();
-        prop_assert_eq!(back.events.len(), t.events.len());
-        for (a, b) in back.events.iter().zip(&t.events) {
-            prop_assert_eq!(a.pc, b.pc);
-            prop_assert_eq!(a.kind, b.kind);
-            prop_assert_eq!(a.taken, b.taken);
-            prop_assert_eq!(a.target, b.target);
-            prop_assert!(a.load_addr.is_none());
-        }
     }
 
     #[test]
@@ -196,13 +173,6 @@ proptest! {
         let mut buf = b"TAGETTR2\0".to_vec();
         buf.extend(&bytes);
         if let Ok(r) = TtrReader::new(buf.as_slice()) {
-            let _ = drain(r);
-        }
-    }
-
-    #[test]
-    fn cbp_fuzz_never_panics(bytes in vec(any::<u8>(), 0usize..256)) {
-        if let Ok(r) = CbpReader::new(Cursor::new(bytes), "t".into(), "T".into()) {
             let _ = drain(r);
         }
     }
@@ -228,7 +198,7 @@ proptest! {
 
     #[test]
     fn ttr3_round_trips_losslessly_under_both_schemes(raw in event_strategy(), scheme in 0u8..2) {
-        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
+        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b)).collect());
         let mut buf = Vec::new();
         traces::ttr3::encode(&mut buf, &t, scheme).unwrap();
         let seen = drain_every_way(&buf, 0).unwrap();
@@ -244,7 +214,7 @@ proptest! {
     ) {
         // Blocks of one to a few events: every next_block run crosses
         // frames, and with the index a skip lands mid-run.
-        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
+        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b)).collect());
         for scheme_id in [scheme, scheme | traces::TTR3_INDEX_FLAG] {
             let buf = encode_blocks(&t, scheme_id, block_target);
             let seen = drain_every_way(&buf, 0).unwrap();
@@ -265,7 +235,7 @@ proptest! {
         // silently short stream.
         let t = trace_of(
             (0..60)
-                .map(|i| event((0x3000 + i * 16, (i % 5) as u8, i % 3 == 0), (0, 5, i % 2), true))
+                .map(|i| event((0x3000 + i * 16, (i % 5) as u8, i % 3 == 0), (0, 5, i % 2)))
                 .collect(),
         );
         let mut buf = Vec::new();
@@ -288,7 +258,7 @@ proptest! {
         // compressed payload (corrupt LZ stream).
         let t = trace_of(
             (0..60)
-                .map(|i| event((0x4000 + i * 12, (i % 5) as u8, i % 2 == 0), (i, 7, 1), true))
+                .map(|i| event((0x4000 + i * 12, (i % 5) as u8, i % 2 == 0), (i, 7, 1)))
                 .collect(),
         );
         let mut buf = Vec::new();
@@ -309,7 +279,7 @@ proptest! {
         // or over-allocating.
         let t = trace_of(
             (0..60)
-                .map(|i| event((0x5000 + i * 8, 0, i % 2 == 0), (i, 3, 0), true))
+                .map(|i| event((0x5000 + i * 8, 0, i % 2 == 0), (i, 3, 0)))
                 .collect(),
         );
         let mut buf = Vec::new();
@@ -346,7 +316,7 @@ proptest! {
         // The O(1) index seek and the default decode-discard must land on
         // the same position: after skipping `s`, both readers produce the
         // same suffix (ground truth: the encoded trace itself).
-        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b, true)).collect());
+        let t = trace_of(raw.into_iter().map(|(a, b)| event(a, b)).collect());
         let mut buf = Vec::new();
         traces::ttr3::encode(&mut buf, &t, RECORD_SCHEME).unwrap();
         let mut r = Ttr3Reader::new(Cursor::new(buf.clone())).unwrap();
@@ -374,7 +344,7 @@ proptest! {
         // forbidden outcome.
         let t = trace_of(
             (0..80)
-                .map(|i| event((0x6000 + i * 16, (i % 5) as u8, i % 3 == 0), (i, 5, i % 2), true))
+                .map(|i| event((0x6000 + i * 16, (i % 5) as u8, i % 3 == 0), (i, 5, i % 2)))
                 .collect(),
         );
         let mut buf = Vec::new();
@@ -425,7 +395,7 @@ proptest! {
         // report progress it did not make.
         let t = trace_of(
             (0..80)
-                .map(|i| event((0x7000 + i * 12, (i % 5) as u8, i % 2 == 0), (i, 3, 1), true))
+                .map(|i| event((0x7000 + i * 12, (i % 5) as u8, i % 2 == 0), (i, 3, 1)))
                 .collect(),
         );
         let mut buf = Vec::new();
