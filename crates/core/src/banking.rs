@@ -1,4 +1,11 @@
 //! 4-way bank interleaving with the §4.3 bank-selection algorithm.
+//!
+//! §4.3 splits every table into four single-ported banks and picks, per
+//! prediction, a bank neither of the two previous predictions used, so
+//! every bank is free for updates at least two cycles out of three; §7.1
+//! applies the choice to every TAGE-LSC table. An interleaved (`ilv`)
+//! [`PredictorStack`](crate::PredictorStack) owns the one
+//! [`BankSelector`] and indexes every table through [`interleaved_index`].
 
 /// Number of banks per table (the paper evaluates 4-way interleaving).
 pub const BANKS: u8 = 4;
@@ -15,7 +22,7 @@ pub const BANKS: u8 = 4;
 /// # Example
 ///
 /// ```
-/// use memarray::BankSelector;
+/// use tage::banking::BankSelector;
 ///
 /// let mut sel = BankSelector::new();
 /// let b1 = sel.bank(0x1000);
@@ -27,13 +34,17 @@ pub const BANKS: u8 = 4;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct BankSelector {
+    /// Banks of the two previous predictions, newest first; `-1` marks an
+    /// unconditional branch.
     last: [i8; 2],
 }
 
 impl BankSelector {
-    /// A fresh selector (no previous predictions).
+    /// A fresh selector. It starts as if the two previous predictions
+    /// both read bank 0, the start state every interleaved golden table
+    /// was produced with.
     pub fn new() -> Self {
-        Self { last: [-1, -1] }
+        Self::default()
     }
 
     /// Selects the bank for the next predicted branch.
@@ -67,7 +78,7 @@ impl BankSelector {
 /// # Example
 ///
 /// ```
-/// let i = memarray::interleaved_index(0x3FF, 2, 10);
+/// let i = tage::banking::interleaved_index(0x3FF, 2, 10);
 /// assert_eq!(i >> 8, 2); // bank in the top two bits
 /// ```
 #[inline]
@@ -76,72 +87,6 @@ pub fn interleaved_index(index: usize, bank: u8, size_bits: u32) -> usize {
     assert!(bank < BANKS, "bank out of range");
     let inner = index & ((1usize << (size_bits - 2)) - 1);
     ((bank as usize) << (size_bits - 2)) | inner
-}
-
-/// Per-bank single-port conflict model.
-///
-/// Prediction has absolute priority; updates (writes, then retire-reads)
-/// queue per bank and drain on cycles when their bank is not being read
-/// for a prediction. The §4.3 selection rule guarantees each bank at
-/// least two free cycles in any three, so a 4-deep queue essentially
-/// never overflows; overflowing updates are dropped and counted.
-#[derive(Clone, Debug)]
-pub struct ConflictModel {
-    queues: [u32; BANKS as usize],
-    depth: u32,
-    /// Updates delayed at least one cycle.
-    pub delayed: u64,
-    /// Updates dropped on queue overflow.
-    pub dropped: u64,
-    /// Total updates offered.
-    pub offered: u64,
-}
-
-impl Default for ConflictModel {
-    fn default() -> Self {
-        Self::new(4)
-    }
-}
-
-impl ConflictModel {
-    /// A conflict model with per-bank queues of `depth` entries.
-    pub fn new(depth: u32) -> Self {
-        Self { queues: [0; BANKS as usize], depth, delayed: 0, dropped: 0, offered: 0 }
-    }
-
-    /// Advances one prediction cycle: the predicted bank is busy, all
-    /// other banks drain one queued update.
-    pub fn tick(&mut self, predicted_bank: u8) {
-        for (b, q) in self.queues.iter_mut().enumerate() {
-            if b != predicted_bank as usize && *q > 0 {
-                *q -= 1;
-            }
-        }
-    }
-
-    /// Offers an update to `bank`. Returns false when dropped.
-    pub fn offer_update(&mut self, bank: u8) -> bool {
-        self.offered += 1;
-        let q = &mut self.queues[bank as usize];
-        if *q >= self.depth {
-            self.dropped += 1;
-            return false;
-        }
-        if *q > 0 {
-            self.delayed += 1;
-        }
-        *q += 1;
-        true
-    }
-
-    /// Fraction of updates that waited at least a cycle.
-    pub fn delay_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.delayed as f64 / self.offered as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +112,7 @@ mod tests {
     #[test]
     fn unconditional_frees_a_slot() {
         let mut sel = BankSelector::new();
-        let b1 = sel.bank(0x0); // bank 0
+        let b1 = sel.bank(0x0);
         sel.note_uncond();
         // Only b1 is excluded now.
         let b2 = sel.bank(0x0);
@@ -202,34 +147,5 @@ mod tests {
     #[should_panic]
     fn interleaving_rejects_tiny_tables() {
         let _ = interleaved_index(0, 0, 1);
-    }
-
-    #[test]
-    fn conflict_queues_rarely_overflow_at_predictor_rates() {
-        // 0.09 effective writes + 0.04 retire reads per prediction (§4.2):
-        // the queues must essentially never drop.
-        let mut sel = BankSelector::new();
-        let mut cm = ConflictModel::default();
-        let mut rng = simkit::rng::Xoshiro256::seed_from(3);
-        for _ in 0..100_000 {
-            let b = sel.bank(rng.next_u64());
-            cm.tick(b);
-            if rng.gen_bool(0.13) {
-                cm.offer_update(rng.gen_range(4) as u8);
-            }
-        }
-        assert_eq!(cm.dropped, 0, "updates dropped at realistic rates");
-        assert!(cm.delay_fraction() < 0.2);
-    }
-
-    #[test]
-    fn conflict_queue_drops_when_saturated() {
-        let mut cm = ConflictModel::new(2);
-        assert!(cm.offer_update(0));
-        assert!(cm.offer_update(0));
-        assert!(!cm.offer_update(0));
-        assert_eq!(cm.dropped, 1);
-        cm.tick(1); // bank 0 drains
-        assert!(cm.offer_update(0));
     }
 }

@@ -15,6 +15,7 @@
 //! TAGE-LSC corrector: 5 tables × 1K × 6-bit, local lengths 0/4/10/17/31,
 //! plus a 32-entry local history table, §6.1).
 
+use crate::banking::{interleaved_index, BankSelector};
 use simkit::bits::mask;
 use simkit::counter::SignedCounter;
 use simkit::history::{FoldedHistory, GlobalHistory, LocalHistories};
@@ -158,11 +159,6 @@ impl CorrectorTables {
         self.reverts
     }
 
-    /// Current revert threshold (diagnostics).
-    pub fn revert_threshold(&self) -> i32 {
-        self.revert_th.value()
-    }
-
     /// Storage in bits.
     pub fn storage_bits(&self) -> u64 {
         self.tables.len() as u64 * (1u64 << self.index_bits) * u64::from(self.ctr_bits)
@@ -255,7 +251,7 @@ pub struct Lsc {
     /// `mask(length)` per table (0 for the history-free table).
     length_masks: Vec<u64>,
     lhist: LocalHistories,
-    interleave: Option<memarray::BankSelector>,
+    interleave: Option<BankSelector>,
     index_bits: u32,
 }
 
@@ -286,7 +282,11 @@ impl Lsc {
 
     /// In-place variant of [`Lsc::with_interleaving`].
     pub fn enable_interleaving(&mut self) {
-        self.interleave = Some(memarray::BankSelector::new());
+        // The LSC's own selector starts with no previous predictions.
+        let mut sel = BankSelector::new();
+        sel.note_uncond();
+        sel.note_uncond();
+        self.interleave = Some(sel);
     }
 
     /// The §7.1 cost-effective configuration: interleaved tables with a
@@ -328,7 +328,7 @@ impl Lsc {
             let base = (pc >> 2) ^ (pc >> 8) ^ mixed;
             let mut idx = (((base << 1) | tage_pred as u64) & m) as usize;
             if let Some(bk) = bank {
-                idx = memarray::interleaved_index(idx, bk, self.index_bits);
+                idx = interleaved_index(idx, bk, self.index_bits);
             }
             indices[t] = idx as u16;
         }

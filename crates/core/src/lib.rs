@@ -15,6 +15,8 @@
 //!   Statistical Correctors (§5.3, §6);
 //! * [`stack::PredictorStack`] — one TAGE provider plus an *ordered
 //!   chain* of side stages, evaluated in declaration order;
+//! * [`banking`] — the §4.3 bank selector and index remapping that every
+//!   table of a 4-way bank-interleaved stack shares;
 //! * [`spec::SystemSpec`] — the declarative, serializable form of a
 //!   stack and the one way to build it (one-line spec strings with a
 //!   canonical grammar, typed [`spec::SpecError`] validation, and the
@@ -48,6 +50,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod banking;
 pub mod base;
 pub mod chooser;
 pub mod confidence;

@@ -222,15 +222,6 @@ impl LoopPredictor {
         self.entries.len() as u64 * 47
     }
 
-    /// Debug view of the entry for `pc`:
-    /// (past_iter, retire_iter, spec_iter, conf, age). Diagnostics only.
-    pub fn debug_entry(&self, pc: u64) -> Option<(u16, u16, u16, u8, u8)> {
-        self.find(pc).map(|s| {
-            let e = &self.entries[s];
-            (e.past_iter, e.retire_iter, e.spec_iter, e.conf, e.age)
-        })
-    }
-
     /// Number of valid, confident entries (diagnostics).
     pub fn confident_count(&self) -> usize {
         self.entries.iter().filter(|e| e.valid && e.conf >= CONF_MAX).count()

@@ -38,6 +38,7 @@
 //! `TageSystem` bit for bit (pinned by the golden-table tests in the
 //! harness crate).
 
+use crate::banking::BankSelector;
 use crate::corrector::{CorrectorFlight, Gsc, Lsc};
 use crate::ium::Ium;
 use crate::loop_pred::LoopPredictor;
@@ -162,6 +163,8 @@ impl StackFlight {
 pub struct PredictorStack {
     tage: Tage,
     stages: Vec<SideStage>,
+    /// The §4.3 bank selector of a 4-way bank-interleaved stack (`ilv`).
+    banks: Option<BankSelector>,
     /// §7.2 knob: when set, the LSC tables are always updated from a
     /// retire-time re-read even if the TAGE components run scenario
     /// \[B\]/\[C\] ("optimization applied only to the TAGE components").
@@ -194,13 +197,20 @@ impl PredictorStack {
                 label.push_str(suffix);
             }
         }
-        Self { tage, stages, lsc_always_reread: false, side_stats: AccessStats::default(), label }
+        Self {
+            tage,
+            stages,
+            banks: None,
+            lsc_always_reread: false,
+            side_stats: AccessStats::default(),
+            label,
+        }
     }
 
     /// Switches every component (TAGE tables and any LSC tables) to
     /// 4-way bank-interleaved single-ported arrays (§4.3, §7.1).
     pub(crate) fn interleaved(mut self) -> Self {
-        self.tage.enable_interleaving();
+        self.banks = Some(BankSelector::new());
         for stage in &mut self.stages {
             if let SideStage::Lsc(lsc) = stage {
                 lsc.enable_interleaving();
@@ -246,14 +256,6 @@ impl PredictorStack {
         rows
     }
 
-    /// Debug view of the loop predictor entry for `pc` (diagnostics).
-    pub fn loop_debug(&self, pc: u64) -> Option<(u16, u16, u16, u8, u8)> {
-        self.stages.iter().find_map(|s| match s {
-            SideStage::Loop(lp) => lp.debug_entry(pc),
-            _ => None,
-        })
-    }
-
     /// IUM override count so far, if an IUM is attached.
     pub fn ium_overrides(&self) -> Option<u64> {
         self.stage(StageKind::Ium).map(|s| match s {
@@ -289,7 +291,8 @@ impl Predictor for PredictorStack {
     }
 
     fn predict(&mut self, b: &BranchInfo) -> (bool, StackFlight) {
-        let (tage_pred, tf) = self.tage.predict(b);
+        let bank = self.banks.as_mut().map(|sel| sel.bank(b.pc));
+        let (tage_pred, tf) = self.tage.predict_in_bank(b, bank);
         let ctr_bits = self.tage.config().ctr_bits;
         let centered = tf.provider_centered();
         let mut f = StackFlight {
@@ -432,6 +435,9 @@ impl Predictor for PredictorStack {
     }
 
     fn note_uncond(&mut self, b: &BranchInfo) {
+        if let Some(sel) = &mut self.banks {
+            sel.note_uncond();
+        }
         self.tage.note_uncond(b);
     }
 

@@ -63,12 +63,6 @@ impl PredictorStack {
         preset("full-stack")
     }
 
-    /// The §7 cost-effective 512 Kbit TAGE-LSC: 4-way interleaved
-    /// single-ported tables with the local components doubled (§7.1).
-    pub fn tage_lsc_cost_effective() -> Self {
-        preset("tage-lsc-ce")
-    }
-
     /// A scaled plain TAGE for the Figure 9 sweep (`delta` in powers of
     /// two relative to the 512 Kbit reference).
     pub fn scaled_tage(delta: i32) -> Self {

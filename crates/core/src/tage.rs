@@ -11,27 +11,23 @@
 //! [`Tage`] owns its three parts directly — the [`Base`] table, the
 //! [`TaggedBank`] and the [`Chooser`] that arbitrates between provider
 //! and alternate — plus the shared speculative state (global and path
-//! history, the bank-interleaving selector, access stats). The spec
-//! grammar picks the base and chooser policies (`tage(base=...)`,
-//! `tage(chooser=...)`); the paper's choices (bimodal base,
-//! `USE_ALT_ON_NA`) are the defaults.
+//! history, access stats). The spec grammar picks the base and chooser
+//! policies (`tage(base=...)`, `tage(chooser=...)`); the paper's choices
+//! (bimodal base, `USE_ALT_ON_NA`) are the defaults.
+//!
+//! Bank interleaving (§4.3) is not TAGE state: the stack's one
+//! [`BankSelector`](crate::banking::BankSelector) picks a bank per
+//! prediction and hands it to [`Tage::predict_in_bank`], which indexes
+//! the base and every tagged table with it.
 
+use crate::banking::interleaved_index;
 use crate::base::{Base, BaseChoice, BaseRead};
 use crate::chooser::{Chooser, ChooserChoice, ChooserView};
 use crate::config::{TageConfig, MAX_TAGGED};
 use crate::tagged::TaggedBank;
-use memarray::{interleaved_index, BankSelector, ConflictModel};
 use simkit::history::{GlobalHistory, PathHistory};
 use simkit::predictor::{BranchInfo, Predictor, UpdateScenario};
 use simkit::stats::AccessStats;
-
-/// Bank-interleaving state (§4.3): selector + per-bank conflict queues.
-#[derive(Clone, Debug, Default)]
-pub struct Interleave {
-    selector: BankSelector,
-    /// Conflict/delay statistics.
-    pub conflicts: ConflictModel,
-}
 
 /// The TAGE predictor.
 #[derive(Clone, Debug)]
@@ -42,7 +38,6 @@ pub struct Tage {
     chooser: Chooser,
     ghist: GlobalHistory,
     path: PathHistory,
-    interleave: Option<Interleave>,
     stats: AccessStats,
 }
 
@@ -206,34 +201,9 @@ impl Tage {
             chooser: Chooser::new(chooser),
             ghist: GlobalHistory::new(),
             path: PathHistory::new(cfg.path_bits),
-            interleave: None,
             cfg,
             stats: AccessStats::default(),
         }
-    }
-
-    /// Switches the predictor tables to 4-way bank-interleaved
-    /// single-ported arrays (§4.3). The same (PC, history) pair may now
-    /// map to up to four distinct entries depending on the banks used by
-    /// the two previous predictions.
-    pub fn with_interleaving(mut self) -> Self {
-        self.enable_interleaving();
-        self
-    }
-
-    /// In-place variant of [`Tage::with_interleaving`].
-    pub fn enable_interleaving(&mut self) {
-        self.interleave = Some(Interleave::default());
-    }
-
-    /// Whether bank interleaving is enabled.
-    pub fn is_interleaved(&self) -> bool {
-        self.interleave.is_some()
-    }
-
-    /// Bank conflict statistics, if interleaved.
-    pub fn conflict_stats(&self) -> Option<&ConflictModel> {
-        self.interleave.as_ref().map(|i| &i.conflicts)
     }
 
     /// The §3.4 reference 64 KB predictor.
@@ -307,31 +277,14 @@ impl Tage {
         let base = self.base.read_index(flight.base.index as usize);
         self.read_view(base, &flight.indices, &flight.tags)
     }
-}
 
-impl Predictor for Tage {
-    type Flight = TageFlight;
-
-    fn name(&self) -> String {
-        format!(
-            "tage-{}c-{}Kbit{}",
-            self.cfg.num_tagged + 1,
-            (self.storage_bits() + 512) / 1024,
-            self.decoration()
-        )
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.budget().iter().map(|(_, b)| b).sum()
-    }
-
-    fn predict(&mut self, b: &BranchInfo) -> (bool, TageFlight) {
+    /// Predicts `b`. With `bank` set, the tables are 4-way
+    /// bank-interleaved single-ported arrays (§4.3): the base and every
+    /// tagged index carry the bank in their top two bits, so one (PC,
+    /// history) pair may reach up to four entries. Retire reuses the
+    /// flight's indices, so the bank is not carried.
+    pub fn predict_in_bank(&mut self, b: &BranchInfo, bank: Option<u8>) -> (bool, TageFlight) {
         self.stats.predict_reads += 1;
-        let bank = self.interleave.as_mut().map(|il| {
-            let bk = il.selector.bank(b.pc);
-            il.conflicts.tick(bk);
-            bk
-        });
         let base = match bank {
             Some(bk) => {
                 let idx = interleaved_index(self.base.index(b.pc), bk, self.base.size_bits());
@@ -359,6 +312,27 @@ impl Predictor for Tage {
             weak: view.weak,
         };
         (tage_pred, flight)
+    }
+}
+
+impl Predictor for Tage {
+    type Flight = TageFlight;
+
+    fn name(&self) -> String {
+        format!(
+            "tage-{}c-{}Kbit{}",
+            self.cfg.num_tagged + 1,
+            (self.storage_bits() + 512) / 1024,
+            self.decoration()
+        )
+    }
+
+    fn storage_bits(&self) -> u64 {
+        self.budget().iter().map(|(_, b)| b).sum()
+    }
+
+    fn predict(&mut self, b: &BranchInfo) -> (bool, TageFlight) {
+        self.predict_in_bank(b, None)
     }
 
     fn fetch_commit(&mut self, b: &BranchInfo, outcome: bool, _flight: &mut TageFlight) {
@@ -436,9 +410,6 @@ impl Predictor for Tage {
     }
 
     fn note_uncond(&mut self, b: &BranchInfo) {
-        if let Some(il) = &mut self.interleave {
-            il.selector.note_uncond();
-        }
         self.path.push(b.pc);
     }
 

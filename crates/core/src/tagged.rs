@@ -13,8 +13,8 @@
 //! provider-entry training write. It is one of the three parts
 //! [`Tage`](crate::Tage) owns, with the base and the chooser.
 
+use crate::banking::interleaved_index;
 use crate::config::{TageConfig, MAX_TAGGED};
-use memarray::interleaved_index;
 use simkit::bits::mask;
 use simkit::counter::SignedCounter;
 use simkit::history::{FoldedHistory, GlobalHistory, PathHistory};

@@ -318,8 +318,8 @@ fn print_usage() {
     println!("  budgets          per-component storage budgets of the named presets");
     println!("                   (TAGE's base/tagged/chooser rows + side stages)");
     println!("  sample <file...> sampled simulation: fixed-interval warmup/measure");
-    println!("                   slices, one pool job per (spec x slice), weighted");
-    println!("                   whole-trace MPPKI estimate (defaults: 8 phases,");
+    println!("                   slices, one pool job per (spec x slice), summed into");
+    println!("                   a whole-trace MPPKI estimate (defaults: 8 phases,");
     println!("                   10k warmup + 40k measure, the predictor matrix)");
     println!("  --full-check PCT sample mode: also run every (spec, file) in full and");
     println!("                   exit 1 when any sampled MPPKI is off by > PCT percent");
@@ -492,8 +492,8 @@ fn budgets_mode() -> Run {
 }
 
 /// `tage_exp sample <file...>`: sampled simulation — fixed-interval
-/// warmup/measure slices per file, one pool job per (spec × slice), exact
-/// weighted combine into a whole-trace MPPKI estimate. Fails with 1 on
+/// warmup/measure slices per file, one pool job per (spec × slice), slice
+/// counters summed into a whole-trace MPPKI estimate. Fails with 1 on
 /// simulation/artifact errors or a `--full-check` accuracy miss, 2 on
 /// usage errors.
 fn sample_mode(args: &[String]) -> Run {

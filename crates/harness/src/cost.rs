@@ -1,5 +1,6 @@
 //! Analytical silicon area and access-energy model — the CACTI 6.5
-//! substitute (see DESIGN.md §1).
+//! substitute (see DESIGN.md §1) that E04 and E13 print under their
+//! tables.
 //!
 //! The paper uses CACTI only for ratios: "for the range of memory array
 //! sizes used in branch predictors (1KB to 64KB) and for equal capacity
@@ -93,6 +94,15 @@ impl CostComparison {
     /// Energy reduction factor per read access (§7.1 reports ≈ 2×).
     pub fn energy_reduction(&self) -> f64 {
         self.energy_3port / self.energy_banked
+    }
+
+    /// The line E04 and E13 print under their tables.
+    pub fn summary(&self) -> String {
+        format!(
+            "area reduction {:.1}x (paper ~3.3x) | read energy reduction {:.1}x (paper ~2x)",
+            self.area_reduction(),
+            self.energy_reduction()
+        )
     }
 }
 

@@ -17,6 +17,7 @@
 //! (pinned by `tests/golden_tables.rs` and the CI golden diff), so the
 //! paper numbers cannot silently drift.
 
+use crate::cost::CostComparison;
 use crate::ctx::ExpContext;
 use crate::spec::PredictorSpec;
 use crate::table::{f1, f2, pct, Table};
@@ -501,13 +502,7 @@ fn e04_interleave(_ctx: &ExpContext, reports: &[SuiteReport], out: &mut String) 
         f2(inter.accesses_per_branch()),
     ]);
     out.push_str(&t.render());
-    let cost = memarray::CostComparison::for_predictor(spec_bits(REF_TAGE));
-    let _ = writeln!(
-        out,
-        "area reduction {:.1}x (paper ~3.3x) | read energy reduction {:.1}x (paper ~2x)",
-        cost.area_reduction(),
-        cost.energy_reduction()
-    );
+    let _ = writeln!(out, "{}", CostComparison::for_predictor(spec_bits(REF_TAGE)).summary());
     let _ = writeln!(
         out,
         "interleaving loss: {:+.1} MPPKI ({} of baseline; paper: +2 MPPKI)",
@@ -807,13 +802,7 @@ fn e13_cost_eff(_ctx: &ExpContext, reports: &[SuiteReport], out: &mut String) {
         ]);
     }
     out.push_str(&t.render());
-    let cost = memarray::CostComparison::for_predictor(spec_bits(TAGE_LSC));
-    let _ = writeln!(
-        out,
-        "area reduction {:.1}x (paper ~3.3x) | read energy reduction {:.1}x (paper ~2x)",
-        cost.area_reduction(),
-        cost.energy_reduction()
-    );
+    let _ = writeln!(out, "{}", CostComparison::for_predictor(spec_bits(TAGE_LSC)).summary());
 }
 
 // ---------------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 pub mod artifact;
 pub mod cli;
+pub mod cost;
 pub mod ctx;
 pub mod experiments;
 pub mod runner;

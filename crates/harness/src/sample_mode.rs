@@ -8,8 +8,8 @@
 //! [`pipeline::fixed_interval`], fans **one pool job per (spec × slice)**
 //! through [`WorkerPool::run_ordered`], positions each job's decoder
 //! with `EventSource::skip` (O(1) on block-indexed `.ttr` v3 files,
-//! decode-discard otherwise), and combines the per-slice reports with
-//! the exact integer arithmetic of [`SampledResult`].
+//! decode-discard otherwise), and sums the per-slice counters in
+//! [`SampledResult`].
 //!
 //! `--full-check PCT` additionally runs every (spec × file) pair in full
 //! — also as pool jobs — and fails when any sampled MPPKI strays more
@@ -312,7 +312,7 @@ mod tests {
         let runs = run_sampled(&files, &specs, &opts, &WorkerPool::new(2)).unwrap();
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
-        assert_eq!(run.phases, vec![Phase { start: 0, weight: run.total_events }]);
+        assert_eq!(run.phases, vec![Phase { start: 0 }]);
         // One slice spanning everything IS the full run, bit for bit.
         let combined = run.sampled[0].combined_report().unwrap();
         let full = &run.full.as_ref().unwrap()[0];

@@ -76,11 +76,6 @@ impl SimWindow {
     pub fn end(&self) -> u64 {
         self.measure_start().saturating_add(self.measure)
     }
-
-    /// Whether this is the default full-trace window.
-    pub fn is_full(&self) -> bool {
-        *self == Self::default()
-    }
 }
 
 /// Pipeline configuration.
@@ -411,7 +406,7 @@ impl<P: Predictor> WindowEngine<P> {
     }
 
     /// The predictor being simulated, for state the report does not carry
-    /// (e.g. bank-conflict counters).
+    /// (e.g. a stack's IUM override and corrector revert counts).
     pub fn predictor(&self) -> &P {
         &self.predictor
     }

@@ -1,5 +1,5 @@
-//! SimPoint-style phase sampling: weighted representative slices
-//! combined into a whole-trace estimate.
+//! SimPoint-style phase sampling: representative slices combined into a
+//! whole-trace estimate.
 //!
 //! Full simulation at CBP trace lengths (30M–1B branches) is the wrong
 //! default: the standard technique is to simulate a handful of
@@ -10,36 +10,23 @@
 //! `warmup + measure`, with seeded deterministic jitter so slice starts
 //! do not systematically align with program periodicity.
 //!
-//! The combine arithmetic is exact: weights and counters stay integers
-//! ([`u128`] accumulation, no floats stored), and a float appears only at
-//! the final ratio. With the equal weights [`fixed_interval`] produces,
-//! the weighted estimate collapses to the ratio of *summed* slice
-//! counters, which is why [`SampledResult::combined_report`] (plain
-//! counter sums) is a faithful artifact row for fixed-interval runs.
+//! Every slice of [`fixed_interval`] stands for the same number of trace
+//! events, so the estimate is the ratio of *summed* slice counters: one
+//! [`SampledResult::combined_report`] gives both the printed MPPKI and
+//! the artifact row. Counters stay integers, and a float appears only at
+//! the final ratio.
 
-use crate::engine::SimWindow;
 use crate::report::SimReport;
 use simkit::rng::Xoshiro256;
 
 /// One sampling phase: a measurement slice anchored at an absolute event
-/// position, weighted by the number of trace events it represents.
+/// position. Every phase of [`fixed_interval`] stands for the same number
+/// of trace events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Phase {
     /// Absolute event position (in total trace events) where the slice's
     /// warmup begins.
     pub start: u64,
-    /// Events this slice stands in for (its sampling interval). Equal
-    /// across slices for the fixed-interval selector.
-    pub weight: u64,
-}
-
-impl Phase {
-    /// The [`SimWindow`] that simulates this phase once the source has
-    /// been positioned at `start` (via `EventSource::skip`): no further
-    /// in-window skip, then the given warmup and measure lengths.
-    pub fn window(&self, warmup: u64, measure: u64) -> SimWindow {
-        SimWindow { skip: 0, warmup, measure }
-    }
 }
 
 /// The fixed-interval phase selector: `n` slices of `warmup + measure`
@@ -51,8 +38,8 @@ impl Phase {
 ///   same phases;
 /// * every slice starts within the trace, and within `total - len` when
 ///   the trace is long enough to hold a whole slice;
-/// * every phase carries the same weight (its interval), so the weighted
-///   combine equals the summed-counter estimate.
+/// * every phase stands for the same interval of the trace, so summed
+///   slice counters estimate the whole trace.
 ///
 /// Returns fewer than `n` phases only when the trace has fewer than `n`
 /// events; returns none for an empty trace or `n == 0`.
@@ -72,7 +59,7 @@ pub fn fixed_interval(total: u64, n: u64, warmup: u64, measure: u64, seed: u64) 
             // pure function of (seed, i) regardless of slack.
             let slack = interval.saturating_sub(len);
             let jitter = rng.gen_range(slack + 1);
-            Phase { start: (i * interval + jitter).min(last_start), weight: interval }
+            Phase { start: (i * interval + jitter).min(last_start) }
         })
         .collect()
 }
@@ -87,9 +74,9 @@ pub struct SampleSlice {
     pub report: SimReport,
 }
 
-/// The combined result of a sampled run: per-slice reports plus the
-/// exact-integer weighted aggregation. No derived float is stored;
-/// ratios are computed on demand from the `u128` accumulators.
+/// The combined result of a sampled run: per-slice reports whose summed
+/// counters estimate the whole trace. No derived float is stored; ratios
+/// are computed on demand from the summed counters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SampledResult {
     /// The simulated slices, in phase order.
@@ -117,38 +104,15 @@ impl SampledResult {
         Self { slices, total_events }
     }
 
-    /// Weighted penalty-cycle accumulator: `Σ weight · penalty_cycles`.
-    pub fn weighted_penalty(&self) -> u128 {
-        self.weighted(|r| r.penalty_cycles)
-    }
-
-    /// Weighted misprediction accumulator: `Σ weight · mispredicts`.
-    pub fn weighted_mispredicts(&self) -> u128 {
-        self.weighted(|r| r.mispredicts)
-    }
-
-    /// Weighted micro-op accumulator: `Σ weight · uops`.
-    pub fn weighted_uops(&self) -> u128 {
-        self.weighted(|r| r.uops)
-    }
-
-    fn weighted(&self, f: impl Fn(&SimReport) -> u64) -> u128 {
-        self.slices
-            .iter()
-            .map(|s| u128::from(s.phase.weight) * u128::from(f(&s.report)))
-            .sum()
-    }
-
-    /// The sampled whole-trace MPPKI estimate:
-    /// `Σ w·penalty · 1000 / Σ w·uops`, computed from the exact integer
-    /// accumulators.
+    /// The sampled whole-trace MPPKI estimate, `Σ penalty · 1000 / Σ uops`
+    /// (0 for an empty sample).
     pub fn mppki(&self) -> f64 {
-        self.weighted_penalty() as f64 * 1000.0 / self.weighted_uops().max(1) as f64
+        self.combined_report().map_or(0.0, |r| r.mppki())
     }
 
-    /// The sampled whole-trace MPKI estimate.
+    /// The sampled whole-trace MPKI estimate (0 for an empty sample).
     pub fn mpki(&self) -> f64 {
-        self.weighted_mispredicts() as f64 * 1000.0 / self.weighted_uops().max(1) as f64
+        self.combined_report().map_or(0.0, |r| r.mpki())
     }
 
     /// Events fed to a predictor across all slices (`warmup + measure`
@@ -162,9 +126,8 @@ impl SampledResult {
             .sum()
     }
 
-    /// One report with the slice counters summed — the valid whole-trace
-    /// estimator when every phase carries the same weight (fixed-interval
-    /// sampling), and the shape the `tage.run/1` artifact rows store.
+    /// One report with the slice counters summed — the whole-trace
+    /// estimate, and the shape the `tage.run/1` artifact rows store.
     /// Identification fields come from the first slice.
     ///
     /// Returns `None` for an empty sample.
@@ -211,8 +174,8 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 10);
         for (i, p) in a.iter().enumerate() {
-            assert_eq!(p.weight, 100_000);
             assert!(p.start >= i as u64 * 100_000, "phase {i} before its interval");
+            assert!(p.start < (i as u64 + 1) * 100_000, "phase {i} past its interval");
             assert!(p.start + 5000 <= 1_000_000, "phase {i} overruns the trace");
         }
         // A different seed moves the jitter but keeps the interval grid.
@@ -235,39 +198,25 @@ mod tests {
 
     #[test]
     fn equal_weights_collapse_to_summed_counters() {
-        let phases = [Phase { start: 0, weight: 50 }, Phase { start: 100, weight: 50 }];
+        let phases = [Phase { start: 0 }, Phase { start: 100 }];
         let s = SampledResult::combine(
             &phases,
             vec![report(1000, 10, 300), report(3000, 50, 1500)],
             200,
         );
-        // Weighted ratio == summed ratio when weights are equal.
+        // The estimate is the ratio of the summed slice counters.
         let summed = s.combined_report().unwrap();
         assert_eq!(summed.uops, 4000);
         assert_eq!(summed.mispredicts, 60);
         assert_eq!(summed.penalty_cycles, 1800);
-        assert!((s.mppki() - summed.mppki()).abs() < 1e-12);
-        assert!((s.mpki() - summed.mpki()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unequal_weights_use_exact_integer_arithmetic() {
-        let phases = [Phase { start: 0, weight: 3 }, Phase { start: 10, weight: 1 }];
-        let s = SampledResult::combine(
-            &phases,
-            vec![report(1000, 10, 300), report(1000, 50, 1500)],
-            20,
-        );
-        assert_eq!(s.weighted_uops(), 3 * 1000 + 1000);
-        assert_eq!(s.weighted_penalty(), 3 * 300 + 1500);
-        assert_eq!(s.weighted_mispredicts(), 3 * 10 + 50);
-        assert!((s.mppki() - (2400.0 * 1000.0 / 4000.0)).abs() < 1e-12);
+        assert_eq!(s.mppki(), 1800.0 * 1000.0 / 4000.0);
+        assert_eq!(s.mpki(), 60.0 * 1000.0 / 4000.0);
     }
 
     #[test]
     fn empty_sample_has_no_combined_report() {
         let s = SampledResult::combine(&[], Vec::new(), 100);
         assert!(s.combined_report().is_none());
-        assert_eq!(s.weighted_uops(), 0);
+        assert_eq!(s.mppki(), 0.0);
     }
 }

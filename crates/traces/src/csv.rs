@@ -29,6 +29,9 @@ pub const CSV_MAGIC_LINE: &str = "# tage-traces csv v1";
 /// The required column header.
 pub const CSV_HEADER: &str = "pc,kind,taken,target,uops_before,load_addr";
 
+/// The UTF-8 byte-order mark a spreadsheet export may put at byte 0.
+const UTF8_BOM: &[u8] = b"\xEF\xBB\xBF";
+
 fn kind_token(k: BranchKind) -> &'static str {
     match k {
         BranchKind::Conditional => "cond",
@@ -119,7 +122,8 @@ pub struct CsvReader<R> {
 impl<R: Read> CsvReader<R> {
     /// Parses comments and the column header; `fallback_name` /
     /// `fallback_category` apply when the file carries no `name=` /
-    /// `category=` comments.
+    /// `category=` comments. One UTF-8 byte-order mark at byte 0 is
+    /// skipped.
     ///
     /// # Errors
     ///
@@ -136,6 +140,11 @@ impl<R: Read> CsvReader<R> {
                 io::Error::new(io::ErrorKind::InvalidData, "missing csv column header")
             })?;
             line_no += 1;
+            let mut line = line.as_str();
+            if line_no == 1 {
+                // `trim` keeps U+FEFF: it is not whitespace.
+                line = line.strip_prefix('\u{feff}').unwrap_or(line);
+            }
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -272,10 +281,13 @@ impl crate::TraceCodec for CsvCodec {
 
     fn matches_magic(&self, prefix: &[u8]) -> bool {
         // Writers emit the magic comment; hand-authored files may start
-        // straight at the column header. Any valid file is longer than
-        // either probe, so a full-probe prefix match is unambiguous.
-        let probe = |p: &[u8]| prefix.len() >= p.len() && prefix.starts_with(p);
-        probe(&CSV_MAGIC_LINE.as_bytes()[..CSV_MAGIC_LINE.len().min(crate::SNIFF_LEN)])
+        // straight at the column header, after a byte-order mark when a
+        // spreadsheet saved them. Any valid file is longer than either
+        // probe, so a full-probe prefix match is unambiguous.
+        let body = prefix.strip_prefix(UTF8_BOM).unwrap_or(prefix);
+        let room = crate::SNIFF_LEN - (prefix.len() - body.len());
+        let probe = |p: &[u8]| body.len() >= p.len() && body.starts_with(p);
+        probe(&CSV_MAGIC_LINE.as_bytes()[..CSV_MAGIC_LINE.len().min(room)])
             || probe(b"pc,kind,taken")
     }
 
@@ -336,6 +348,8 @@ mod tests {
                    0x100,cond,1,0x140,5,\n\
                    256,ret,1,0x108,2,0x1000\n";
         let t = decode_str(src).unwrap();
+        // A spreadsheet may save it with a byte-order mark at byte 0.
+        assert_eq!(decode_str(&format!("\u{feff}{src}")).unwrap(), t);
         assert_eq!(t.name, "fb");
         assert_eq!(t.category, "FB");
         assert_eq!(t.events.len(), 2);
@@ -360,12 +374,16 @@ mod tests {
     fn rejects_malformed_input() {
         assert!(decode_str("").is_err());
         assert!(decode_str("not,a,header\n").is_err());
+        for misplaced_bom in ["\u{feff}\u{feff}", " \u{feff}", "\n\u{feff}"] {
+            assert!(decode_str(&format!("{misplaced_bom}{CSV_HEADER}\n")).is_err());
+        }
         let bad_rows = [
             "0x100,cond,1,0x140,5", // 5 fields
             "0x100,weird,1,0x140,5,",
             "0x100,cond,yes,0x140,5,",
             "zzz,cond,1,0x140,5,",
             "0x100,cond,1,0x140,70000,", // uops > u16
+            "\u{feff}0x100,cond,1,0x140,5,", // a byte-order mark past byte 0
         ];
         for row in bad_rows {
             let src = format!("pc,kind,taken,target,uops_before,load_addr\n{row}\n");

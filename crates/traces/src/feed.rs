@@ -307,6 +307,30 @@ mod tests {
     }
 
     #[test]
+    fn csv_with_a_byte_order_mark_decodes_like_without() {
+        // A spreadsheet may save either CSV form with a UTF-8 byte-order
+        // mark: both must open from a file and from a feed with no hint.
+        let r = CodecRegistry::standard();
+        let dir = tmp("csv-bom");
+        let events = |mut d: Box<dyn TraceDecoder + Send>| {
+            let events: Vec<_> = std::iter::from_fn(|| d.next_event()).collect();
+            crate::decoder::finish(d.as_ref()).unwrap();
+            events
+        };
+        let hand = b"pc,kind,taken,target,uops_before,load_addr\n0x100,cond,1,0x140,5,\n";
+        for plain in [encode("csv"), hand.to_vec()] {
+            let bom = [b"\xEF\xBB\xBF".as_slice(), &plain].concat();
+            std::fs::write(dir.join("plain.csv"), &plain).unwrap();
+            std::fs::write(dir.join("bom.csv"), &bom).unwrap();
+            let want = events(r.open(&dir.join("plain.csv")).unwrap());
+            assert_eq!(events(r.open(&dir.join("bom.csv")).unwrap()), want);
+            let fed = r.open_feed(Box::new(io::Cursor::new(bom)), None, &dir).unwrap();
+            assert_eq!(events(fed), want);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn garbage_stream_is_rejected() {
         let spool = tmp("garbage");
         let r = CodecRegistry::standard();

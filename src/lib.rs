@@ -9,7 +9,6 @@
 //! * [`workloads`] — the 40-trace synthetic CBP-3-like benchmark suite;
 //! * [`pipeline`] — the trace-driven delayed-update simulation engine
 //!   with its out-of-order core and cache-hierarchy penalty model;
-//! * [`memarray`] — bank interleaving and the area/energy cost model;
 //! * [`harness`] — the experiment runner regenerating every table and
 //!   figure of the paper;
 //! * [`simkit`] — shared counters, histories, RNG and the predictor
@@ -37,7 +36,6 @@
 
 pub use baselines;
 pub use harness;
-pub use memarray;
 pub use pipeline;
 pub use simkit;
 pub use tage;

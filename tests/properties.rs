@@ -290,7 +290,7 @@ proptest! {
         let mut seen = vec![false; n];
         let inner = n / 4;
         for idx in 0..inner {
-            let m = memarray::interleaved_index(idx, bank, size_bits);
+            let m = tage::banking::interleaved_index(idx, bank, size_bits);
             prop_assert!(m < n);
             prop_assert!(!seen[m], "collision at {m}");
             seen[m] = true;
@@ -299,7 +299,7 @@ proptest! {
 
     #[test]
     fn bank_selector_never_repeats_within_three(pcs in proptest::collection::vec(any::<u64>(), 3..300)) {
-        let mut sel = memarray::BankSelector::new();
+        let mut sel = tage::banking::BankSelector::new();
         let mut last: Vec<u8> = Vec::new();
         for pc in pcs {
             let b = sel.bank(pc);
