@@ -14,8 +14,11 @@
 //! history lengths 0/6/10/17), [`Lsc`] with per-branch local history (the
 //! TAGE-LSC corrector: 5 tables × 1K × 6-bit, local lengths 0/4/10/17/31,
 //! plus a 32-entry local history table, §6.1).
+//!
+//! In a bank-interleaved stack, [`Lsc::predict`] takes the bank the
+//! stack's one selector chose (§7.1 interleaves every TAGE-LSC table).
 
-use crate::banking::{interleaved_index, BankSelector};
+use crate::banking::interleaved_index;
 use simkit::bits::mask;
 use simkit::counter::SignedCounter;
 use simkit::history::{FoldedHistory, GlobalHistory, LocalHistories};
@@ -251,8 +254,6 @@ pub struct Lsc {
     /// `mask(length)` per table (0 for the history-free table).
     length_masks: Vec<u64>,
     lhist: LocalHistories,
-    interleave: Option<BankSelector>,
-    index_bits: u32,
 }
 
 impl Lsc {
@@ -265,34 +266,14 @@ impl Lsc {
             lengths: lengths.to_vec(),
             length_masks: lengths.iter().map(|&l| mask(l)).collect(),
             lhist: LocalHistories::new(lht_entries, max_len),
-            interleave: None,
-            index_bits,
         }
     }
 
-    /// Switches the corrector tables to 4-way bank-interleaved arrays.
-    /// Per §7.1, the local components suffer more from interleaving (more
-    /// entries to train per branch); callers typically double the local
-    /// history table when enabling this (see
-    /// [`Lsc::cbp_30kbit_interleaved`]).
-    pub fn with_interleaving(mut self) -> Self {
-        self.enable_interleaving();
-        self
-    }
-
-    /// In-place variant of [`Lsc::with_interleaving`].
-    pub fn enable_interleaving(&mut self) {
-        // The LSC's own selector starts with no previous predictions.
-        let mut sel = BankSelector::new();
-        sel.note_uncond();
-        sel.note_uncond();
-        self.interleave = Some(sel);
-    }
-
-    /// The §7.1 cost-effective configuration: interleaved tables with a
-    /// doubled (64-entry) local history table to restore accuracy.
-    pub fn cbp_30kbit_interleaved() -> Self {
-        Self::new(10, &[0, 4, 10, 17, 31], 64).with_interleaving()
+    /// [`Lsc::cbp_30kbit`] with a doubled (64-entry) local history
+    /// table: §7.1 pairs it with bank interleaving, under which the local
+    /// components lose more (more entries to train per branch).
+    pub fn cbp_30kbit_2lht() -> Self {
+        Self::new(10, &[0, 4, 10, 17, 31], 64)
     }
 
     /// The paper's ~31 Kbit configuration (§6.1): 5 tables × 1K × 6-bit
@@ -316,19 +297,25 @@ impl Lsc {
     }
 
     /// Fetch-time read + revert decision, using the speculative local
-    /// history of `pc`.
-    pub fn predict(&mut self, pc: u64, tage_pred: bool, tage_centered: i32) -> CorrectorFlight {
+    /// history of `pc`. With `bank` set, every table index carries the
+    /// bank in its top two bits (§4.3).
+    pub fn predict(
+        &mut self,
+        pc: u64,
+        tage_pred: bool,
+        tage_centered: i32,
+        bank: Option<u8>,
+    ) -> CorrectorFlight {
         let mut indices = [0u16; MAX_SC_TABLES];
         let m = self.core.index_mask();
         let lh = self.lhist.history(pc);
-        let bank = self.interleave.as_mut().map(|sel| sel.bank(pc));
         for (t, &m_len) in self.length_masks.iter().enumerate() {
             let h = lh & m_len;
             let mixed = h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
             let base = (pc >> 2) ^ (pc >> 8) ^ mixed;
             let mut idx = (((base << 1) | tage_pred as u64) & m) as usize;
             if let Some(bk) = bank {
-                idx = interleaved_index(idx, bk, self.index_bits);
+                idx = interleaved_index(idx, bk, self.core.index_bits);
             }
             indices[t] = idx as u16;
         }
@@ -439,7 +426,7 @@ mod tests {
         for i in 0..30_000 {
             let outcome = pattern[i % 5];
             // Incoming prediction: always taken with medium confidence.
-            let f = lsc.predict(0x600, true, 3);
+            let f = lsc.predict(0x600, true, 3, None);
             let final_pred = if f.revert { f.sc_pred } else { true };
             lsc.spec_update(0x600, outcome);
             lsc.update(&f, outcome, true, &mut stats);

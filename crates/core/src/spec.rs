@@ -36,11 +36,13 @@
 //!   from the canonical form, so `tage(base=bimodal,chooser=altweak)`
 //!   canonicalizes to `tage` and shares its cached suite.
 //! * stages run **in the order written** (the paper's canonical order is
-//!   `ium+sc+lsc+loop`); `lsc:2lht` doubles the local history table
-//!   (§7.1 pairs it with interleaving).
+//!   `ium+sc+lsc+loop`); `lsc:2lht` only doubles the local history table
+//!   (§7.1 pairs it with `ilv`).
 //! * `ilv` switches all tables to 4-way bank-interleaved single-ported
-//!   arrays (§4.3/§7.1); `lsc-reread` is the §7.2 LSC-always-rereads
-//!   knob; `as=` overrides the report label.
+//!   arrays (§4.3/§7.1): the stack picks one bank per conditional
+//!   prediction, advanced by unconditional branches, and the TAGE base,
+//!   tagged and LSC tables all index with it; `lsc-reread` is the §7.2
+//!   LSC-always-rereads knob; `as=` overrides the report label.
 //!
 //! Examples: `tage`, `tage+ium+sc+loop/as=ISL-TAGE`,
 //! `tage:lsc:x-1+ium+lsc:x-1/as=TAGE-LSC`, `tage:x-1+ium+loop`.
@@ -171,7 +173,7 @@ pub enum StageSpec {
     Gsc,
     /// The §6.1 local Statistical Corrector (~31 Kbit configuration).
     Lsc {
-        /// Double the local history table (§7.1, pairs with `ilv`).
+        /// Double the local history table (§7.1 pairs it with `ilv`).
         double_lht: bool,
         /// Budget scale (Figure 9).
         scale: i32,
@@ -255,8 +257,7 @@ impl StageSpec {
             StageSpec::Ium { capacity } => SideStage::Ium(Ium::new(capacity)),
             StageSpec::Gsc => SideStage::Gsc(Gsc::cbp_24kbit()),
             StageSpec::Lsc { double_lht, scale } => {
-                let base =
-                    if double_lht { Lsc::cbp_30kbit_interleaved() } else { Lsc::cbp_30kbit() };
+                let base = if double_lht { Lsc::cbp_30kbit_2lht() } else { Lsc::cbp_30kbit() };
                 SideStage::Lsc(if scale != 0 { base.scaled(scale) } else { base })
             }
             StageSpec::Loop { entries, ways } => SideStage::Loop(LoopPredictor::new(entries, ways)),

@@ -37,6 +37,11 @@
 //! For the canonical order this reproduces the monolithic pre-stack
 //! `TageSystem` bit for bit (pinned by the golden-table tests in the
 //! harness crate).
+//!
+//! A bank-interleaved stack (`ilv`, §4.3/§7.1) owns the one
+//! [`BankSelector`]: it picks the bank once per conditional prediction
+//! and advances it on every unconditional branch, and the TAGE tables
+//! and the LSC tables all index with that bank.
 
 use crate::banking::BankSelector;
 use crate::corrector::{CorrectorFlight, Gsc, Lsc};
@@ -208,14 +213,10 @@ impl PredictorStack {
     }
 
     /// Switches every component (TAGE tables and any LSC tables) to
-    /// 4-way bank-interleaved single-ported arrays (§4.3, §7.1).
+    /// 4-way bank-interleaved single-ported arrays (§4.3, §7.1): one bank
+    /// per conditional prediction, shared by every table.
     pub(crate) fn interleaved(mut self) -> Self {
         self.banks = Some(BankSelector::new());
-        for stage in &mut self.stages {
-            if let SideStage::Lsc(lsc) = stage {
-                lsc.enable_interleaving();
-            }
-        }
         self
     }
 
@@ -354,7 +355,7 @@ impl Predictor for PredictorStack {
                     }
                 }
                 SideStage::Lsc(l) => {
-                    f.lsc = l.predict(b.pc, pred, centered);
+                    f.lsc = l.predict(b.pc, pred, centered, bank);
                     if f.lsc.revert {
                         pred = f.lsc.sc_pred;
                     }
@@ -456,7 +457,81 @@ impl Predictor for PredictorStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::predictor::BranchKind;
     use std::collections::VecDeque;
+
+    /// Drives `stack` over a seeded stream of 64 static branches, one in
+    /// four unconditional, with 8 branches in flight under scenario
+    /// \[A\]. Returns each branch's `(pc, prediction, flight)`, `None`
+    /// for an unconditional one.
+    fn drive(stack: &mut PredictorStack, seed: u64) -> Vec<Option<(u64, bool, StackFlight)>> {
+        let mut rng = simkit::rng::Xoshiro256::seed_from(seed);
+        let mut window = VecDeque::new();
+        let mut out = Vec::new();
+        for _ in 0..4000 {
+            let pc = 0x40_0000 + 4 * rng.gen_range(64);
+            if rng.gen_range(4) == 0 {
+                stack.note_uncond(&BranchInfo { pc, kind: BranchKind::Call, target: pc + 64 });
+                out.push(None);
+                continue;
+            }
+            let b = BranchInfo::conditional(pc);
+            let outcome = rng.gen_bool(if pc & 8 == 0 { 0.9 } else { 0.3 });
+            let (pred, mut f) = stack.predict(&b);
+            out.push(Some((pc, pred, f)));
+            stack.fetch_commit(&b, outcome, &mut f);
+            stack.execute(&b, outcome, &mut f);
+            window.push_back((b, outcome, pred, f));
+            if window.len() > 8 {
+                let (b, outcome, pred, f) = window.pop_front().unwrap();
+                stack.retire(&b, outcome, pred, f, UpdateScenario::RereadAtRetire);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_bank_indexes_every_table_of_an_interleaved_stack() {
+        // §4.3 / §7.1: one bank per conditional prediction, advanced by
+        // unconditional branches, in the top two bits of the base index,
+        // every tagged index and every (10-bit) LSC index.
+        let spec: crate::spec::SystemSpec = "tage:lsc+ium+lsc:2lht/ilv".parse().unwrap();
+        let mut stack = spec.build().unwrap();
+        let cfg = stack.tage().config().clone();
+        let mut sel = BankSelector::new();
+        for step in drive(&mut stack, 21) {
+            let Some((pc, _, f)) = step else {
+                sel.note_uncond();
+                continue;
+            };
+            let bank = u32::from(sel.bank(pc));
+            assert_eq!(f.tage.base.index >> (cfg.bimodal_bits - 2), bank, "base");
+            for t in 0..cfg.num_tagged {
+                assert_eq!(f.tage.indices[t] >> (cfg.table_size_bits[t] - 2), bank, "T{}", t + 1);
+            }
+            for (t, &idx) in f.lsc.indices[..5].iter().enumerate() {
+                assert_eq!(u32::from(idx) >> 8, bank, "LSC table {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn doubled_lht_alone_does_not_interleave_the_lsc() {
+        // `lsc:2lht` without `/ilv`: the 64-entry local history table and
+        // indices that are not remapped.
+        let spec: crate::spec::SystemSpec = "tage+ium+lsc:2lht".parse().unwrap();
+        let built = drive(&mut spec.build().unwrap(), 22);
+        let mut reference = PredictorStack::from_parts(
+            Tage::reference_64kb(),
+            vec![
+                SideStage::Ium(Ium::new(DEFAULT_IUM_CAPACITY)),
+                SideStage::Lsc(Lsc::new(10, &[0, 4, 10, 17, 31], 64)),
+            ],
+        );
+        for (i, (got, want)) in built.iter().zip(drive(&mut reference, 22)).enumerate() {
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "branch {i}");
+        }
+    }
 
     #[test]
     fn flight_fits_an_inline_window_copy() {

@@ -17,8 +17,8 @@
 //!
 //! Bank interleaving (§4.3) is not TAGE state: the stack's one
 //! [`BankSelector`](crate::banking::BankSelector) picks a bank per
-//! prediction and hands it to [`Tage::predict_in_bank`], which indexes
-//! the base and every tagged table with it.
+//! prediction and hands it to `Tage::predict_in_bank`, which indexes the
+//! base and every tagged table with it.
 
 use crate::banking::interleaved_index;
 use crate::base::{Base, BaseChoice, BaseRead};
@@ -283,7 +283,11 @@ impl Tage {
     /// tagged index carry the bank in their top two bits, so one (PC,
     /// history) pair may reach up to four entries. Retire reuses the
     /// flight's indices, so the bank is not carried.
-    pub fn predict_in_bank(&mut self, b: &BranchInfo, bank: Option<u8>) -> (bool, TageFlight) {
+    pub(crate) fn predict_in_bank(
+        &mut self,
+        b: &BranchInfo,
+        bank: Option<u8>,
+    ) -> (bool, TageFlight) {
         self.stats.predict_reads += 1;
         let base = match bank {
             Some(bk) => {
