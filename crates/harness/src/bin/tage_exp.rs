@@ -600,7 +600,7 @@ fn sample_mode(args: &[String]) -> Run {
                 }
             }
             None => {
-                // No phases anywhere (all-empty traces): nothing to gate.
+                // No (file × spec) pair ran in full: nothing to gate.
                 println!("# full-check: no sampled slices to compare");
             }
         }

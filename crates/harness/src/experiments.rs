@@ -26,7 +26,6 @@ use simkit::predictor::{BranchInfo, Predictor, UpdateScenario};
 use std::fmt::Write as _;
 use tage::{SystemSpec, Tage};
 use workloads::suite::HARD_TRACES;
-use workloads::TraceStats;
 
 /// All experiment ids, in paper order (the last two are extensions: the
 /// §8-cited storage-free confidence classes and the provider-internal
@@ -319,13 +318,12 @@ fn e00_bench_chars(ctx: &ExpContext, reports: &[SuiteReport], out: &mut String) 
         &["trace", "hard", "uops", "branches", "static", "mispred", "MPKI", "MPPKI"],
     );
     for (r, trace) in suite.reports.iter().zip(ctx.traces()) {
-        let st = TraceStats::of(trace);
         t.row(vec![
             r.trace.clone(),
             if HARD_TRACES.contains(&r.trace.as_str()) { "*".into() } else { "".into() },
             r.uops.to_string(),
             r.conditionals.to_string(),
-            st.static_conditionals.to_string(),
+            trace.static_conditional_count().to_string(),
             r.mispredicts.to_string(),
             f2(r.mpki()),
             f1(r.mppki()),

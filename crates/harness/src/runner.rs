@@ -14,10 +14,10 @@
 //! * the runner owns the materialized suite and has one job shape: build
 //!   the spec's engine ([`PredictorSpec::build_engine`]) and run it over a
 //!   [`TraceStream`] of trace `i` ([`simulate_engine`]);
-//! * suite results are memoized by `(spec.sim_key(), scenario,
-//!   cfg.fingerprint())`, so duplicate requests are served from cache and
-//!   counted — the [`SchedulerStats`] counters make the dedup observable
-//!   (and testable);
+//! * suite results are memoized by `(spec.sim_key(), scenario, cfg)`, so
+//!   duplicate requests are served from cache and counted — the
+//!   [`SchedulerStats`] counters make the dedup observable (and
+//!   testable);
 //! * suites can be **prefetched**: `tage_exp all` enqueues every
 //!   experiment's suite jobs eagerly before rendering the first table, so
 //!   independent experiments' single-suite tails overlap on many-core
@@ -307,7 +307,7 @@ impl SchedulerStats {
     }
 }
 
-type SuiteKey = (String, UpdateScenario, u64);
+type SuiteKey = (String, UpdateScenario, PipelineConfig);
 
 /// Deduplicating parallel suite scheduler: a persistent [`WorkerPool`],
 /// the suite it simulates, and a suite-result memo cache. See the module
@@ -378,18 +378,17 @@ impl SuiteRunner {
         // synchronize through the queue mutex and batch condvar.
         self.sim_jobs_requested.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
         self.sim_jobs_run.fetch_add(n as u64, Ordering::Relaxed); // ORDERING: see above
-        let job = Arc::new((spec.clone(), cfg.clone()));
+        let (spec, cfg) = (Arc::new(spec.clone()), *cfg);
         let jobs = (0..n)
             .map(|i| {
-                let job = Arc::clone(&job);
+                let spec = Arc::clone(&spec);
                 let traces = Arc::clone(&self.traces);
                 let busy = Arc::clone(&self.sim_busy_nanos);
                 move || {
                     timed(&busy, || {
-                        let (spec, cfg) = &*job;
                         // INVARIANT: specs reach the scheduler validated
                         // (PredictorSpec::parse); a failure re-raises on the waiter.
-                        let mut engine = spec.build_engine(scenario, cfg).expect("spec validated");
+                        let mut engine = spec.build_engine(scenario, &cfg).expect("spec validated");
                         simulate_engine(&mut *engine, &mut TraceStream::new(&traces[i]))
                     })
                 }
@@ -400,9 +399,9 @@ impl SuiteRunner {
 
     /// Simulates `spec` (one cold predictor per trace, one pool job per
     /// trace) under `scenario`, returning reports in suite order. Memoized
-    /// by `(spec.sim_key(), scenario, cfg.fingerprint())`: the first
-    /// request computes (or collects a prefetched batch), duplicates are
-    /// served from cache. The key drops only the display label, so two
+    /// by `(spec.sim_key(), scenario, cfg)`: the first request computes
+    /// (or collects a prefetched batch), duplicates are served from
+    /// cache. The key drops only the display label, so two
     /// specs share an entry exactly when they simulate the same bits.
     pub fn run(
         &self,
@@ -410,7 +409,7 @@ impl SuiteRunner {
         scenario: UpdateScenario,
         cfg: &PipelineConfig,
     ) -> SuiteReport {
-        let key = (spec.sim_key(), scenario, cfg.fingerprint());
+        let key = (spec.sim_key(), scenario, *cfg);
         if let Some(hit) = locked(&self.cache).get(&key) {
             // ORDERING: statistics only (see `stats`); the memo hit itself
             // is protected by the cache mutex.
@@ -435,7 +434,7 @@ impl SuiteRunner {
     /// the in-flight batch. This is what lets `tage_exp all` overlap
     /// independent experiments' suites on the pool.
     pub fn prefetch(&self, spec: &PredictorSpec, scenario: UpdateScenario, cfg: &PipelineConfig) {
-        let key = (spec.sim_key(), scenario, cfg.fingerprint());
+        let key = (spec.sim_key(), scenario, *cfg);
         if locked(&self.cache).contains_key(&key) {
             return;
         }
@@ -450,6 +449,7 @@ impl SuiteRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipeline::SimWindow;
     use workloads::suite::{generate_parallel, Scale};
 
     fn tiny_traces() -> Arc<Vec<Trace>> {
@@ -536,10 +536,26 @@ mod tests {
         // A different scenario is a different key.
         runner.run(&bimodal, UpdateScenario::FetchOnly, &cfg);
         assert_eq!(runner.stats().sim_jobs_run, 80);
-        // So is a different pipeline configuration.
-        let profiled = PipelineConfig { branch_stats: true, ..PipelineConfig::default() };
+        // So is a different pipeline configuration: the profiler switch,
+        // the warmup alone, or the measure alone.
+        let profiled = PipelineConfig { branch_stats: true, ..cfg };
         runner.run(&bimodal, UpdateScenario::FetchOnly, &profiled);
         assert_eq!(runner.stats().sim_jobs_run, 120);
+        let warmed = PipelineConfig { window: SimWindow { warmup: 100, ..cfg.window }, ..cfg };
+        runner.run(&bimodal, UpdateScenario::FetchOnly, &warmed);
+        assert_eq!(runner.stats().sim_jobs_run, 160);
+        let cut = PipelineConfig { window: SimWindow { measure: 1_000, ..cfg.window }, ..cfg };
+        runner.run(&bimodal, UpdateScenario::FetchOnly, &cut);
+        assert_eq!(runner.stats().sim_jobs_run, 200);
+        // An equal configuration built separately is the same key.
+        let again = PipelineConfig {
+            branch_stats: false,
+            window: SimWindow { warmup: 100, measure: u64::MAX },
+        };
+        let hit = runner.run(&bimodal, UpdateScenario::FetchOnly, &again);
+        assert_eq!(runner.stats().sim_jobs_run, 200);
+        assert_eq!(runner.stats().suite_memo_hits, 2);
+        assert_eq!(hit.reports, runner.run(&bimodal, UpdateScenario::FetchOnly, &warmed).reports);
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn slice_job(
         ));
     }
     let cfg = PipelineConfig {
-        window: SimWindow { skip: 0, warmup: opts.warmup, measure: opts.measure },
+        window: SimWindow { warmup: opts.warmup, measure: opts.measure },
         ..PipelineConfig::default()
     };
     // INVARIANT: specs were parse-validated by the caller before fan-out.
@@ -140,7 +140,9 @@ fn full_job(path: &Path, spec: &PredictorSpec) -> io::Result<SimReport> {
 /// # Errors
 ///
 /// Propagates open/count errors up front and the first job error in
-/// submission order.
+/// submission order. Fails with `InvalidInput` when no slice of a file
+/// measured a conditional branch (every slice ended inside its warmup):
+/// such a sample estimates nothing.
 pub fn run_sampled(
     files: &[PathBuf],
     specs: &[PredictorSpec],
@@ -200,6 +202,22 @@ pub fn run_sampled(
             let reports: io::Result<Vec<SimReport>> =
                 (0..run.phases.len()).map(|_| results.next().unwrap()).collect();
             run.sampled.push(SampledResult::combine(&run.phases, reports?, run.total_events));
+        }
+        // Every spec sees the same events, so the first spec's slices
+        // tell whether the file's sample measured anything.
+        let measured = |s: &SampledResult| s.combined_report().is_some_and(|r| r.conditionals > 0);
+        if run.sampled.first().is_some_and(|s| !measured(s)) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{}: no slice measured a conditional branch (warmup {} + measure {} events \
+                     per slice, {} events in the file)",
+                    run.file.display(),
+                    opts.warmup,
+                    opts.measure,
+                    run.total_events
+                ),
+            ));
         }
     }
     if opts.full_check.is_some() {
@@ -364,6 +382,26 @@ mod tests {
         assert!(rendered.contains("SAMPLED MODE"));
         assert!(rendered.contains("CLIENT01"));
         assert!(rendered.contains("delta%"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sample_that_measures_nothing_fails() {
+        // Every slice of a 6,272-event file ends inside a 100,000-event
+        // warmup: the sample scores no branch, so it has no estimate to
+        // print (it used to print an MPPKI of 0.0).
+        let (dir, files) = record(&["CLIENT01"], "empty");
+        let specs = vec![PredictorSpec::parse("gshare:12").unwrap()];
+        let opts =
+            SampleOptions { phases: 2, warmup: 100_000, measure: 10, ..SampleOptions::default() };
+        let err = run_sampled(&files, &specs, &opts, &WorkerPool::new(2)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let msg = err.to_string();
+        for needle in
+            ["CLIENT01.ttr3", "no slice measured", "warmup 100000", "measure 10 ", "6272 events"]
+        {
+            assert!(msg.contains(needle), "{needle:?} missing from {msg:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -189,13 +189,12 @@ pub fn run(
     pool: &WorkerPool,
 ) -> io::Result<Vec<SuiteReport>> {
     let n = sources.count();
-    let sources = Arc::new(sources);
-    let cfg = Arc::new(cfg.clone());
+    let (sources, cfg) = (Arc::new(sources), *cfg);
     let jobs = specs
         .iter()
         .flat_map(|spec| (0..n).map(move |i| (spec.clone(), i)))
         .map(|(spec, i)| {
-            let (sources, cfg) = (Arc::clone(&sources), Arc::clone(&cfg));
+            let sources = Arc::clone(&sources);
             move || run_spec_cell(&spec, scenario, &mut sources.open(i)?, &cfg)
         })
         .collect();
@@ -441,7 +440,7 @@ mod tests {
         // warm-up measures nothing and reports no traffic.
         for (warmup, measured) in [(2_000, true), (1 << 40, false)] {
             let cfg = PipelineConfig {
-                window: pipeline::SimWindow { skip: 0, warmup, measure: 2_000 },
+                window: pipeline::SimWindow { warmup, measure: 2_000 },
                 ..PipelineConfig::default()
             };
             for (name, suite) in matrix(tiny(&["CLIENT01"]), &cfg, 2).unwrap() {

@@ -131,7 +131,11 @@ fn duplicate_and_label_only_specs_keep_the_first_artifact() {
     let file = files[0].to_str().unwrap();
     for (mode, mut args) in [
         ("system", vec!["system", "tage", "tage", "tage/as=X", "--trace", file]),
-        ("sample", vec!["sample", file, "--spec", "tage", "--spec", "tage/as=Y"]),
+        // The default 10,000-event warmup outlasts this 6,272-event file.
+        (
+            "sample",
+            vec!["sample", file, "--spec", "tage", "--spec", "tage/as=Y", "--warmup", "500"],
+        ),
     ] {
         let out_dir = dir.join(mode);
         args.extend(["--artifacts", out_dir.to_str().unwrap()]);

@@ -60,7 +60,6 @@ impl LintConfig {
                 "crates/traces/src/decoder.rs",
                 "crates/traces/src/ttr.rs",
                 "crates/traces/src/ttr3.rs",
-                "crates/traces/src/cbp.rs",
                 "crates/traces/src/csv.rs",
                 // The block-scheme registry: an unknown scheme byte must be
                 // reported by name, not absorbed by a wildcard.

@@ -89,6 +89,38 @@ fn fixtures_fire_every_pass_and_spare_justified_sites() {
     assert!(denied.diagnostics.iter().all(|d| d.severity == Severity::Deny));
 }
 
+/// Every path the workspace policy names exists. A pass only checks the
+/// files it walks against these lists, so an entry naming a deleted or
+/// renamed file guards nothing and reports nothing.
+#[test]
+fn every_path_the_workspace_policy_names_exists() {
+    let root = workspace_root();
+    // Destructured in full, so a new path-valued field must be listed here.
+    let LintConfig {
+        root: _,
+        unsafe_allowed_crates,
+        wildcard_guarded_files,
+        spec_file,
+        scheme_file,
+        artifact_file,
+        wire_file,
+        sampling_structs,
+        doc_files,
+    } = LintConfig::for_workspace(root.clone());
+    let mut files = wildcard_guarded_files;
+    files.extend([spec_file, scheme_file, artifact_file, wire_file]);
+    files.extend(sampling_structs.into_iter().map(|(file, _)| file));
+    files.extend(doc_files);
+    let mut missing: Vec<String> = files.into_iter().filter(|f| !root.join(f).is_file()).collect();
+    missing.extend(
+        unsafe_allowed_crates
+            .into_iter()
+            .map(|c| format!("crates/{c}"))
+            .filter(|dir| !root.join(dir).is_dir()),
+    );
+    assert!(missing.is_empty(), "the workspace policy names missing paths: {missing:?}");
+}
+
 #[test]
 fn workspace_is_clean_under_deny_all() {
     let report = run_check(LintConfig::for_workspace(workspace_root()), true)

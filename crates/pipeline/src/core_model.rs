@@ -8,9 +8,48 @@
 //! late, so flushing on it is far more expensive. This is why the paper's
 //! 7 hard benchmarks (which also have large data footprints) dominate the
 //! suite MPPKI.
+//!
+//! The paper runs every predictor on one machine, so the machine's
+//! numbers are constants here, in one place: the refill penalty, the
+//! minimum execute lag, the three cache levels and main memory.
+
+/// Front-end refill cost of a misprediction, in cycles.
+pub const REFILL_PENALTY: u64 = 25;
+
+/// Minimum fetch→execute distance, in fetched branches.
+pub const MIN_EXEC_LAG: usize = 4;
+
+/// Main-memory latency in cycles: a load that misses every cache level.
+pub const MEMORY_LATENCY: u64 = 180;
+
+/// The cache levels as `(size_bytes, ways, hit_latency_cycles)`, nearest
+/// first, each faster than the next and than main memory.
+const LEVELS: [(usize, usize, u64); 3] =
+    [(32 * 1024, 8, 3), (256 * 1024, 8, 12), (2 * 1024 * 1024, 16, 35)];
+
+// Main memory is the slowest level, so it sets `MAX_EXEC_LAG`.
+const _: () =
+    assert!(LEVELS[0].2 < LEVELS[1].2 && LEVELS[1].2 < LEVELS[2].2 && LEVELS[2].2 < MEMORY_LATENCY);
+
+/// The execute lag of a branch whose condition waited `latency` cycles
+/// for its load: roughly one branch is fetched every ~4 cycles on this
+/// core.
+const fn exec_lag(latency: u64) -> usize {
+    MIN_EXEC_LAG + (latency / 8) as usize
+}
+
+/// The longest execute lag [`CoreModel::resolve`] returns: a load served
+/// by main memory, the slowest level.
+pub const MAX_EXEC_LAG: usize = exec_lag(MEMORY_LATENCY);
+
+/// Penalty charged for a misprediction whose resolution latency was
+/// `resolution`: front-end refill plus the wasted resolution wait.
+pub const fn mispredict_penalty(resolution: u64) -> u64 {
+    REFILL_PENALTY + resolution
+}
 
 /// One set-associative cache level with LRU replacement.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CacheLevel {
     /// Tag store: `sets × ways` entries; 0 = invalid.
     tags: Vec<u64>,
@@ -19,12 +58,12 @@ pub struct CacheLevel {
     sets: usize,
     ways: usize,
     /// Hit latency in cycles.
-    pub latency: u64,
+    latency: u64,
     clock: u64,
 }
 
 impl CacheLevel {
-    /// A cache of `size_bytes` with 64-byte lines and `ways` ways.
+    /// A cold cache of `size_bytes` with 64-byte lines and `ways` ways.
     ///
     /// # Panics
     ///
@@ -41,15 +80,6 @@ impl CacheLevel {
             latency,
             clock: 0,
         }
-    }
-
-    /// The configuration words of this level (geometry + latency, not the
-    /// runtime tag/LRU state, which starts cold every simulation).
-    /// Exhaustively destructured so a new field fails this compile until
-    /// classified as configuration or state.
-    pub(crate) fn config_words(&self) -> [u64; 3] {
-        let Self { tags: _, stamps: _, clock: _, sets, ways, latency } = self;
-        [*sets as u64, *ways as u64, *latency]
     }
 
     /// Looks up `addr`; on a miss, fills the line. Returns hit/miss.
@@ -78,28 +108,29 @@ impl CacheLevel {
     }
 }
 
-/// A three-level cache hierarchy backed by main memory.
-#[derive(Clone, Debug)]
-pub struct MemoryHierarchy {
+/// The core timing model: the three-level cache hierarchy that delays
+/// branch-feeding loads, cold at construction. Each simulation builds
+/// its own.
+#[derive(Debug)]
+pub struct CoreModel {
     l1: CacheLevel,
     l2: CacheLevel,
     l3: CacheLevel,
-    /// Main memory latency in cycles.
-    pub memory_latency: u64,
 }
 
-impl Default for MemoryHierarchy {
+impl Default for CoreModel {
     fn default() -> Self {
-        Self {
-            l1: CacheLevel::new(32 * 1024, 8, 3),
-            l2: CacheLevel::new(256 * 1024, 8, 12),
-            l3: CacheLevel::new(2 * 1024 * 1024, 16, 35),
-            memory_latency: 180,
-        }
+        Self::new()
     }
 }
 
-impl MemoryHierarchy {
+impl CoreModel {
+    /// The modelled core with cold caches.
+    pub fn new() -> Self {
+        let [l1, l2, l3] = LEVELS.map(|(size, ways, latency)| CacheLevel::new(size, ways, latency));
+        Self { l1, l2, l3 }
+    }
+
     /// Walks `addr` through the hierarchy, filling on misses. Returns the
     /// load-to-use latency in cycles.
     pub fn load_latency(&mut self, addr: u64) -> u64 {
@@ -112,67 +143,21 @@ impl MemoryHierarchy {
         if self.l3.access(addr) {
             return self.l3.latency;
         }
-        self.memory_latency
+        MEMORY_LATENCY
     }
 
-    /// Configuration words of the whole hierarchy, for memo-cache keys.
-    pub(crate) fn config_words(&self) -> Vec<u64> {
-        let Self { l1, l2, l3, memory_latency } = self;
-        let mut words = Vec::with_capacity(10);
-        for level in [l1, l2, l3] {
-            words.extend(level.config_words());
-        }
-        words.push(*memory_latency);
-        words
-    }
-}
-
-/// The core timing model: misprediction penalties and branch resolution
-/// delays.
-#[derive(Clone, Debug)]
-pub struct CoreModel {
-    /// Memory hierarchy for branch-feeding loads.
-    pub memory: MemoryHierarchy,
-    /// Front-end refill cost of a misprediction, in cycles.
-    pub refill_penalty: u64,
-    /// Minimum fetch→execute distance, in retired branches.
-    pub min_exec_lag: usize,
-}
-
-impl Default for CoreModel {
-    fn default() -> Self {
-        Self { memory: MemoryHierarchy::default(), refill_penalty: 25, min_exec_lag: 4 }
-    }
-}
-
-impl CoreModel {
     /// Resolves a branch: returns `(resolution_latency_cycles, exec_lag)`.
     /// `exec_lag` is how many subsequent fetched branches pass before this
     /// branch's outcome is known to the hardware (drives the IUM's
     /// P→E transition); load-dependent branches resolve later.
     pub fn resolve(&mut self, load_addr: Option<u64>) -> (u64, usize) {
         match load_addr {
-            None => (1, self.min_exec_lag),
+            None => (1, MIN_EXEC_LAG),
             Some(addr) => {
-                let lat = self.memory.load_latency(addr);
-                // Roughly one branch fetched every ~4 cycles on this core.
-                (lat, self.min_exec_lag + (lat / 8) as usize)
+                let lat = self.load_latency(addr);
+                (lat, exec_lag(lat))
             }
         }
-    }
-
-    /// The longest `exec_lag` [`CoreModel::resolve`] can return: a load
-    /// served by the slowest level of the hierarchy.
-    pub fn max_exec_lag(&self) -> usize {
-        let m = &self.memory;
-        let slowest = m.l1.latency.max(m.l2.latency).max(m.l3.latency).max(m.memory_latency);
-        self.min_exec_lag + (slowest / 8) as usize
-    }
-
-    /// Penalty charged for a misprediction whose resolution latency was
-    /// `resolution`: front-end refill plus the wasted resolution wait.
-    pub fn mispredict_penalty(&self, resolution: u64) -> u64 {
-        self.refill_penalty + resolution
     }
 }
 
@@ -182,16 +167,16 @@ mod tests {
 
     #[test]
     fn l1_hits_after_fill() {
-        let mut m = MemoryHierarchy::default();
+        let mut m = CoreModel::new();
         let cold = m.load_latency(0x1000);
-        assert_eq!(cold, m.memory_latency);
+        assert_eq!(cold, MEMORY_LATENCY);
         let warm = m.load_latency(0x1000);
         assert_eq!(warm, 3);
     }
 
     #[test]
     fn capacity_eviction_falls_to_l2() {
-        let mut m = MemoryHierarchy::default();
+        let mut m = CoreModel::new();
         // Touch far more lines than L1 holds (32KB = 512 lines), all in
         // distinct sets cyclically; then re-touch the first line.
         for i in 0..4096u64 {
@@ -203,27 +188,19 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_latencies_are_monotonic() {
-        let m = MemoryHierarchy::default();
-        assert!(m.l1.latency < m.l2.latency);
-        assert!(m.l2.latency < m.l3.latency);
-        assert!(m.l3.latency < m.memory_latency);
-    }
-
-    #[test]
     fn core_penalty_scales_with_resolution() {
-        let core = CoreModel::default();
-        assert!(core.mispredict_penalty(1) < core.mispredict_penalty(180));
-        assert_eq!(core.mispredict_penalty(0), core.refill_penalty);
+        assert!(mispredict_penalty(1) < mispredict_penalty(MEMORY_LATENCY));
+        assert_eq!(mispredict_penalty(0), REFILL_PENALTY);
     }
 
     #[test]
     fn load_dependent_branches_execute_later() {
-        let mut core = CoreModel::default();
+        let mut core = CoreModel::new();
         let (_, lag_plain) = core.resolve(None);
-        // A cold load:
+        assert_eq!(lag_plain, MIN_EXEC_LAG);
+        // A cold load goes to main memory: the longest lag there is.
         let (lat, lag_loaded) = core.resolve(Some(0xDEAD_0000));
-        assert!(lat > 1);
+        assert_eq!((lat, lag_loaded), (MEMORY_LATENCY, MAX_EXEC_LAG));
         assert!(lag_loaded > lag_plain);
     }
 

@@ -4,7 +4,7 @@
 //! Every conditional branch is predicted at fetch, extends the speculative
 //! history immediately (exact on the correct path, §5.1), *executes* after
 //! its resolution lag (when the IUM learns its outcome) and *retires* — in
-//! program order — `retire_lag` branches later, at which point the
+//! program order — [`RETIRE_LAG`] branches later, at which point the
 //! predictor tables are updated according to the chosen scenario.
 //!
 //! There is one simulation route: a [`WindowEngine`] (predictor plus
@@ -12,7 +12,7 @@
 //! [`ChunkDriver`]. [`simulate_engine`] runs a driver to the end of its
 //! source.
 
-use crate::core_model::CoreModel;
+use crate::core_model::{mispredict_penalty, CoreModel, MAX_EXEC_LAG};
 use crate::report::{BranchProfile, BranchStat, SimReport};
 use simkit::predictor::{Predictor, UpdateScenario};
 use simkit::stats::AccessStats;
@@ -24,20 +24,29 @@ use workloads::event::{EventBlock, EventSource, TraceEvent};
 /// [`EventBlock`] stays cache-resident (~160 KiB of events).
 pub const DEFAULT_BATCH: usize = 4096;
 
-/// Skip/warmup/measure windows over the event stream (sampled
-/// simulation). Positions count *trace events* — conditional or not —
-/// matching [`EventSource::skip`] units and the `.ttr` per-block event
-/// counts, so a data-path seek and a window skip agree on where event N
-/// is.
+/// Branches fetched between a branch's fetch and its in-order retire.
+pub const RETIRE_LAG: usize = 32;
+
+// A branch retires `RETIRE_LAG` fetches after its own, so it must have
+// executed by then, whatever its execute lag.
+const _: () = assert!(MAX_EXEC_LAG < RETIRE_LAG);
+
+/// Buckets of the execute wheel: longer than the longest execute lag, so
+/// due times within reach never share a bucket.
+const WHEEL: usize = (MAX_EXEC_LAG + 1).next_power_of_two();
+
+/// Warmup/measure windows over the event stream (sampled simulation).
+/// Positions count *trace events* — conditional or not — from the
+/// source's current position, matching [`EventSource::skip`] units and
+/// the `.ttr` per-block event counts. A prefix is skipped on the source
+/// itself, with [`EventSource::skip`], before the engine sees an event.
 ///
-/// * the first `skip` events are fast-forwarded: the predictor is never
-///   touched and no counter moves;
-/// * the next `warmup` events train the predictor (the full
+/// * the first `warmup` events train the predictor (the full
 ///   predict/update path through the in-flight window) but score
 ///   nothing;
 /// * the next `measure` events train *and* count; everything after is
-///   fast-forwarded again (the drivers stop pulling events once the
-///   window is spent).
+///   fast-forwarded (the drivers stop pulling events once the window is
+///   spent).
 ///
 /// [`AccessStats`] are reset at the first measured event, so table
 /// traffic counts over the same window as `conditionals` and
@@ -47,13 +56,11 @@ pub const DEFAULT_BATCH: usize = 4096;
 /// traffic counts. A stream that ends before the measured window begins
 /// reports no traffic.
 ///
-/// The default (`skip = 0`, `warmup = 0`, `measure = u64::MAX`) runs the
-/// identical arithmetic path as the unwindowed engine, so its reports are
+/// The default (`warmup = 0`, `measure = u64::MAX`) runs the identical
+/// arithmetic path as the unwindowed engine, so its reports are
 /// bit-identical to the pre-window goldens.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SimWindow {
-    /// Events fast-forwarded before any predictor activity.
-    pub skip: u64,
     /// Events that train the predictor without scoring.
     pub warmup: u64,
     /// Events that are scored (`u64::MAX` = to the end of the trace).
@@ -62,82 +69,24 @@ pub struct SimWindow {
 
 impl Default for SimWindow {
     fn default() -> Self {
-        Self { skip: 0, warmup: 0, measure: u64::MAX }
+        Self { warmup: 0, measure: u64::MAX }
     }
 }
 
-impl SimWindow {
-    /// First measured event position (`skip + warmup`, saturating).
-    pub fn measure_start(&self) -> u64 {
-        self.skip.saturating_add(self.warmup)
-    }
-
-    /// One past the last measured event position (saturating).
-    pub fn end(&self) -> u64 {
-        self.measure_start().saturating_add(self.measure)
-    }
-}
-
-/// Pipeline configuration.
-#[derive(Clone, Debug)]
+/// What a simulation's caller chooses; the modelled core itself is fixed
+/// ([`crate::core_model`], [`RETIRE_LAG`]). Every field can change a
+/// report, so the suite scheduler keys its memo cache on the
+/// configuration itself.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
-    /// Branches fetched between a branch's fetch and its in-order retire.
-    pub retire_lag: usize,
-    /// Core timing model (execute lags, penalties, caches).
-    pub core: CoreModel,
     /// Collect per-static-branch counters ([`BranchProfile`]) during
     /// simulation. Off by default: the collector never perturbs prediction
     /// (it only observes outcomes already computed), so reports with it on
     /// match the aggregate counters of reports with it off bit-for-bit.
     pub branch_stats: bool,
-    /// Skip/warmup/measure windowing over the event stream. The default
+    /// Warmup/measure windowing over the event stream. The default
     /// measures every event.
     pub window: SimWindow,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self {
-            retire_lag: 32,
-            core: CoreModel::default(),
-            branch_stats: false,
-            window: SimWindow::default(),
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// Collapses the configuration to a fingerprint for suite-memoization
-    /// keys. Every struct on the path is destructured exhaustively, so
-    /// adding a configuration field fails this compile until the field is
-    /// mixed into the key (or explicitly classified as runtime state) —
-    /// two configs differing in any knob can never silently share a memo
-    /// entry.
-    pub fn fingerprint(&self) -> u64 {
-        let Self { retire_lag, core, branch_stats, window } = self;
-        let CoreModel { memory, refill_penalty, min_exec_lag } = core;
-        let SimWindow { skip, warmup, measure } = window;
-        let mut h = 0xCBF29CE484222325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100000001B3);
-        };
-        mix(*retire_lag as u64);
-        // branch_stats cannot change any aggregate counter, but a memoized
-        // report without a profile must not satisfy a request with one.
-        mix(*branch_stats as u64);
-        mix(*refill_penalty);
-        mix(*min_exec_lag as u64);
-        for w in memory.config_words() {
-            mix(w);
-        }
-        // Window bounds change every counter, so a windowed report can
-        // never alias a full-run memo entry (or another window's).
-        mix(*skip);
-        mix(*warmup);
-        mix(*measure);
-        h
-    }
 }
 
 struct Inflight<F> {
@@ -154,18 +103,14 @@ struct Inflight<F> {
 /// [`WindowState::step`].
 struct WindowState<F> {
     // INVARIANT: `base` is the sequence number of `window.front()`, and
-    // bucket `i & wheel_mask` of `exec_wheel` holds, in program order, the
+    // bucket `i % WHEEL` of `exec_wheel` holds, in program order, the
     // sequence numbers of the not-yet-executed window entries due at
-    // fetch index `i` — `step` maintains both with every push/pop. The
-    // wheel is longer than the longest execute lag, so due times within
-    // reach never share a bucket.
+    // fetch index `i` — `step` maintains both with every push/pop.
     window: VecDeque<Inflight<F>>,
-    exec_wheel: Vec<Vec<usize>>,
-    wheel_mask: usize,
+    exec_wheel: [Vec<usize>; WHEEL],
     base: usize,
     fetch_index: usize,
     core: CoreModel,
-    retire_lag: usize,
     scenario: UpdateScenario,
     immediate: bool,
     mispredicts: u64,
@@ -173,11 +118,9 @@ struct WindowState<F> {
     uops: u64,
     conditionals: u64,
     // Sampled-simulation bounds (`PipelineConfig::window`), precomputed
-    // as absolute event positions: [0, skip_end) is fast-forwarded,
-    // [skip_end, measure_start) trains without counting,
+    // as event positions: [0, measure_start) trains without counting,
     // [measure_start, window_end) trains and counts.
     position: u64,
-    skip_end: u64,
     measure_start: u64,
     window_end: u64,
     // Whether the predictor's access counters still await their reset at
@@ -193,15 +136,13 @@ struct WindowState<F> {
 
 impl<F> WindowState<F> {
     fn new(scenario: UpdateScenario, cfg: &PipelineConfig) -> Self {
-        let wheel = (cfg.core.max_exec_lag() + 1).next_power_of_two();
+        let SimWindow { warmup, measure } = cfg.window;
         Self {
-            window: VecDeque::with_capacity(cfg.retire_lag + 64),
-            exec_wheel: vec![Vec::new(); wheel],
-            wheel_mask: wheel - 1,
+            window: VecDeque::with_capacity(RETIRE_LAG + 64),
+            exec_wheel: std::array::from_fn(|_| Vec::new()),
             base: 0,
             fetch_index: 0,
-            core: cfg.core.clone(),
-            retire_lag: cfg.retire_lag,
+            core: CoreModel::new(),
             scenario,
             immediate: scenario == UpdateScenario::Immediate,
             mispredicts: 0,
@@ -209,10 +150,9 @@ impl<F> WindowState<F> {
             uops: 0,
             conditionals: 0,
             position: 0,
-            skip_end: cfg.window.skip,
-            measure_start: cfg.window.measure_start(),
-            window_end: cfg.window.end(),
-            stats_reset_pending: cfg.window.measure_start() > 0,
+            measure_start: warmup,
+            window_end: warmup.saturating_add(measure),
+            stats_reset_pending: warmup > 0,
             profile: cfg.branch_stats.then(HashMap::new),
         }
     }
@@ -247,10 +187,10 @@ impl<F> WindowState<F> {
         // arithmetic path as the pre-window engine (golden bit-identity).
         let pos = self.position;
         self.position += 1;
-        if pos < self.skip_end || pos >= self.window_end {
-            // Fast-forward: skipped events never touch the predictor, the
-            // core model, or any counter — exactly as if the source had
-            // been cut before/after them.
+        if pos >= self.window_end {
+            // Fast-forward: events past the window never touch the
+            // predictor, the core model, or any counter — exactly as if
+            // the source had been cut after them.
             return;
         }
         let measuring = pos >= self.measure_start;
@@ -272,7 +212,7 @@ impl<F> WindowState<F> {
         let mut event_penalty = 0;
         if pred != ev.taken && measuring {
             self.mispredicts += 1;
-            event_penalty = self.core.mispredict_penalty(resolution);
+            event_penalty = mispredict_penalty(resolution);
             self.penalty += event_penalty;
         }
         if measuring {
@@ -290,22 +230,22 @@ impl<F> WindowState<F> {
             predictor.execute(&b, ev.taken, &mut flight);
             predictor.retire(&b, ev.taken, pred, flight, self.scenario);
         } else {
-            debug_assert!(exec_lag <= self.wheel_mask, "execute lag beyond the wheel");
-            let due_at = (self.fetch_index + exec_lag) & self.wheel_mask;
+            debug_assert!(exec_lag <= MAX_EXEC_LAG, "execute lag beyond the wheel");
+            let due_at = (self.fetch_index + exec_lag) % WHEEL;
             self.exec_wheel[due_at].push(self.base + self.window.len());
             self.window.push_back(Inflight {
                 branch: b,
                 outcome: ev.taken,
                 predicted: pred,
                 flight,
-                retire_at: self.fetch_index + self.retire_lag.max(exec_lag + 1),
+                retire_at: self.fetch_index + RETIRE_LAG,
                 executed: false,
             });
             // Execute every branch whose resolution completed, in program
             // order. Every fetch index is visited, so exactly the branches
             // due at this one complete now, and its bucket holds them in
             // the order they were fetched.
-            let due = &mut self.exec_wheel[self.fetch_index & self.wheel_mask];
+            let due = &mut self.exec_wheel[self.fetch_index % WHEEL];
             for &seq in due.iter() {
                 let inflight = &mut self.window[seq - self.base];
                 predictor.execute(&inflight.branch, inflight.outcome, &mut inflight.flight);
@@ -593,7 +533,7 @@ mod tests {
         assert_eq!(r.conditionals, t.conditional_count());
         assert_eq!(r.uops, t.total_uops());
         assert!(r.mispredicts <= r.conditionals);
-        assert!(r.penalty_cycles >= r.mispredicts * 25);
+        assert!(r.penalty_cycles >= r.mispredicts * crate::core_model::REFILL_PENALTY);
         // One predict read per conditional.
         assert_eq!(r.stats.predict_reads, r.conditionals);
     }
@@ -668,13 +608,12 @@ mod tests {
         // fed in slices of 1, 7 (shorter than the retire lag, so slices
         // straddle window boundaries), DEFAULT_BATCH and whole must give
         // the same report — every scenario, profile on, and a
-        // skip/warmup/measure window whose edges fall mid-slice.
+        // warmup/measure window whose edges fall mid-slice.
         let trace = tiny("MM05");
         let n = trace.events.len() as u64;
         let cfg = PipelineConfig {
             branch_stats: true,
-            window: SimWindow { skip: 101, warmup: 333, measure: n / 2 },
-            ..PipelineConfig::default()
+            window: SimWindow { warmup: 333, measure: n / 2 },
         };
         let feed = |engine: &mut dyn BlockSim, slice: usize| {
             for block in trace.events.chunks(slice) {
@@ -731,7 +670,7 @@ mod tests {
         // like simulate_engine's `done()` break — not at stream end.
         let spec = by_name("MM05", Scale::Tiny).unwrap();
         let cfg = PipelineConfig {
-            window: SimWindow { skip: 0, warmup: 100, measure: 500 },
+            window: SimWindow { warmup: 100, measure: 500 },
             ..PipelineConfig::default()
         };
         let scenario = UpdateScenario::FetchOnly;
@@ -791,15 +730,15 @@ mod tests {
 
     /// The call order of the window as a scan over every unexecuted
     /// branch at each fetch (the algorithm the execute wheel replaced).
-    fn scanned_call_order(t: &Trace, cfg: &PipelineConfig) -> Vec<(char, u64)> {
-        let mut core = cfg.core.clone();
+    fn scanned_call_order(t: &Trace) -> Vec<(char, u64)> {
+        let mut core = CoreModel::new();
         let mut log = Vec::new();
         // (id, exec_at, retire_at, executed), oldest first.
         let mut window: VecDeque<(u64, usize, usize, bool)> = VecDeque::new();
         let conditionals = t.events.iter().filter(|e| e.kind.is_conditional());
         for (fetch, ev) in conditionals.enumerate() {
             let (_, lag) = core.resolve(ev.load_addr);
-            window.push_back((fetch as u64, fetch + lag, fetch + cfg.retire_lag.max(lag + 1), false));
+            window.push_back((fetch as u64, fetch + lag, fetch + RETIRE_LAG, false));
             for b in window.iter_mut().filter(|b| !b.3 && b.1 <= fetch) {
                 log.push(('E', b.0));
                 b.3 = true;
@@ -820,22 +759,13 @@ mod tests {
 
     #[test]
     fn execute_wheel_matches_a_scan_of_the_window() {
-        // Load-heavy cold-data trace, so execute lags vary; retire lags
-        // shorter and longer than them, and a zero minimum lag (a branch
-        // executing in its own fetch step).
+        // Load-heavy cold-data trace, so execute lags vary from the
+        // minimum to the longest the core model returns.
         let t = tiny("INT02");
-        for (retire_lag, min_exec_lag, memory_latency) in [(32, 4, 180), (2, 0, 400), (8, 1, 60)] {
-            let mut cfg = PipelineConfig { retire_lag, ..PipelineConfig::default() };
-            cfg.core.min_exec_lag = min_exec_lag;
-            cfg.core.memory.memory_latency = memory_latency;
-            let mut engine = WindowEngine::new(CallLog::default(), UpdateScenario::FetchOnly, &cfg);
-            simulate_engine(&mut engine, &mut TraceStream::new(&t));
-            assert_eq!(
-                engine.predictor().log,
-                scanned_call_order(&t, &cfg),
-                "retire lag {retire_lag}, min exec lag {min_exec_lag}, memory {memory_latency}"
-            );
-        }
+        let cfg = PipelineConfig::default();
+        let mut engine = WindowEngine::new(CallLog::default(), UpdateScenario::FetchOnly, &cfg);
+        simulate_engine(&mut engine, &mut TraceStream::new(&t));
+        assert_eq!(engine.predictor().log, scanned_call_order(&t));
     }
 
     #[test]
@@ -874,13 +804,13 @@ mod tests {
     #[test]
     fn branch_profile_is_free_when_off() {
         // Switching collection on must leave every aggregate counter
-        // untouched, and a config with it on never shares a memo key
-        // with one without.
+        // untouched, and a config with it on never equals (so never
+        // shares a memo key with) one without.
         let spec = by_name("MM05", Scale::Tiny).unwrap();
         let scenario = UpdateScenario::RereadAtRetire;
         let off = PipelineConfig::default();
-        let on = PipelineConfig { branch_stats: true, ..PipelineConfig::default() };
-        assert_ne!(off.fingerprint(), on.fingerprint());
+        let on = PipelineConfig { branch_stats: true, ..off };
+        assert_ne!(off, on);
         let plain = run(Gshare::new(12), &mut spec.stream(), scenario, &off);
         assert!(plain.branches.is_none());
         let profiled = run(Gshare::new(12), &mut spec.stream(), scenario, &on);

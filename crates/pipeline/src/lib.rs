@@ -37,7 +37,7 @@ pub mod engine;
 pub mod report;
 pub mod sampling;
 
-pub use core_model::{CoreModel, MemoryHierarchy};
+pub use core_model::CoreModel;
 pub use engine::{
     simulate_engine, BlockSim, ChunkDriver, PipelineConfig, SimWindow, WindowEngine, DEFAULT_BATCH,
 };

@@ -3,8 +3,9 @@
 //!
 //! Full simulation at CBP trace lengths (30M–1B branches) is the wrong
 //! default: the standard technique is to simulate a handful of
-//! skip/warmup/measure windows ([`crate::engine::SimWindow`]) placed
-//! across the trace and combine their per-slice [`SimReport`]s into an
+//! warmup/measure windows ([`crate::engine::SimWindow`]), each at a
+//! source position reached with `EventSource::skip`, placed across the
+//! trace and combine their per-slice [`SimReport`]s into an
 //! estimate of the full-run MPPKI/MPKI. The first (and so far only)
 //! selector is [`fixed_interval`]: every k-th window of length
 //! `warmup + measure`, with seeded deterministic jitter so slice starts

@@ -54,7 +54,8 @@ pub struct SessionConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SessionEnd {
     /// Result frame sent; `events` is what the final `stats` frame carried
-    /// (trace events fed to the engine).
+    /// (trace events consumed: the skipped prefix plus those fed to the
+    /// engine).
     Completed { events: u64 },
     /// A typed `error` frame was sent (or attempted) with this code.
     Errored { code: String, message: String },
@@ -268,13 +269,17 @@ pub(crate) fn session_body<S>(stream: TcpStream, cfg: &SessionConfig, slot: S) -
     // --- simulate --------------------------------------------------------
     let sim_cfg = PipelineConfig {
         branch_stats: hs.branch_stats,
-        window: SimWindow { skip: hs.skip, warmup: hs.warmup, measure: hs.measure },
-        ..PipelineConfig::default()
+        window: SimWindow { warmup: hs.warmup, measure: hs.measure },
     };
     let mut engine = match spec.build_engine(scenario, &sim_cfg) {
         Ok(e) => e,
         Err(e) => return fail(&mut wr, ERR_SPEC, e.to_string()),
     };
+    // The handshake's prefix is skipped on the source, as `tage_exp
+    // sample` positions a slice: a block-index seek on a spooled `.ttr3`,
+    // decode-discard on a streamed feed. A decode error it meets is the
+    // decoder's recorded error, which `check_run` reports below.
+    let skipped = decoder.skip(hs.skip);
     // One chunk per periodic `stats` frame; `stats_every = 0` runs to the
     // end in one chunk. Chunking never changes the result (pinned in the
     // pipeline engine tests).
@@ -286,8 +291,12 @@ pub(crate) fn session_body<S>(stream: TcpStream, cfg: &SessionConfig, slot: S) -
     while !driver.is_done() {
         driver.run_chunk(&mut *engine, &mut decoder, blocks_per_chunk);
         if hs.stats_every > 0
-            && wire::write_frame(&mut wr, FrameType::Stats, &encode_stats(driver.events_fed()))
-                .is_err()
+            && wire::write_frame(
+                &mut wr,
+                FrameType::Stats,
+                &encode_stats(skipped + driver.events_fed()),
+            )
+            .is_err()
         {
             return SessionEnd::Errored {
                 code: ERR_DECODE.to_string(),
@@ -298,12 +307,12 @@ pub(crate) fn session_body<S>(stream: TcpStream, cfg: &SessionConfig, slot: S) -
     if let Err(e) = harness::trace_mode::check_run(decoder.as_ref(), &*engine) {
         return fail(&mut wr, pick_code(&protocol_code, &e), e.to_string());
     }
-    let events = driver.events_fed();
+    let events = skipped + driver.events_fed();
     let report = driver.finish(&mut *engine, &decoder);
 
     // --- result ----------------------------------------------------------
-    // The final `stats` frame counts trace events fed, the same unit the
-    // periodic frames count in.
+    // The final `stats` frame counts trace events consumed, skipped ones
+    // included, the same unit the periodic frames count in.
     let suite = SuiteReport::new(vec![report]);
     let artifact =
         RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suite, None, hs.top);

@@ -166,7 +166,8 @@ pub struct Handshake {
     pub spec: String,
     /// Update-scenario label: `I`, `A`, `B`, or `C`.
     pub scenario: String,
-    /// Simulation-window prefix skipped entirely (events).
+    /// Trace prefix skipped on the source before the window starts
+    /// (events); the predictor never sees it.
     pub skip: u64,
     /// Window warmup length (events): simulated, not measured.
     pub warmup: u64,
@@ -328,7 +329,8 @@ impl WireError {
     }
 }
 
-/// Encode a `stats` payload: running count of events fed to the engine.
+/// Encode a `stats` payload: running count of trace events consumed (the
+/// skipped prefix plus the events fed to the engine).
 pub fn encode_stats(events: u64) -> Vec<u8> {
     format!("events={events}\n").into_bytes()
 }

@@ -127,42 +127,53 @@ fn periodic_stats_frames_do_not_change_the_result() {
 /// A session whose measure window ends before the trace stops pulling
 /// events; the undrained tail of a container that declares its event
 /// count is not a shortfall. The result must equal the offline windowed
-/// run over the same file.
+/// run over the same file, which skips the prefix on its source. A
+/// skip-only session runs to the end of the trace, and its final `stats`
+/// frame counts the skipped prefix too: the whole file.
 #[test]
 fn windowed_sessions_match_the_offline_windowed_run() {
     let dir = test_dir("window");
     let trace = by_name("CLIENT01", Scale::Tiny).unwrap().generate();
+    let total = trace.events.len() as u64;
     // CSV decodes front to back off the live stream; .ttr3 spools first.
     let csv = record_trace(&trace, &CsvCodec, &dir).unwrap();
     let v3 = record_trace(&trace, &Ttr3Codec, &dir).unwrap();
-    let window = SimWindow { skip: 300, warmup: 500, measure: 1000 };
+    let skip = 300;
     let spec = PredictorSpec::parse("gshare:12").unwrap();
     let scenario = scenario_from_label("A").unwrap();
-    let cfg = PipelineConfig { window, ..PipelineConfig::default() };
 
     let (addr, handle) = start_server(8, false);
     for (label, file) in [("csv", &csv), ("ttr3 lz", &v3)] {
-        let mut opts = client_opts(addr);
-        opts.handshake.spec = spec.to_string();
-        opts.handshake.skip = window.skip;
-        opts.handshake.warmup = window.warmup;
-        opts.handshake.measure = window.measure;
-        let res = run_one(file, &opts).unwrap();
-        assert!(res.error.is_none(), "{label}: server error {:?}", res.error);
-        assert!(
-            res.events < trace.events.len() as u64,
-            "{label}: the session must stop before the end of the trace ({} events fed)",
-            res.events
-        );
+        for window in [SimWindow { warmup: 500, measure: 1000 }, SimWindow::default()] {
+            let context = format!("{label}, skip {skip}, {window:?}");
+            let mut opts = client_opts(addr);
+            opts.handshake.spec = spec.to_string();
+            opts.handshake.skip = skip;
+            opts.handshake.warmup = window.warmup;
+            opts.handshake.measure = window.measure;
+            let res = run_one(file, &opts).unwrap();
+            assert!(res.error.is_none(), "{context}: server error {:?}", res.error);
+            if window == SimWindow::default() {
+                assert_eq!(res.events, total, "{context}: the final stats frame totals the file");
+            } else {
+                assert!(
+                    res.events < total,
+                    "{context}: the session must stop before the end of the trace ({} events)",
+                    res.events
+                );
+            }
 
-        let mut engine = spec.build_engine(scenario, &cfg).unwrap();
-        let mut src = CodecRegistry::standard().open(file).unwrap();
-        let report = simulate_engine(&mut *engine, &mut src);
-        let suite = SuiteReport::new(vec![report]);
-        let offline =
-            RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suite, None, 20)
-                .to_json();
-        assert_eq!(res.artifact_json.expect("result artifact"), offline, "{label}");
+            let cfg = PipelineConfig { window, ..PipelineConfig::default() };
+            let mut engine = spec.build_engine(scenario, &cfg).unwrap();
+            let mut src = CodecRegistry::standard().open(file).unwrap();
+            assert_eq!(src.skip(skip), skip);
+            let report = simulate_engine(&mut *engine, &mut src);
+            let suite = SuiteReport::new(vec![report]);
+            let offline =
+                RunArtifact::from_suite(&spec.sim_key(), scenario, "external", &suite, None, 20)
+                    .to_json();
+            assert_eq!(res.artifact_json.expect("result artifact"), offline, "{context}");
+        }
     }
     stop_server(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);

@@ -39,10 +39,8 @@
 pub mod behavior;
 pub mod event;
 pub mod program;
-pub mod stats;
 pub mod suite;
 
 pub use event::{EventSource, Trace, TraceEvent, TraceStream};
 pub use program::ProgramStream;
-pub use stats::TraceStats;
 pub use suite::{generate_parallel, suite, Category, Scale, TraceSpec};

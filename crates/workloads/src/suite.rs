@@ -780,6 +780,17 @@ mod tests {
     }
 
     #[test]
+    fn taken_rate_reasonable() {
+        // Typical programs are taken-biased or near half; our synthetic mix
+        // should land in a broad sane band.
+        let t = by_name("INT04", Scale::Tiny).unwrap().generate();
+        let conditionals = t.events.iter().filter(|e| e.kind.is_conditional());
+        let taken = conditionals.clone().filter(|e| e.taken).count();
+        let rate = taken as f64 / conditionals.count() as f64;
+        assert!((0.3..=0.95).contains(&rate), "taken rate {rate}");
+    }
+
+    #[test]
     fn scale_parse_round_trips() {
         for (s, v) in [
             ("tiny", Scale::Tiny),

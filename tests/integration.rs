@@ -193,8 +193,7 @@ fn mppki_exceeds_mpki_scaled_by_min_penalty() {
     // The penalty model must charge at least the refill penalty.
     let t = by_name("SERVER02", Scale::Tiny).unwrap().generate();
     let r = run(TageSystem::reference_tage(), &t, UpdateScenario::RereadAtRetire);
-    let refill_penalty = PipelineConfig::default().core.refill_penalty;
-    assert!(r.mppki() >= r.mpki() * refill_penalty as f64);
+    assert!(r.mppki() >= r.mpki() * pipeline::core_model::REFILL_PENALTY as f64);
 }
 
 #[test]
