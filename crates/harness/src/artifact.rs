@@ -22,7 +22,7 @@
 //! subset the writer emits (objects, arrays, strings, unsigned integers,
 //! null).
 
-use crate::runner::SchedulerStats;
+use crate::SchedulerStats;
 use pipeline::{BranchProfile, BranchStat, SimReport, SuiteReport};
 use simkit::predictor::UpdateScenario;
 use simkit::stats::AccessStats;

@@ -16,11 +16,11 @@
 //!
 //! Experiments are declarative: each is a table of (predictor spec ×
 //! update scenario) rows fed to one generic sweep runner. `tage_exp all`
-//! prefetches every experiment's suites onto the work-stealing pool
-//! before rendering the first table, so independent experiments overlap;
+//! prefetches every experiment's suites onto the worker pool before
+//! rendering the first table, so independent experiments overlap;
 //! duplicate suites are memoized by canonical spec string and run exactly
-//! once. The 40-trace suite is generated once per invocation, in
-//! parallel, and every job streams one of its traces.
+//! once. The 40-trace suite is generated once per invocation, one pool
+//! job per trace, and every simulate job streams one of its traces.
 //!
 //! `tage_exp system` simulates *any* user-composed predictor stack over
 //! the suite — including compositions no experiment table covers, e.g.

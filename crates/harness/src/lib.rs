@@ -3,9 +3,7 @@
 //! EXPERIMENTS.md for paper-vs-measured results.
 //!
 //! Run with `cargo run --release -p harness --bin tage_exp -- <exp>` where
-//! `<exp>` is one of the experiment ids (`bench-chars`, `fig3`, `writes`,
-//! `scenarios`, `interleave`, `ium`, `loop`, `sc`, `isl`, `lsc`,
-//! `ablation`, `fig9`, `fig10`, `cost-eff`) or `all`.
+//! `<exp>` is one of the experiment ids `tage_exp --list` prints, or `all`.
 
 #![forbid(unsafe_code)]
 
@@ -24,7 +22,7 @@ pub use artifact::{
     ArtifactError, BranchRow, RunArtifact, SamplingBlock, SchedulerBlock, TraceRow,
     ARTIFACT_SCHEMA,
 };
-pub use ctx::{ExpContext, ExpOptions};
-pub use runner::{SchedulerStats, SuiteRunner, WorkerPool};
+pub use ctx::{ExpContext, ExpOptions, SchedulerStats};
+pub use runner::WorkerPool;
 pub use spec::PredictorSpec;
 pub use table::Table;

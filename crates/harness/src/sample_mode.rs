@@ -340,6 +340,31 @@ mod tests {
     }
 
     #[test]
+    fn whole_trace_slices_are_simulated_once_however_many_phases_are_asked_for() {
+        let (dir, files) = record(&["CLIENT01"], "repeat");
+        let specs = vec![PredictorSpec::parse("gshare:12").unwrap()];
+        let one =
+            SampleOptions { phases: 1, warmup: 0, measure: u64::MAX, ..SampleOptions::default() };
+        let eight = SampleOptions { phases: 8, ..one };
+        let pool = WorkerPool::new(2);
+        let single = run_sampled(&files, &specs, &one, &pool).unwrap();
+        let repeated = run_sampled(&files, &specs, &eight, &pool).unwrap();
+        // Eight slices clamped to the trace's start are one slice.
+        let run = &repeated[0];
+        assert_eq!(run.phases, vec![Phase { start: 0 }]);
+        assert_eq!(run.simulated_events(&eight), run.total_events);
+        assert_eq!(run.sampled, single[0].sampled);
+        // The printed row reads a 1.0x reduction and the MPPKI of one phase.
+        let names = ["gshare:12".to_string()];
+        let row = |runs: &[SampleRun], opts: &SampleOptions| {
+            render(runs, &names, opts).lines().last().unwrap().to_string()
+        };
+        assert!(row(&repeated, &eight).contains(" 1.0x "), "{}", row(&repeated, &eight));
+        assert_eq!(row(&repeated, &eight), row(&single, &one));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn sampled_run_cuts_events_and_tracks_the_full_mppki() {
         let (dir, files) = record(&["CLIENT01", "MM01"], "cut");
         let specs = vec![

@@ -1,9 +1,10 @@
-//! Contention stress tests for the `WorkerPool` Mutex/Condvar/atomic
-//! choreography: floods of tiny jobs (maximum queue contention), repeated
-//! shutdown/rebuild cycles (Drop joins cleanly, no worker leaks), wake-ups
-//! from a fully idle pool (no lost-notify deadlock), and concurrent
-//! submitters racing the round-robin placement. Every test owns a
-//! completion counter; a hang here is a scheduling bug, not a slow test.
+//! Contention stress tests for the `WorkerPool` queue: one mutex over the
+//! FIFO queue and its shutdown flag, one condvar. Floods of tiny jobs
+//! (maximum queue contention), repeated shutdown/rebuild cycles (Drop
+//! joins cleanly, no worker leaks), wake-ups from a fully idle pool (no
+//! lost-notify deadlock), and concurrent submitters racing the workers
+//! for the queue lock. Every test owns a completion counter; a hang here
+//! is a scheduling bug, not a slow test.
 
 use harness::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,8 +57,8 @@ fn repeated_shutdown_and_rebuild() {
             }));
         }
         // Drop without waiting: shutdown must still drain nothing early —
-        // workers only exit once their queues are empty, so every
-        // submitted job runs before join returns.
+        // workers only exit once the queue is empty, so every submitted
+        // job runs before join returns.
         drop(pool);
         assert_eq!(
             done.load(Ordering::SeqCst),
@@ -107,7 +108,7 @@ fn concurrent_submitters_race_the_pool() {
                 for i in 0..JOBS_EACH {
                     let done = Arc::clone(&done);
                     pool.submit(Box::new(move || {
-                        // Vary job weight so stealing actually triggers.
+                        // Vary job weight so workers finish out of step.
                         if (s + i) % 64 == 0 {
                             std::thread::sleep(Duration::from_micros(200));
                         }

@@ -3,11 +3,10 @@
 //!
 //! Every `Ordering::Relaxed` in non-test code needs an `// ORDERING:
 //! <why>` justification on the same line or just above: why no
-//! happens-before edge is needed at this site (statistics counter,
-//! round-robin hint, value re-checked under a lock, …). Acquire/Release/
-//! SeqCst sites are self-describing — they *assert* an edge — and are not
-//! flagged; the harness `WorkerPool`/`SuiteRunner` counters are the first
-//! customers of this pass.
+//! happens-before edge is needed at this site (statistics counter, id
+//! sequence, value re-checked under a lock, …). Acquire/Release/SeqCst
+//! sites are self-describing — they *assert* an edge — and are not
+//! flagged.
 
 use super::{diag, justified, LintContext, Pass};
 use crate::diag::Diagnostic;

@@ -40,10 +40,14 @@ pub struct Phase {
 /// * every slice starts within the trace, and within `total - len` when
 ///   the trace is long enough to hold a whole slice;
 /// * every phase stands for the same interval of the trace, so summed
-///   slice counters estimate the whole trace.
+///   slice counters estimate the whole trace;
+/// * no two phases start at the same event.
 ///
-/// Returns fewer than `n` phases only when the trace has fewer than `n`
-/// events; returns none for an empty trace or `n == 0`.
+/// Starts never decrease, and slices that clamp to `total - len` would
+/// repeat one start, so a repeated start is kept once. Returns fewer than
+/// `n` phases only when the trace has fewer than `n` events or when
+/// slices clamp that way (a slice as long as the trace gives one phase,
+/// at 0); returns none for an empty trace or `n == 0`.
 pub fn fixed_interval(total: u64, n: u64, warmup: u64, measure: u64, seed: u64) -> Vec<Phase> {
     if total == 0 || n == 0 {
         return Vec::new();
@@ -53,7 +57,7 @@ pub fn fixed_interval(total: u64, n: u64, warmup: u64, measure: u64, seed: u64) 
     let len = warmup.saturating_add(measure);
     let last_start = total.saturating_sub(len);
     let mut rng = Xoshiro256::seed_from(seed);
-    (0..n)
+    let mut phases: Vec<Phase> = (0..n)
         .map(|i| {
             // Jitter within the interval's slack after the slice itself;
             // the RNG is drawn unconditionally so phase positions stay a
@@ -62,7 +66,9 @@ pub fn fixed_interval(total: u64, n: u64, warmup: u64, measure: u64, seed: u64) 
             let jitter = rng.gen_range(slack + 1);
             Phase { start: (i * interval + jitter).min(last_start) }
         })
-        .collect()
+        .collect();
+    phases.dedup();
+    phases
 }
 
 /// One simulated slice: the phase that placed it and the per-slice
@@ -192,9 +198,8 @@ mod tests {
         let p = fixed_interval(3, 10, 0, 1, 7);
         assert_eq!(p.len(), 3);
         assert!(p.iter().all(|p| p.start < 3));
-        // Slice longer than the trace: anchored at 0.
-        let p = fixed_interval(10, 2, 100, 100, 7);
-        assert!(p.iter().all(|p| p.start == 0));
+        // Slice longer than the trace: one phase, anchored at 0.
+        assert_eq!(fixed_interval(10, 2, 100, 100, 7), vec![Phase { start: 0 }]);
     }
 
     #[test]

@@ -282,15 +282,17 @@ pub(crate) fn session_body<S>(stream: TcpStream, cfg: &SessionConfig, slot: S) -
     let skipped = decoder.skip(hs.skip);
     // One chunk per periodic `stats` frame; `stats_every = 0` runs to the
     // end in one chunk. Chunking never changes the result (pinned in the
-    // pipeline engine tests).
+    // pipeline engine tests). The chunk that only finds the end of the
+    // stream feeds nothing and sends no frame.
     let blocks_per_chunk = match hs.stats_every {
         0 => usize::MAX,
         every => (every / DEFAULT_BATCH as u64).max(1) as usize,
     };
     let mut driver = ChunkDriver::new();
     while !driver.is_done() {
-        driver.run_chunk(&mut *engine, &mut decoder, blocks_per_chunk);
+        let fed = driver.run_chunk(&mut *engine, &mut decoder, blocks_per_chunk);
         if hs.stats_every > 0
+            && fed > 0
             && wire::write_frame(
                 &mut wr,
                 FrameType::Stats,

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use harness::artifact::{scenario_from_label, RunArtifact};
 use harness::trace_mode::{self, record_trace};
 use harness::{PredictorSpec, WorkerPool};
-use pipeline::{simulate_engine, PipelineConfig, SimWindow, SuiteReport};
+use pipeline::{simulate_engine, PipelineConfig, SimWindow, SuiteReport, DEFAULT_BATCH};
 use serve::wire::{self, FrameType, Handshake, WireError};
 use serve::{run_one, BoundServer, ClientOptions, ServeOptions};
 use traces::{CodecRegistry, CsvCodec, Ttr3Codec};
@@ -112,6 +112,12 @@ fn periodic_stats_frames_do_not_change_the_result() {
         assert!(res.error.is_none(), "server error {:?}", res.error);
         let periodic = res.stats_frames - 1;
         assert_eq!(periodic > 0, stats_every > 0, "{periodic} periodic stats frames");
+        if stats_every > 0 {
+            // One block per chunk, one frame per chunk that fed events:
+            // the chunk that only finds the end of the stream sends none.
+            let blocks = trace.events.len().div_ceil(DEFAULT_BATCH);
+            assert_eq!(periodic, blocks, "one periodic frame per fed block");
+        }
         // The final frame counts trace events fed — the unit
         // `stats_every` counts in — whether or not periodic frames ran.
         assert_eq!(res.events, trace.events.len() as u64, "stats_every {stats_every}");

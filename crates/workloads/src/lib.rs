@@ -43,4 +43,4 @@ pub mod suite;
 
 pub use event::{EventSource, Trace, TraceEvent, TraceStream};
 pub use program::ProgramStream;
-pub use suite::{generate_parallel, suite, Category, Scale, TraceSpec};
+pub use suite::{suite, Category, Scale, TraceSpec};

@@ -164,30 +164,6 @@ pub fn suite(scale: Scale) -> Vec<TraceSpec> {
     specs
 }
 
-/// Materializes the full suite at `scale`, generating traces in parallel
-/// across up to `threads` worker threads (clamped to the trace count;
-/// `None` uses the available parallelism). Order and content are identical
-/// to generating each [`TraceSpec`] serially.
-pub fn generate_parallel(scale: Scale, threads: Option<usize>) -> Vec<Trace> {
-    let specs = suite(scale);
-    let threads = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
-        .clamp(1, specs.len());
-    if threads == 1 {
-        return specs.iter().map(TraceSpec::generate).collect();
-    }
-    std::thread::scope(|s| {
-        let chunks: Vec<&[TraceSpec]> = specs.chunks(specs.len().div_ceil(threads)).collect();
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| s.spawn(|| chunk.iter().map(TraceSpec::generate).collect::<Vec<_>>()))
-            .collect();
-        // INVARIANT: re-raises a generator-thread panic on the caller;
-        // never an expected error path.
-        handles.into_iter().flat_map(|h| h.join().expect("generator panicked")).collect()
-    })
-}
-
 /// Builds a single named trace (e.g. `"MM05"`) at the given scale.
 /// Returns `None` for unknown names.
 pub fn by_name(name: &str, scale: Scale) -> Option<TraceSpec> {
@@ -810,14 +786,6 @@ mod tests {
         let spec = by_name("CLIENT02", Scale::Tiny).unwrap();
         use crate::event::EventSource;
         assert_eq!(spec.stream().collect_trace(), spec.generate());
-    }
-
-    #[test]
-    fn parallel_generation_matches_serial() {
-        let serial: Vec<Trace> = suite(Scale::Tiny).iter().map(|s| s.generate()).collect();
-        let parallel = generate_parallel(Scale::Tiny, Some(7));
-        assert_eq!(parallel.len(), 40);
-        assert_eq!(parallel, serial);
     }
 
     #[test]

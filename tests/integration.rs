@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: the paper's headline claims, asserted
 //! end-to-end on aggregate over suite traces (small scales for CI speed).
 //!
-//! The suite is generated once (in parallel) and shared across tests, and
-//! the heavy sweeps are sharded into separate `#[test]` functions so the
-//! test harness runs them concurrently. The heaviest sweeps are
+//! The suite is generated once and shared across tests, and the heavy
+//! sweeps are sharded into separate `#[test]` functions so the test
+//! harness runs them concurrently. The heaviest sweeps are
 //! debug-ignored: they run under `--release` (or `-- --ignored`), where
 //! they cost seconds instead of minutes.
 
@@ -11,13 +11,15 @@ use pipeline::{simulate_engine, PipelineConfig, SimReport, SuiteReport, WindowEn
 use simkit::{Predictor, UpdateScenario};
 use std::sync::{Arc, OnceLock};
 use tage::TageSystem;
-use workloads::suite::{by_name, generate_parallel, Scale, HARD_TRACES};
-use workloads::Trace;
+use workloads::suite::{by_name, suite, Scale, HARD_TRACES};
+use workloads::{Trace, TraceSpec};
 
 /// The Tiny 40-trace suite, generated once per test binary and shared.
 fn tiny_suite() -> Arc<Vec<Trace>> {
     static SUITE: OnceLock<Arc<Vec<Trace>>> = OnceLock::new();
-    SUITE.get_or_init(|| Arc::new(generate_parallel(Scale::Tiny, None))).clone()
+    SUITE
+        .get_or_init(|| Arc::new(suite(Scale::Tiny).iter().map(TraceSpec::generate).collect()))
+        .clone()
 }
 
 /// One cold predictor over one trace, through the simulation engine.
